@@ -64,6 +64,11 @@ def _bump_mass() -> float:
     return float(0.5 * np.sum(w * bump(xs)))
 
 
+# rows of the (rows, 96) quadrature panel evaluated at a time; each row's
+# sum is independent of the block, so only the temporaries' size changes
+STEP_BLOCK = 2048
+
+
 def step(x: np.ndarray | float) -> np.ndarray:
     """S(x): 0 for x <= 0, 1 for x >= 1, normalized bump integral between."""
     x = np.asarray(x, dtype=float)
@@ -73,10 +78,12 @@ def step(x: np.ndarray | float) -> np.ndarray:
     if np.any(inside):
         xi = x[inside]
         nodes, w = _gl_nodes(96)
-        # map the 96-node panel onto [0, xi] for each sample
-        half = 0.5 * xi
-        pts = half[:, None] * (nodes[None, :] + 1.0)
-        vals = half * np.sum(w[None, :] * bump(pts), axis=1)
+        vals = np.empty_like(xi)
+        for lo in range(0, xi.size, STEP_BLOCK):
+            # map the 96-node panel onto [0, xi] for each sample
+            half = 0.5 * xi[lo : lo + STEP_BLOCK]
+            pts = half[:, None] * (nodes[None, :] + 1.0)
+            vals[lo : lo + STEP_BLOCK] = half * np.sum(w[None, :] * bump(pts), axis=1)
         out[inside] = vals / _bump_mass()
     return out
 

@@ -98,13 +98,17 @@ class MetricPoint:
         return 3.0 * self.fp * self.fpp + self.f * self.fppp
 
     @classmethod
-    def from_profile(cls, p: CutoffProfile, t: float, n: int) -> "MetricPoint":
-        jet = p.jet_at(float(t))
+    def from_jet(cls, t: float, jet: np.ndarray, n: int) -> "MetricPoint":
+        """Metric point from the profile jet (f, f', f'', f''') at t."""
         f0, f1, f2, f3 = (float(x) for x in jet)
         return cls(
             t=float(t), f=f0, fp=f1, fpp=f2, fppp=f3,
             g=f0 * f1, gp=f1 * f1 + f0 * f2, n=n,
         )
+
+    @classmethod
+    def from_profile(cls, p: CutoffProfile, t: float, n: int) -> "MetricPoint":
+        return cls.from_jet(t, p.jet_at(float(t)), n)
 
     @classmethod
     def exp_model(cls, t: float, n: int) -> "MetricPoint":
@@ -514,19 +518,30 @@ def hbc_certificate(
     the mixed terms.
     """
     rng = np.random.default_rng(seed)
+    # draws in the per-sample order (t, Y, Xi), so the seed fixes the stream
+    ts = np.empty(samples)
+    u = np.empty((samples, 2, n - 1), dtype=complex)
+    beta = np.empty((samples, 2))
+    gamma = np.empty((samples, 2))
+    for k in range(samples):
+        ts[k] = rng.uniform(t_lo, p.A)
+        for j in range(2):
+            v = random_frame_vector(rng, n)
+            u[k, j], beta[k, j], gamma[k, j] = v.u, v.beta, v.gamma
+    # degenerate corners: pure central and pure horizontal vectors
+    u[::97, 0], beta[::97, 0], gamma[::97, 0] = 0.0, 1.0, 0.0
+    jets = p.jet_at(ts)
+
     failures: list = []
     max_val = -math.inf
     min_val = math.inf
     worst_ratio = -math.inf
     min_slack = math.inf
     for k in range(samples):
-        t = float(rng.uniform(t_lo, p.A))
-        mp = MetricPoint.from_profile(p, t, n)
-        Y = random_frame_vector(rng, n)
-        Xi = random_frame_vector(rng, n)
-        if k % 97 == 0:
-            # degenerate corners: pure central and pure horizontal vectors
-            Y = FrameVector(np.zeros(n - 1), 1.0, 0.0)
+        t = float(ts[k])
+        mp = MetricPoint.from_jet(t, jets[k], n)
+        Y = FrameVector(u[k, 0], float(beta[k, 0]), float(gamma[k, 0]))
+        Xi = FrameVector(u[k, 1], float(beta[k, 1]), float(gamma[k, 1]))
         val = bisectional(Y, Xi, mp)
         max_val = max(max_val, val)
         min_val = min(min_val, val)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspforge.curvature import (
+    CertificateReport,
     CurvatureOracle,
     FrameVector,
     MetricPoint,
@@ -58,6 +59,15 @@ class TestMetricPoint:
         assert (mp.f, mp.fp, mp.fpp, mp.fppp) == (f0, f1, f2, f3)
         assert mp.g == f0 * f1
         assert mp.gpp == pytest.approx(3.0 * f1 * f2 + f0 * f3, rel=1e-15)
+
+    def test_from_jet_matches_from_profile(self, default_profile):
+        ts = np.array([0.05, 0.9, 2.3, 4.4, 6.0])
+        jets = default_profile.jet_at(ts)
+        for t, jet in zip(ts, jets):
+            for n in (2, 5):
+                assert MetricPoint.from_jet(t, jet, n) == MetricPoint.from_profile(
+                    default_profile, t, n
+                )
 
     def test_cosh_model_rejects_origin(self):
         with pytest.raises(ValueError):
@@ -270,7 +280,59 @@ class TestOracle:
         assert oracle_curvature(X, Y, X, Y, mp) == oracle_for(mp)(X, Y, X, Y)
 
 
+def per_sample_certificate(p, samples, n, seed, t_lo=0.05, strict_ratio=1e-10):
+    """The certificate with one profile jet per draw, as a reference for the
+    batched evaluation in hbc_certificate."""
+    rng = np.random.default_rng(seed)
+    failures = []
+    max_val, min_val = -math.inf, math.inf
+    worst_ratio, min_slack = -math.inf, math.inf
+    for k in range(samples):
+        t = float(rng.uniform(t_lo, p.A))
+        mp = MetricPoint.from_profile(p, t, n)
+        Y = random_frame_vector(rng, n)
+        Xi = random_frame_vector(rng, n)
+        if k % 97 == 0:
+            Y = FrameVector(np.zeros(n - 1), 1.0, 0.0)
+        val = bisectional(Y, Xi, mp)
+        max_val, min_val = max(max_val, val), min(min_val, val)
+        if val > 1e-12:
+            failures.append(("nonpositivity", t, val))
+        denom = Y.norm_sq(mp) * Xi.norm_sq(mp)
+        if denom > 0.0:
+            ratio = val / denom
+            worst_ratio = max(worst_ratio, ratio)
+            if ratio >= -strict_ratio:
+                failures.append(("strict negativity", t, ratio))
+        slack = cauchy_schwarz_defect(Y, Xi)
+        min_slack = min(min_slack, slack)
+        if slack < -1e-12:
+            failures.append(("cauchy-schwarz", t, slack))
+    return CertificateReport(
+        passed=not failures,
+        samples=samples,
+        max_value=max_val,
+        min_value=min_val,
+        worst_interior_ratio=worst_ratio,
+        min_cs_slack=min_slack,
+        failures=failures[:10],
+    )
+
+
 class TestCertificate:
+    @pytest.mark.parametrize("samples", [1, 97, 98, 1000])
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_batched_matches_per_sample(self, default_profile, samples, n, seed):
+        for strict_ratio in (1e-10, 10.0):
+            rep = hbc_certificate(
+                default_profile, samples, n=n, seed=seed, strict_ratio=strict_ratio
+            )
+            ref = per_sample_certificate(
+                default_profile, samples, n, seed, strict_ratio=strict_ratio
+            )
+            assert rep == ref
+
     def test_default_profile_passes(self, default_profile):
         rep = hbc_certificate(default_profile, samples=400, n=3, seed=5)
         assert rep.passed

@@ -13,7 +13,6 @@ from cuspforge.profile import (
     ProfileError,
     build_cutoff,
     exp_profile,
-    g_of,
     solve_psi,
     write_profile_csv,
 )
@@ -89,7 +88,7 @@ class TestJets:
     def test_g_jet_matches_product_rule(self, default_profile):
         for t in (0.8, 2.5, 4.1):
             f0, f1, f2, f3 = default_profile.jet_at(t)
-            g, g1, g2 = g_of(default_profile, t)
+            g, g1, g2 = default_profile.g_jet_at(t)
             assert g == pytest.approx(f0 * f1, rel=1e-15)
             assert g1 == pytest.approx(f1 * f1 + f0 * f2, rel=1e-15)
             assert g2 == pytest.approx(3.0 * f1 * f2 + f0 * f3, rel=1e-15)
@@ -116,7 +115,40 @@ class TestExpProfile:
         assert np.all(exp_profile(2.0).positivity_margins() > 0.0)
 
 
+def reference_psi(p, t_min, num):
+    """Per-step scalar RK4 with one g evaluation per stage, as a reference
+    for the tabulated solver."""
+    ts = np.linspace(t_min, p.A, num)
+
+    def slope(t, psi):
+        return math.exp(2.0 * psi) / float(p.g_jet_at(t)[0])
+
+    values = np.empty(num)
+    values[-1] = p.A
+    for k in range(num - 1, 0, -1):
+        t1, t0 = ts[k], ts[k - 1]
+        h = t0 - t1
+        y = values[k]
+        k1 = slope(t1, y)
+        k2 = slope(t1 + 0.5 * h, y + 0.5 * h * k1)
+        k3 = slope(t1 + 0.5 * h, y + 0.5 * h * k2)
+        k4 = slope(t0, y + h * k3)
+        values[k - 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    rhs = np.exp(2.0 * values) / p.g_jet_at(ts)[:, 0]
+    h = ts[1] - ts[0]
+    d = (values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]) / (12.0 * h)
+    return values, np.abs(d - rhs[2:-2])
+
+
 class TestPsiSolution:
+    @pytest.mark.parametrize("shape", ["default", "A8"])
+    def test_matches_per_step_reference_bitwise(self, default_profile, shape):
+        p = default_profile if shape == "default" else build_cutoff(8.0, (2.0, 6.5))
+        sol = solve_psi(p, t_min=0.05, num=2001)
+        values, residuals = reference_psi(p, 0.05, 2001)
+        assert np.array_equal(sol.values, values)
+        assert np.array_equal(sol.residuals, residuals)
+
     def test_residual_small_on_default_profile(self, default_psi):
         assert default_psi.max_residual() <= 1e-8
 
