@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,6 +46,10 @@ SUITES = ("profile", "curvature", "bundle", "cayley", "psh", "all")
 AXES = ("t", "A", "l", "n")
 
 
+def _is_finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     suite: str = "all"
@@ -62,6 +66,22 @@ class SuiteConfig:
     def __post_init__(self) -> None:
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
+        for key in ("n", "d", "samples", "seed"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        for key in ("A", "l", "t0", "eps"):
+            value = getattr(self, key)
+            if not _is_finite_number(value):
+                raise ValueError(f"{key} must be a finite number, got {value!r}")
+        w = self.window
+        if not isinstance(w, (tuple, list)) or len(w) != 2 or not all(
+            map(_is_finite_number, w)
+        ):
+            raise ValueError(f"window must be two finite numbers, got {w!r}")
+        object.__setattr__(self, "window", tuple(w))
+        if not qc._is_squarefree(self.d):
+            raise ValueError(f"d = {self.d} is not a squarefree positive integer")
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if self.samples < 1:
@@ -553,7 +573,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
 def _curvature_summary(mp: cv.MetricPoint, seed: int, draws: int = 120) -> dict:
     rng = np.random.default_rng(seed)
     o = cv.oracle_for(mp)
-    hbc_lo = ric_lo = sec_lo = math.inf
+    hbc_lo = sec_lo = math.inf
     hbc_hi = sec_hi = -math.inf
     for _ in range(draws):
         Y = cv.random_frame_vector(rng, mp.n)
@@ -562,8 +582,7 @@ def _curvature_summary(mp: cv.MetricPoint, seed: int, draws: int = 120) -> dict:
         hbc_lo, hbc_hi = min(hbc_lo, val), max(hbc_hi, val)
         s = o.sectional(Y, Xi)
         sec_lo, sec_hi = min(sec_lo, s), max(sec_hi, s)
-    coef_h = 2.0 * mp.f * mp.fpp + 4.0 * mp.fp**2 + 2.0 * (mp.n - 2) * mp.fp**2
-    coef_z = (2 * mp.n + 1) * mp.f * mp.fp**2 * mp.fpp + mp.f**2 * mp.fp * mp.fppp
+    coef_h, coef_z = cv.ricci_coefficients(mp)
     ric_lo = min(-coef_h / mp.f**2, -coef_z / mp.g**2)
     return {
         "min_hbc": hbc_lo,
@@ -683,13 +702,14 @@ def _merge_config(args: argparse.Namespace, suite: str) -> SuiteConfig:
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a flat JSON object")
         loaded.pop("suite", None)
+        unknown = sorted(set(loaded) - {f.name for f in fields(SuiteConfig)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         values.update(loaded)
     for key in ("n", "d", "A", "l", "t0", "eps", "samples", "seed"):
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
-    if "window" in values:
-        values["window"] = tuple(values["window"])
     return SuiteConfig(**values)
 
 

@@ -50,6 +50,7 @@ __all__ = [
     "hs_blocks",
     "bisectional",
     "ricci",
+    "ricci_coefficients",
     "ricci_trace",
     "rz_plane_curvature",
     "bianchi_check",
@@ -277,11 +278,21 @@ def ricci(Xi: FrameVector, mp: MetricPoint) -> float:
     with alpha^2 the squared Euclidean norm of the horizontal part.  With
     f = exp this is the Einstein identity Ricci = -(2n+2) |Xi|^2.
     """
-    n = mp.n
     alpha_sq = float(np.vdot(Xi.u, Xi.u).real)
+    coef_h, coef_z = ricci_coefficients(mp)
+    return -coef_h * alpha_sq - coef_z * (Xi.beta**2 + Xi.gamma**2)
+
+
+def ricci_coefficients(mp: MetricPoint) -> tuple[float, float]:
+    """(coef_h, coef_z) with Ricci = -coef_h alpha^2 - coef_z (beta^2 + gamma^2).
+
+    Horizontal and central vectors are Ricci eigenvectors with eigenvalues
+    -coef_h / f^2 and -coef_z / g^2 per unit metric norm.
+    """
+    n = mp.n
     coef_h = 2.0 * mp.f * mp.fpp + 4.0 * mp.fp**2 + 2.0 * (n - 2) * mp.fp**2
     coef_z = (2 * n + 1) * mp.f * mp.fp**2 * mp.fpp + mp.f**2 * mp.fp * mp.fppp
-    return -coef_h * alpha_sq - coef_z * (Xi.beta**2 + Xi.gamma**2)
+    return coef_h, coef_z
 
 
 def rz_plane_curvature(U: np.ndarray, Ut: np.ndarray, mp: MetricPoint) -> float:

@@ -3,12 +3,14 @@ transform route into rational unitary groups.
 
 Elements of Q(sqrt(-d)) are pairs of exact rationals; matrices over the
 field support exact inverse, determinant, and Hermitian-form identities
-with zero tolerance.  The Cayley transform S(N) = 2(I+N)^{-1} - I swaps
-the unitary group of a diagonal form B with the linear space of matrices
-satisfying tS B = -B conj(S), and that space is cut out by rational
-linear constraints on real and imaginary parts.  Rationalizing a complex
-matrix on the constraint side and mapping back therefore produces exact
-unitary matrices arbitrarily close to a given one.
+with zero tolerance.  Inverse, determinant and the kernel behind fixed
+vectors share one exact Gauss-Jordan reduction.  The Cayley transform
+S(N) = 2(I+N)^{-1} - I swaps the unitary group of a diagonal form B with
+the linear space of matrices satisfying tS B = -B conj(S), and that space
+is cut out by rational linear constraints on real and imaginary parts.
+Rationalizing a complex matrix on the constraint side and mapping back
+therefore produces exact unitary matrices arbitrarily close to a given
+one.
 """
 
 from __future__ import annotations
@@ -156,6 +158,45 @@ def qomega(d: int) -> QuadElem:
     return QuadElem(Fraction(0), Fraction(1), d)
 
 
+def _gauss_jordan(
+    rows: list[list[QuadElem]], ncols: int
+) -> tuple[list[int], QuadElem]:
+    """Reduce rows to reduced row echelon form in place, exactly.
+
+    Pivots are searched in the first ncols columns; the pivot is the first
+    nonzero entry at or below the current row.  Returns the pivot columns
+    and the product of the pivots, negated once per row swap, which is the
+    determinant when the leading square block has full rank.
+    """
+    nrows = len(rows)
+    prod = qone(rows[0][0].d)
+    pivots: list[int] = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == nrows:
+            break
+        piv = next((r for r in range(row, nrows) if not rows[r][col].is_zero()), None)
+        if piv is None:
+            continue
+        if piv != row:
+            rows[row], rows[piv] = rows[piv], rows[row]
+            prod = -prod
+        prod = prod * rows[row][col]
+        # the pivot row is zero left of col, so only col onward changes
+        pinv = rows[row][col].inv()
+        prow = [pinv * e for e in rows[row][col:]]
+        rows[row] = rows[row][:col] + prow
+        for r in range(nrows):
+            if r == row or rows[r][col].is_zero():
+                continue
+            factor = rows[r][col]
+            rows[r] = rows[r][:col] + [
+                a - factor * b for a, b in zip(rows[r][col:], prow)
+            ]
+        pivots.append(col)
+    return pivots, prod
+
+
 class QuadMatrix:
     """Square matrix over Q(sqrt(-d)) with exact arithmetic throughout."""
 
@@ -274,55 +315,19 @@ class QuadMatrix:
         ]
 
     def inverse(self) -> "QuadMatrix":
-        m, d = self.m, self.d
-        work = [list(r) for r in self.entries]
-        aug = [
-            [qone(d) if i == j else qzero(d) for j in range(m)] for i in range(m)
+        m = self.m
+        rows = [
+            list(r) + e
+            for r, e in zip(self.entries, QuadMatrix.identity(m, self.d).entries)
         ]
-        for col in range(m):
-            piv = next(
-                (r for r in range(col, m) if not work[r][col].is_zero()), None
-            )
-            if piv is None:
-                raise ZeroDivisionError("singular matrix")
-            work[col], work[piv] = work[piv], work[col]
-            aug[col], aug[piv] = aug[piv], aug[col]
-            pinv = work[col][col].inv()
-            work[col] = [pinv * e for e in work[col]]
-            aug[col] = [pinv * e for e in aug[col]]
-            for r in range(m):
-                if r == col or work[r][col].is_zero():
-                    continue
-                factor = work[r][col]
-                work[r] = [
-                    work[r][j] - factor * work[col][j] for j in range(m)
-                ]
-                aug[r] = [aug[r][j] - factor * aug[col][j] for j in range(m)]
-        return QuadMatrix(aug)
+        pivots, _ = _gauss_jordan(rows, m)
+        if len(pivots) < m:
+            raise ZeroDivisionError("singular matrix")
+        return QuadMatrix([r[m:] for r in rows])
 
     def det(self) -> QuadElem:
-        m, d = self.m, self.d
-        work = [list(r) for r in self.entries]
-        out = qone(d)
-        for col in range(m):
-            piv = next(
-                (r for r in range(col, m) if not work[r][col].is_zero()), None
-            )
-            if piv is None:
-                return qzero(d)
-            if piv != col:
-                work[col], work[piv] = work[piv], work[col]
-                out = -out
-            out = out * work[col][col]
-            pinv = work[col][col].inv()
-            for r in range(col + 1, m):
-                if work[r][col].is_zero():
-                    continue
-                factor = work[r][col] * pinv
-                work[r] = [
-                    work[r][j] - factor * work[col][j] for j in range(m)
-                ]
-        return out
+        pivots, prod = _gauss_jordan([list(r) for r in self.entries], self.m)
+        return prod if len(pivots) == self.m else qzero(self.d)
 
     def to_complex(self) -> np.ndarray:
         return np.array(
@@ -542,34 +547,15 @@ def approximate_in_Ul(
 def _rref_kernel(A: QuadMatrix) -> list[list[QuadElem]]:
     """Exact kernel basis of A over Q(sqrt(-d))."""
     m, d = A.m, A.d
-    work = [list(r) for r in A.entries]
-    pivots: list[int] = []
-    row = 0
-    for col in range(m):
-        piv = next(
-            (r for r in range(row, m) if not work[r][col].is_zero()), None
-        )
-        if piv is None:
-            continue
-        work[row], work[piv] = work[piv], work[row]
-        pinv = work[row][col].inv()
-        work[row] = [pinv * e for e in work[row]]
-        for r in range(m):
-            if r == row or work[r][col].is_zero():
-                continue
-            factor = work[r][col]
-            work[r] = [work[r][j] - factor * work[row][j] for j in range(m)]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
+    rows = [list(r) for r in A.entries]
+    pivots, _ = _gauss_jordan(rows, m)
     free = [c for c in range(m) if c not in pivots]
     basis = []
     for fc in free:
         vec = [qzero(d) for _ in range(m)]
         vec[fc] = qone(d)
         for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
+            vec[pc] = -rows[r][fc]
         basis.append(vec)
     return basis
 

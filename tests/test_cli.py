@@ -104,6 +104,52 @@ class TestMergeConfig:
             _merge_config(args, args.suite)
 
 
+class TestConfigUsageErrors:
+    CASES = [
+        ({"bogus": 1}, []),
+        ({"window": 5}, []),
+        ({"samples": "10"}, []),
+        ({"n": 3.0}, []),
+        ({"d": True}, []),
+        ({"seed": "0"}, []),
+        ({"samples": False}, []),
+        ({"window": [1.0]}, []),
+        ({"window": [1.0, "5"]}, []),
+        ({"window": [1.0, float("nan")]}, []),
+        ({"A": float("inf")}, []),
+        ({"t0": float("nan")}, []),
+        ({"eps": "1e-6"}, []),
+        (None, ["--l", "inf"]),
+        (None, ["--A", "nan"]),
+        (None, ["--d", "4"]),
+        (None, ["--d", "0"]),
+    ]
+
+    @pytest.mark.parametrize("config,flags", CASES)
+    def test_exit_two_with_one_error_line(self, tmp_path, capsys, config, flags):
+        argv = ["verify", "bundle", *flags]
+        if config is not None:
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text(json.dumps(config))
+            argv += ["--config", str(cfg_file)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_valid_configs_keep_dict_and_hash(self):
+        assert _config_hash(SuiteConfig()) == "9963e3fa46b225f6"
+        cfg = SuiteConfig(suite="bundle", A=8, window=[2, 6.5], d=7, samples=50, seed=3)
+        assert cfg.window == (2, 6.5)
+        assert cfg.to_dict() == {
+            "suite": "bundle", "n": 3, "d": 7, "A": 8, "window": [2, 6.5],
+            "l": 2.0 * math.pi, "t0": 0.0, "eps": 1e-6, "samples": 50, "seed": 3,
+        }
+        assert _config_hash(cfg) == "09f59b8101d2cf09"
+
+
 class TestRunSuite:
     def test_bundle_suite_passes(self):
         report = run_suite(SuiteConfig(suite="bundle", samples=100))

@@ -23,6 +23,7 @@ from cuspforge.curvature import (
     poly_P,
     random_frame_vector,
     ricci,
+    ricci_coefficients,
     ricci_trace,
     rz_plane_curvature,
 )
@@ -198,6 +199,7 @@ class TestRicci:
         coef_z = 7.0 * mp.f * mp.fp**2 * mp.fpp + mp.f**2 * mp.fp * mp.fppp
         assert ricci(H, mp) == pytest.approx(-coef_h, rel=1e-14)
         assert ricci(C, mp) == pytest.approx(-coef_z, rel=1e-14)
+        assert ricci_coefficients(mp) == (coef_h, coef_z)
 
 
 class TestAuxiliaryIdentities:

@@ -29,7 +29,7 @@ from cuspforge.qfield_cayley import (
     unitary_defect,
     unitary_defect_float,
 )
-from cuspforge.qfield_cayley import _form_value_direct
+from cuspforge.qfield_cayley import _form_value_direct, _rref_kernel
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
@@ -178,6 +178,159 @@ class TestQuadMatrix:
         C = A.to_complex()
         assert C[1, 0] == pytest.approx(2j)
         assert C[0, 0] == 1.0
+
+
+# Reference copies of the three elimination loops that QuadMatrix.inverse,
+# QuadMatrix.det and _rref_kernel each carried before they shared one
+# Gauss-Jordan routine; exact arithmetic means the results must be equal.
+
+
+def ref_inverse(A):
+    m, d = A.m, A.d
+    work = [list(r) for r in A.entries]
+    aug = [[qone(d) if i == j else qzero(d) for j in range(m)] for i in range(m)]
+    for col in range(m):
+        piv = next((r for r in range(col, m) if not work[r][col].is_zero()), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        work[col], work[piv] = work[piv], work[col]
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pinv = work[col][col].inv()
+        work[col] = [pinv * e for e in work[col]]
+        aug[col] = [pinv * e for e in aug[col]]
+        for r in range(m):
+            if r == col or work[r][col].is_zero():
+                continue
+            factor = work[r][col]
+            work[r] = [work[r][j] - factor * work[col][j] for j in range(m)]
+            aug[r] = [aug[r][j] - factor * aug[col][j] for j in range(m)]
+    return QuadMatrix(aug)
+
+
+def ref_det(A):
+    m, d = A.m, A.d
+    work = [list(r) for r in A.entries]
+    out = qone(d)
+    for col in range(m):
+        piv = next((r for r in range(col, m) if not work[r][col].is_zero()), None)
+        if piv is None:
+            return qzero(d)
+        if piv != col:
+            work[col], work[piv] = work[piv], work[col]
+            out = -out
+        out = out * work[col][col]
+        pinv = work[col][col].inv()
+        for r in range(col + 1, m):
+            if work[r][col].is_zero():
+                continue
+            factor = work[r][col] * pinv
+            work[r] = [work[r][j] - factor * work[col][j] for j in range(m)]
+    return out
+
+
+def ref_kernel(A):
+    m, d = A.m, A.d
+    work = [list(r) for r in A.entries]
+    pivots = []
+    row = 0
+    for col in range(m):
+        piv = next((r for r in range(row, m) if not work[r][col].is_zero()), None)
+        if piv is None:
+            continue
+        work[row], work[piv] = work[piv], work[row]
+        pinv = work[row][col].inv()
+        work[row] = [pinv * e for e in work[row]]
+        for r in range(m):
+            if r == row or work[r][col].is_zero():
+                continue
+            factor = work[r][col]
+            work[r] = [work[r][j] - factor * work[row][j] for j in range(m)]
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    basis = []
+    for fc in (c for c in range(m) if c not in pivots):
+        vec = [qzero(d) for _ in range(m)]
+        vec[fc] = qone(d)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -work[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def random_quad_elem(rng, d, zero_prob):
+    if rng.random() < zero_prob:
+        return qzero(d)
+    return QuadElem(
+        Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 6))),
+        Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 6))),
+        d,
+    )
+
+
+def random_quad_matrix(rng, m, d, zero_prob=0.3):
+    return QuadMatrix(
+        [[random_quad_elem(rng, d, zero_prob) for _ in range(m)] for _ in range(m)]
+    )
+
+
+def elimination_cases(rng):
+    """(d, matrix) pairs: generic, swap-forcing, rank-deficient, M - I."""
+    for d in (1, 2, 3, 7):
+        for m in range(1, 6):
+            yield d, QuadMatrix.zero(m, d)
+            yield d, QuadMatrix.identity(m, d)
+            for _ in range(3):
+                yield d, random_quad_matrix(rng, m, d)
+                # a zero leading entry forces a row swap whenever column 0
+                # has a nonzero entry lower down
+                A = random_quad_matrix(rng, m, d, zero_prob=0.0)
+                A.entries[0][0] = qzero(d)
+                yield d, A
+                # P D Q with zeros on D: rank at most the nonzeros of D
+                diag = [int(rng.integers(0, 3)) * int(rng.integers(0, 2)) for _ in range(m)]
+                P = random_quad_matrix(rng, m, d, zero_prob=0.0)
+                Q = random_quad_matrix(rng, m, d, zero_prob=0.0)
+                yield d, P @ QuadMatrix.diagonal(diag, d) @ Q
+            if m >= 2:
+                for _ in range(2):
+                    v = [random_quad_elem(rng, d, 0.2) for _ in range(m - 2)]
+                    q = Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 8)))
+                    M = heisenberg_matrix_exact(q, v, d)
+                    yield d, M - QuadMatrix.identity(m, d)
+
+
+class TestGaussJordan:
+    def test_matches_reference_loops(self):
+        rng = np.random.default_rng(4)
+        invertible = singular = needs_swap = 0
+        for d, A in elimination_cases(rng):
+            m = A.m
+            col0 = [A[r, 0].is_zero() for r in range(m)]
+            needs_swap += col0[0] and not all(col0)
+            det = A.det()
+            assert det == ref_det(A)
+            try:
+                expected = ref_inverse(A)
+            except ZeroDivisionError:
+                singular += 1
+                with pytest.raises(ZeroDivisionError, match="singular"):
+                    A.inverse()
+                assert det.is_zero()
+            else:
+                invertible += 1
+                assert A.inverse() == expected
+                assert not det.is_zero()
+            kernel = _rref_kernel(A)
+            assert kernel == ref_kernel(A)
+            assert len(kernel) == m - np.linalg.matrix_rank(A.to_complex())
+            for vec in kernel:
+                assert all(e.is_zero() for e in A.apply(vec))
+            if m >= 2:
+                B = QuadMatrix([A.entries[1], A.entries[0], *A.entries[2:]])
+                assert B.det() == -det
+        assert min(invertible, singular, needs_swap) > 50
 
 
 class TestCayleyTransform:
