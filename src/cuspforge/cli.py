@@ -86,6 +86,8 @@ class SuiteConfig:
             raise ValueError("n must be at least 2")
         if self.samples < 1:
             raise ValueError("samples must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not (1e-12 <= self.eps <= 1e-2):
             raise ValueError("eps outside the supported range [1e-12, 1e-2]")
         if not (0 < self.window[0] < self.window[1] < self.A):
@@ -214,16 +216,15 @@ def _suite_curvature(cfg: SuiteConfig) -> list[CheckRecord]:
         float(np.max(np.abs(bl.G - np.array([[-4.0, -2.0], [-2.0, -4.0]])))),
         float(np.max(np.abs(bl.F + np.ones((2, 2))))),
     )
-    oracle = cv.oracle_for(mp_exp)
     rng = np.random.default_rng(cfg.seed + 11)
-    hsc_dev = 0.0
-    sec_lo, sec_hi = math.inf, -math.inf
-    for _ in range(min(cfg.samples, 1000)):
-        X = cv.random_frame_vector(rng, cfg.n)
-        hsc_dev = max(hsc_dev, abs(oracle.holomorphic_sectional(X) + 4.0))
-        Y = cv.random_frame_vector(rng, cfg.n)
-        s = oracle.sectional(X, Y)
-        sec_lo, sec_hi = min(sec_lo, s), max(sec_hi, s)
+    X, Y = cv._stack_frames(
+        (cv.random_frame_vector(rng, cfg.n), cv.random_frame_vector(rng, cfg.n))
+        for _ in range(min(cfg.samples, 1000))
+    )
+    oracle = cv.oracle_for(mp_exp)
+    hsc_dev = float(np.max(np.abs(oracle.holomorphic_sectional(X) + 4.0)))
+    s = oracle.sectional(X, Y)
+    sec_lo, sec_hi = float(s.min()), float(s.max())
     in_band = -4.0 - 1e-8 <= sec_lo and sec_hi <= -1.0 + 1e-8
     checks.append(
         CheckRecord(
@@ -238,14 +239,15 @@ def _suite_curvature(cfg: SuiteConfig) -> list[CheckRecord]:
     rng = np.random.default_rng(cfg.seed + 13)
     worst = 0.0
     t_nodes = np.linspace(0.05, cfg.A, 40)
-    for t in t_nodes:
-        mp = cv.MetricPoint.from_profile(p, float(t), cfg.n)
-        o = cv.oracle_for(mp)
-        for _ in range(max(2, min(cfg.samples, 400) // 40)):
-            Y = cv.random_frame_vector(rng, cfg.n)
-            Xi = cv.random_frame_vector(rng, cfg.n)
-            ref = o.bisectional(Y, Xi)
-            worst = max(worst, abs(cv.bisectional(Y, Xi, mp) - ref) / (1.0 + abs(ref)))
+    for t, jet in zip(t_nodes, p.jet_at(t_nodes)):
+        mp = cv.MetricPoint.from_jet(t, jet, cfg.n)
+        Y, Xi = cv._stack_frames(
+            (cv.random_frame_vector(rng, cfg.n), cv.random_frame_vector(rng, cfg.n))
+            for _ in range(max(2, min(cfg.samples, 400) // 40))
+        )
+        ref = cv.oracle_for(mp).bisectional(Y, Xi)
+        err = np.abs(cv.bisectional(Y, Xi, mp) - ref) / (1.0 + np.abs(ref))
+        worst = max(worst, float(err.max()))
     checks.append(
         CheckRecord(
             "curvature.formula_vs_oracle", worst <= 1e-6, 1e-6 - worst,
@@ -269,21 +271,20 @@ def _suite_curvature(cfg: SuiteConfig) -> list[CheckRecord]:
     )
 
     rng = np.random.default_rng(cfg.seed + 17)
-    einstein = 0.0
-    cosh_slack = -math.inf
-    for _ in range(min(cfg.samples, 300)):
-        te = float(rng.uniform(cfg.window[1], cfg.A))
-        mpe = cv.MetricPoint.from_profile(p, te, cfg.n)
-        Xi = cv.random_frame_vector(rng, cfg.n)
-        einstein = max(
-            einstein,
-            abs(cv.ricci(Xi, mpe) + (2 * cfg.n + 2) * Xi.norm_sq(mpe))
-            / max(1.0, Xi.norm_sq(mpe)),
-        )
-        tc = float(rng.uniform(0.0, cfg.window[0]))
-        mpc = cv.MetricPoint.from_profile(p, tc, cfg.n)
-        Xi = cv.random_frame_vector(rng, cfg.n)
-        cosh_slack = max(cosh_slack, cv.ricci(Xi, mpc) + 2.0 * Xi.norm_sq(mpc))
+    draws = [
+        (rng.uniform(cfg.window[1], cfg.A), cv.random_frame_vector(rng, cfg.n),
+         rng.uniform(0.0, cfg.window[0]), cv.random_frame_vector(rng, cfg.n))
+        for _ in range(min(cfg.samples, 300))
+    ]
+    te, tc = np.array([d[0::2] for d in draws]).T
+    Xie, Xic = cv._stack_frames(d[1::2] for d in draws)
+    mpe = cv.MetricPoint.from_jet(te, p.jet_at(te), cfg.n)
+    mpc = cv.MetricPoint.from_jet(tc, p.jet_at(tc), cfg.n)
+    nsq = Xie.norm_sq(mpe)
+    einstein = float(
+        np.max(np.abs(cv.ricci(Xie, mpe) + (2 * cfg.n + 2) * nsq) / np.maximum(1.0, nsq))
+    )
+    cosh_slack = float(np.max(cv.ricci(Xic, mpc) + 2.0 * Xic.norm_sq(mpc)))
     checks.append(
         CheckRecord(
             "curvature.ricci_bounds",
@@ -572,24 +573,20 @@ def run_suite(cfg: SuiteConfig) -> Report:
 
 def _curvature_summary(mp: cv.MetricPoint, seed: int, draws: int = 120) -> dict:
     rng = np.random.default_rng(seed)
-    o = cv.oracle_for(mp)
-    hbc_lo = sec_lo = math.inf
-    hbc_hi = sec_hi = -math.inf
-    for _ in range(draws):
-        Y = cv.random_frame_vector(rng, mp.n)
-        Xi = cv.random_frame_vector(rng, mp.n)
-        val = cv.bisectional(Y, Xi, mp) / (Y.norm_sq(mp) * Xi.norm_sq(mp))
-        hbc_lo, hbc_hi = min(hbc_lo, val), max(hbc_hi, val)
-        s = o.sectional(Y, Xi)
-        sec_lo, sec_hi = min(sec_lo, s), max(sec_hi, s)
+    Y, Xi = cv._stack_frames(
+        (cv.random_frame_vector(rng, mp.n), cv.random_frame_vector(rng, mp.n))
+        for _ in range(draws)
+    )
+    hbc = cv.bisectional(Y, Xi, mp) / (Y.norm_sq(mp) * Xi.norm_sq(mp))
+    sec = cv.oracle_for(mp).sectional(Y, Xi)
     coef_h, coef_z = cv.ricci_coefficients(mp)
     ric_lo = min(-coef_h / mp.f**2, -coef_z / mp.g**2)
     return {
-        "min_hbc": hbc_lo,
-        "max_hbc": hbc_hi,
+        "min_hbc": float(hbc.min()),
+        "max_hbc": float(hbc.max()),
         "min_ricci_eigenvalue": ric_lo,
-        "sectional_min": sec_lo,
-        "sectional_max": sec_hi,
+        "sectional_min": float(sec.min()),
+        "sectional_max": float(sec.max()),
     }
 
 

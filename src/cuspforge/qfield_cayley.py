@@ -37,12 +37,16 @@ _SQUAREFREE_CACHE: dict[int, bool] = {}
 def _is_squarefree(d: int) -> bool:
     if d in _SQUAREFREE_CACHE:
         return _SQUAREFREE_CACHE[d]
+    # divide out each prime k with k^3 <= cofactor, failing on a second division;
+    # the rest has at most two prime factors: squarefree unless a perfect square
     ok = d >= 1
-    k = 2
-    while ok and k * k <= d:
-        if d % (k * k) == 0:
-            ok = False
+    m, k = d, 2
+    while ok and k * k * k <= m:
+        if m % k == 0:
+            m //= k
+            ok = m % k != 0
         k += 1
+    ok = ok and (m == 1 or math.isqrt(m) ** 2 != m)
     _SQUAREFREE_CACHE[d] = ok
     return ok
 

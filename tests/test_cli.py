@@ -123,6 +123,7 @@ class TestConfigUsageErrors:
         (None, ["--A", "nan"]),
         (None, ["--d", "4"]),
         (None, ["--d", "0"]),
+        (None, ["--seed", "-1"]),
     ]
 
     @pytest.mark.parametrize("config,flags", CASES)

@@ -27,6 +27,7 @@ from cuspforge.curvature import (
     ricci_trace,
     rz_plane_curvature,
 )
+from cuspforge.curvature import _stack_frames
 
 small = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -352,3 +353,62 @@ class TestCertificate:
         assert rep.failures
         assert rep.failures[0][0] == "strict negativity"
         assert "FAIL" in rep.summary()
+
+
+def row_of(fv, k):
+    return FrameVector(fv.u[k], fv.beta[k], fv.gamma[k])
+
+
+class TestBatchedEvaluation:
+    """A batch of rows evaluates bitwise like the same rows one at a time;
+    n = 9 crosses numpy's 8-element pairwise-summation block."""
+
+    ROWS = 500
+
+    def draw(self, p, n, seed):
+        rng = np.random.default_rng(seed)
+        ts = rng.uniform(0.05, p.A, self.ROWS)
+        Y, Xi = _stack_frames(
+            (random_frame_vector(rng, n), random_frame_vector(rng, n)) for _ in range(self.ROWS)
+        )
+        # pure central Y on every 97th row, as in the certificate
+        Y.u[::97], Y.beta[::97], Y.gamma[::97] = 0.0, 1.0, 0.0
+        return ts, Y, Xi
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_closed_forms_match_per_row(self, default_profile, n):
+        ts, Y, Xi = self.draw(default_profile, n, seed=40 + n)
+        jets = default_profile.jet_at(ts)
+        mp = MetricPoint.from_jet(ts, jets, n)
+        rows = [
+            (row_of(Y, k), row_of(Xi, k), MetricPoint.from_jet(ts[k], jets[k], n))
+            for k in range(self.ROWS)
+        ]
+        cases = [
+            (bisectional(Y, Xi, mp), lambda y, xi, m: bisectional(y, xi, m)),
+            (ricci(Xi, mp), lambda y, xi, m: ricci(xi, m)),
+            (Y.norm_sq(mp), lambda y, xi, m: y.norm_sq(m)),
+            (Y.inner(Xi, mp), lambda y, xi, m: y.inner(xi, m)),
+            (cauchy_schwarz_defect(Y, Xi), lambda y, xi, m: cauchy_schwarz_defect(y, xi)),
+        ]
+        for batched, per_row in cases:
+            assert batched.shape == (self.ROWS,)
+            assert np.array_equal(batched, [per_row(*r) for r in rows])
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_oracle_matches_per_row(self, default_profile, n):
+        ts, Y, Xi = self.draw(default_profile, n, seed=50 + n)
+        orc = CurvatureOracle(MetricPoint.from_profile(default_profile, ts[0], n))
+        rows = [(row_of(Y, k), row_of(Xi, k)) for k in range(self.ROWS)]
+        batched = orc.evaluate(Y, Xi, Y.J(), Xi.J())
+        assert np.array_equal(batched, [orc.evaluate(y, xi, y.J(), xi.J()) for y, xi in rows])
+        batched = orc.sectional(Y, Xi)
+        assert np.array_equal(batched, [orc.sectional(y, xi) for y, xi in rows])
+
+    def test_from_jet_rejects_one_bad_row(self, default_profile):
+        ts = np.linspace(0.05, default_profile.A, 50)
+        jets = default_profile.jet_at(ts)
+        MetricPoint.from_jet(ts, jets, 3)
+        jets[17, 3] = 0.0
+        with pytest.raises(ValueError, match="> 0"):
+            MetricPoint.from_jet(ts, jets, 3)

@@ -29,7 +29,7 @@ from cuspforge.qfield_cayley import (
     unitary_defect,
     unitary_defect_float,
 )
-from cuspforge.qfield_cayley import _form_value_direct, _rref_kernel
+from cuspforge.qfield_cayley import _form_value_direct, _is_squarefree, _rref_kernel
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
@@ -94,6 +94,22 @@ class TestQuadElem:
         for bad in (4, 8, 9, 12, 0, -1):
             with pytest.raises(ValueError):
                 QuadElem(Fraction(1), Fraction(0), bad)
+
+    def test_squarefree_matches_trial_division(self):
+        def by_square_divisors(d):
+            ok = d >= 1
+            k = 2
+            while ok and k * k <= d:
+                if d % (k * k) == 0:
+                    ok = False
+                k += 1
+            return ok
+
+        for d in range(-3, 20000):
+            assert _is_squarefree(d) == by_square_divisors(d), d
+        assert not _is_squarefree(1000003**2)
+        assert _is_squarefree(999983 * 1000003)
+        assert not _is_squarefree(7 * (10**6 + 3) ** 2)
 
     def test_mixed_discriminants_rejected(self):
         with pytest.raises(ValueError, match="discriminant|mixed|field"):
