@@ -4,6 +4,17 @@ The step S is the antiderivative of the bump x -> exp(-1/(x(1-x))) on (0,1),
 normalized so that S(0) = 0 and S(1) = 1.  It is C-infinity, identically 0
 for x <= 0 and identically 1 for x >= 1, which is what makes the endpoint
 jets of everything built on top of it exact.
+
+Every integral here comes from one rule: ORDER Gauss-Legendre nodes on each
+of PANELS equal panels of [0, 1/2], with the cumulative panel sums tabulated
+once per integrand.  The integral from 0 to x <= 1/2 is the prefix sum up to
+the panel holding x plus one panel from that panel's edge to x.  The bump is
+symmetric about 1/2, so the mass is twice the half-interval sum, and
+
+    S(1 - x) = 1 - S(x),    int_0^x S = x - 1/2 + int_0^(1-x) S,
+
+which make S(1/2) = 1/2, S in {0, 1} outside (0, 1) and int_0^1 S = 1/2
+exact by construction.  S, its mass and int_0^x S are accurate to rounding.
 """
 
 from __future__ import annotations
@@ -11,6 +22,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+ORDER = 12  # Gauss-Legendre nodes per panel
+PANELS = 64  # equal panels on [0, 1/2]
+_WIDTH = 0.5 / PANELS  # a power of two, so panel edges are exact
 
 
 def bump(x: np.ndarray | float) -> np.ndarray:
@@ -23,78 +38,70 @@ def bump(x: np.ndarray | float) -> np.ndarray:
     return out
 
 
-def bump_d1(x: np.ndarray | float) -> np.ndarray:
-    """First derivative of the bump."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inside = (x > 0.0) & (x < 1.0)
-    xi = x[inside]
-    r = xi * (1.0 - xi)
-    q1 = (1.0 - 2.0 * xi) / r**2
-    out[inside] = q1 * np.exp(-1.0 / r)
-    return out
+@lru_cache(maxsize=None)
+def _rule() -> tuple[np.ndarray, np.ndarray]:
+    # the Gauss-Legendre nodes and weights mapped to [0, 1]
+    nodes, weights = np.polynomial.legendre.leggauss(ORDER)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-def bump_d2(x: np.ndarray | float) -> np.ndarray:
-    """Second derivative of the bump."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inside = (x > 0.0) & (x < 1.0)
-    xi = x[inside]
-    r = xi * (1.0 - xi)
-    rp = 1.0 - 2.0 * xi
-    q1 = rp / r**2
-    q2 = (-2.0 * r - 2.0 * rp**2) / r**3
-    out[inside] = (q2 + q1**2) * np.exp(-1.0 / r)
-    return out
+def _panel(fn, lo: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # one rule application on [lo, x], elementwise; the sum runs along the
+    # last axis so that a batch row rounds exactly like a single point
+    u, w = _rule()
+    width = x - lo
+    return width * np.sum(w * fn(lo[..., None] + width[..., None] * u), axis=-1)
 
 
 @lru_cache(maxsize=None)
-def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+def _prefix(fn) -> np.ndarray:
+    # integral of fn from 0 to each of the PANELS + 1 panel edges
+    edges = _WIDTH * np.arange(PANELS + 1)
+    return np.concatenate([[0.0], np.cumsum(_panel(fn, edges[:-1], edges[1:]))])
 
 
-@lru_cache(maxsize=None)
-def _bump_mass() -> float:
-    # integral of the bump over (0,1); the integrand is smooth and flat at
-    # both endpoints, so a single high-order panel is accurate to rounding
-    x, w = _gl_nodes(400)
-    xs = 0.5 * (x + 1.0)
-    return float(0.5 * np.sum(w * bump(xs)))
+def _integral(fn, x: np.ndarray) -> np.ndarray:
+    # integral of fn from 0 to x, for x in [0, 1/2]
+    k = (x // _WIDTH).astype(np.intp)
+    return _prefix(fn)[k] + _panel(fn, _WIDTH * k, x)
 
 
-# rows of the (rows, 96) quadrature panel evaluated at a time; each row's
-# sum is independent of the block, so only the temporaries' size changes
-STEP_BLOCK = 2048
+def _half_step(x: np.ndarray) -> np.ndarray:
+    # S on [0, 1/2]; the mass is twice the half-interval sum
+    return _integral(bump, x) / (2.0 * _prefix(bump)[-1])
+
+
+def _fold(x: np.ndarray) -> np.ndarray:
+    # min(x, 1 - x) clipped at 0, in [0, 1/2]; 1 - x is exact for x >= 1/2,
+    # and fmax sends nan to 0
+    return np.fmax(np.minimum(x, 1.0 - x), 0.0)
 
 
 def step(x: np.ndarray | float) -> np.ndarray:
     """S(x): 0 for x <= 0, 1 for x >= 1, normalized bump integral between."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    out[x >= 1.0] = 1.0
+    half = _half_step(_fold(x))
+    return np.where(x > 0.5, 1.0 - half, half)
+
+
+def step_integral(x: np.ndarray | float) -> np.ndarray:
+    """int_0^x S: 0 for x <= 0 and x - 1/2 for x >= 1."""
+    x = np.asarray(x, dtype=float)
+    part = _integral(_half_step, _fold(x))
+    return np.where(x > 0.5, x - 0.5 + part, part)
+
+
+def step_jet(x: np.ndarray | float) -> np.ndarray:
+    """(S', S'', S''') at x, shape (..., 3): the bump and its first two
+    derivatives over the mass, all zero outside (0, 1)."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape + (3,))
     inside = (x > 0.0) & (x < 1.0)
-    if np.any(inside):
-        xi = x[inside]
-        nodes, w = _gl_nodes(96)
-        vals = np.empty_like(xi)
-        for lo in range(0, xi.size, STEP_BLOCK):
-            # map the 96-node panel onto [0, xi] for each sample
-            half = 0.5 * xi[lo : lo + STEP_BLOCK]
-            pts = half[:, None] * (nodes[None, :] + 1.0)
-            vals[lo : lo + STEP_BLOCK] = half * np.sum(w[None, :] * bump(pts), axis=1)
-        out[inside] = vals / _bump_mass()
-    return out
-
-
-def step_d1(x: np.ndarray | float) -> np.ndarray:
-    return bump(x) / _bump_mass()
-
-
-def step_d2(x: np.ndarray | float) -> np.ndarray:
-    return bump_d1(x) / _bump_mass()
-
-
-def step_d3(x: np.ndarray | float) -> np.ndarray:
-    return bump_d2(x) / _bump_mass()
+    xi = x[inside]
+    r = xi * (1.0 - xi)
+    rp = 1.0 - 2.0 * xi
+    e = np.exp(-1.0 / r)
+    q1 = rp / r**2
+    q2 = (-2.0 * r - 2.0 * rp**2) / r**3
+    out[inside] = np.stack([e, q1 * e, (q2 + q1**2) * e], axis=-1)
+    return out / (2.0 * _prefix(bump)[-1])

@@ -68,11 +68,8 @@ class CutoffProfile:
         d_lo, d_hi = self.window
         width = d_hi - d_lo
         x = (np.asarray(t, dtype=float) - d_lo) / width
-        w = sm.step(x)
-        w1 = sm.step_d1(x) / width
-        w2 = sm.step_d2(x) / width**2
-        w3 = sm.step_d3(x) / width**3
-        return w, w1, w2, w3
+        d = sm.step_jet(x)
+        return sm.step(x), d[..., 0] / width, d[..., 1] / width**2, d[..., 2] / width**3
 
     def jet_at(self, t: np.ndarray | float) -> np.ndarray:
         """Jet (f, f', f'', f''') at t, shape (..., 4)."""

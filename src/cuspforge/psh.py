@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._smoothstep import bump, step
+from ._smoothstep import bump, step_integral
 from .cusp_bundle import BundlePoint, CuspParams, h_norm
 
 
@@ -59,12 +59,14 @@ def reg_max(x: float, y: float, p: RegMaxParams) -> float:
     monotone, and convex as a mixture of shifted maxima.  Past the
     collapse threshold every kernel point selects the dominant argument
     and the kernel mean vanishes, so the identity M = max is returned
-    directly there instead of through quadrature roundoff.
+    directly there instead of through quadrature roundoff.  The
+    quadrature takes its arguments in sorted order, so swapping them
+    gives the same bits.
     """
-    if y - x >= 2.0 * p.eta:
+    if x > y:
+        x, y = y, x
+    if y >= x + 2.0 * p.eta:
         return y
-    if x - y >= 2.0 * p.eta:
-        return x
     u, w = _kernel(p.nodes)
     ax = x + p.eta * u
     ay = y + p.eta * u
@@ -77,24 +79,15 @@ def reg_max(x: float, y: float, p: RegMaxParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _step_integral_table(samples: int = 2001) -> tuple[np.ndarray, np.ndarray]:
-    # cumulative integral of the smoothstep on [0, 1], trapezoid on a fine grid
-    xs = np.linspace(0.0, 1.0, samples)
-    vals = step(xs)
-    cum = np.concatenate([[0.0], np.cumsum((vals[1:] + vals[:-1]) * 0.5 * np.diff(xs))])
-    return xs, cum
-
-
 def _smoothed_hinge(x: np.ndarray, r: float) -> np.ndarray:
-    """Convex C^2 version of max(x, 0): zero for x <= -r, x for x >= r."""
-    xs, cum = _step_integral_table()
+    """Convex C^2 version of max(x, 0): zero for x <= -r, x for x >= r.
+
+    Between, it is 2r int_0^w S with w = (x + r) / (2r), the integral of
+    the smoothstep read from `_smoothstep.step_integral`.
+    """
     out = np.where(x >= r, x, 0.0)
     mid = (x > -r) & (x < r)
-    if np.any(mid):
-        w = (x[mid] + r) / (2.0 * r)
-        out = out.copy()
-        out[mid] = 2.0 * r * np.interp(w, xs, cum)
+    out[mid] = 2.0 * r * step_integral((x[mid] + r) / (2.0 * r))
     return out
 
 

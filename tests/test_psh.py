@@ -56,6 +56,21 @@ class TestRegMax:
         assert reg_max(x, y, P_HALF) == y
         assert reg_max(y, x, P_HALF) == y
 
+    @pytest.mark.parametrize("x", [0.9, 0.15, 15.87])
+    def test_collapse_at_rounded_gap(self, x):
+        # y - x rounds to one ulp below the gap 2 eta = 1.0 (for 0.9:
+        # 1.9 - 0.9 == 0.9999999999999999), yet y >= x + 2 eta holds
+        y = x + 1.0
+        assert y - x < 2.0 * P_HALF.eta
+        assert reg_max(x, y, P_HALF) == y
+        assert reg_max(y, x, P_HALF) == y
+
+    def test_symmetric_bitwise_in_band(self, rng):
+        for _ in range(500):
+            x = float(rng.uniform(-5, 5))
+            y = x + float(rng.uniform(-2.0, 2.0)) * P_HALF.eta
+            assert reg_max(x, y, P_HALF) == reg_max(y, x, P_HALF)
+
     def test_diagonal_excess(self):
         for x in (-3.0, 0.0, 1.7):
             excess = reg_max(x, x, P_HALF) - x
