@@ -94,6 +94,12 @@ class SuiteConfig:
             raise ValueError("window must sit strictly inside (0, A)")
         if self.l <= 0:
             raise ValueError("l must be positive")
+        try:
+            lam = lambda_const(self.t0, self.l)
+        except OverflowError:  # e^(-2 t0) overflows, so lambda(t0) is 0
+            lam = 0.0
+        if not lam > 0.0:  # lambda(t0) <= 1 for l > 0
+            raise ValueError(f"t0 = {self.t0} and l = {self.l} give lambda(t0) = {lam}, not > 0")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -217,10 +223,8 @@ def _suite_curvature(cfg: SuiteConfig) -> list[CheckRecord]:
         float(np.max(np.abs(bl.F + np.ones((2, 2))))),
     )
     rng = np.random.default_rng(cfg.seed + 11)
-    X, Y = cv._stack_frames(
-        (cv.random_frame_vector(rng, cfg.n), cv.random_frame_vector(rng, cfg.n))
-        for _ in range(min(cfg.samples, 1000))
-    )
+    F = cv.random_frame_vector(rng, cfg.n, (min(cfg.samples, 1000), 2))
+    X, Y = F[:, 0], F[:, 1]
     oracle = cv.oracle_for(mp_exp)
     hsc_dev = float(np.max(np.abs(oracle.holomorphic_sectional(X) + 4.0)))
     s = oracle.sectional(X, Y)
@@ -237,17 +241,15 @@ def _suite_curvature(cfg: SuiteConfig) -> list[CheckRecord]:
     )
 
     rng = np.random.default_rng(cfg.seed + 13)
-    worst = 0.0
     t_nodes = np.linspace(0.05, cfg.A, 40)
-    for t, jet in zip(t_nodes, p.jet_at(t_nodes)):
+    F = cv.random_frame_vector(rng, cfg.n, (40, max(2, min(cfg.samples, 400) // 40), 2))
+    errs = []
+    for t, jet, pairs in zip(t_nodes, p.jet_at(t_nodes), F):
         mp = cv.MetricPoint.from_jet(t, jet, cfg.n)
-        Y, Xi = cv._stack_frames(
-            (cv.random_frame_vector(rng, cfg.n), cv.random_frame_vector(rng, cfg.n))
-            for _ in range(max(2, min(cfg.samples, 400) // 40))
-        )
+        Y, Xi = pairs[:, 0], pairs[:, 1]
         ref = cv.oracle_for(mp).bisectional(Y, Xi)
-        err = np.abs(cv.bisectional(Y, Xi, mp) - ref) / (1.0 + np.abs(ref))
-        worst = max(worst, float(err.max()))
+        errs.append(np.abs(cv.bisectional(Y, Xi, mp) - ref) / (1.0 + np.abs(ref)))
+    worst = float(np.max(errs))
     checks.append(
         CheckRecord(
             "curvature.formula_vs_oracle", worst <= 1e-6, 1e-6 - worst,
@@ -271,13 +273,11 @@ def _suite_curvature(cfg: SuiteConfig) -> list[CheckRecord]:
     )
 
     rng = np.random.default_rng(cfg.seed + 17)
-    draws = [
-        (rng.uniform(cfg.window[1], cfg.A), cv.random_frame_vector(rng, cfg.n),
-         rng.uniform(0.0, cfg.window[0]), cv.random_frame_vector(rng, cfg.n))
-        for _ in range(min(cfg.samples, 300))
-    ]
-    te, tc = np.array([d[0::2] for d in draws]).T
-    Xie, Xic = cv._stack_frames(d[1::2] for d in draws)
+    draws = min(cfg.samples, 300)
+    te = rng.uniform(cfg.window[1], cfg.A, draws)
+    tc = rng.uniform(0.0, cfg.window[0], draws)
+    F = cv.random_frame_vector(rng, cfg.n, (draws, 2))
+    Xie, Xic = F[:, 0], F[:, 1]
     mpe = cv.MetricPoint.from_jet(te, p.jet_at(te), cfg.n)
     mpc = cv.MetricPoint.from_jet(tc, p.jet_at(tc), cfg.n)
     nsq = Xie.norm_sq(mpe)
@@ -300,7 +300,7 @@ def _suite_bundle(cfg: SuiteConfig) -> list[CheckRecord]:
     checks: list[CheckRecord] = []
     cp = cfg.cusp_params()
     rng = np.random.default_rng(cfg.seed + 23)
-    worst = 0.0
+    drifts = []
     for _ in range(min(cfg.samples, 1000)):
         v = rng.standard_normal(cfg.n - 1) + 1j * rng.standard_normal(cfg.n - 1)
         a = complex(rng.uniform(0.05, 0.9)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
@@ -310,7 +310,8 @@ def _suite_bundle(cfg: SuiteConfig) -> list[CheckRecord]:
         )
         moved = lattice_act(g, pt, cp)
         base = h_norm(pt, cp)
-        worst = max(worst, abs(h_norm(moved, cp) - base) / max(1.0, base))
+        drifts.append(abs(h_norm(moved, cp) - base) / max(1.0, base))
+    worst = float(np.max(drifts))
     checks.append(
         CheckRecord(
             "bundle.h_norm_invariance", worst <= 1e-12, 1e-12 - worst,
@@ -461,14 +462,17 @@ def _suite_psh(cfg: SuiteConfig) -> list[CheckRecord]:
     checks: list[CheckRecord] = []
     pr = psh.RegMaxParams(eta=0.5)
     rng = np.random.default_rng(cfg.seed + 41)
-    worst = 0.0
+    defects = []
     for _ in range(min(cfg.samples, 1000)):
         x, y = rng.uniform(-3, 3, 2)
         M = psh.reg_max(float(x), float(y), pr)
-        worst = max(worst, abs(M - psh.reg_max(float(y), float(x), pr)))
-        worst = max(worst, max(x, y) - M)
         z = float(y + x) / 2
-        worst = max(worst, abs(psh.reg_max(z, z + 3 * pr.eta, pr) - (z + 3 * pr.eta)))
+        defects += [
+            abs(M - psh.reg_max(float(y), float(x), pr)),
+            max(x, y) - M,
+            abs(psh.reg_max(z, z + 3 * pr.eta, pr) - (z + 3 * pr.eta)),
+        ]
+    worst = float(np.max(defects))
     diag = psh.reg_max(0.0, 0.0, pr)
     diag_ok = 0.0 < diag < 2.0 * pr.eta
     checks.append(
@@ -500,7 +504,7 @@ def _suite_psh(cfg: SuiteConfig) -> list[CheckRecord]:
 
     cp = cfg.cusp_params()
     rng = np.random.default_rng(cfg.seed + 47)
-    min_eig = math.inf
+    eigs = []
     for _ in range(100):
         v = rng.standard_normal(cfg.n - 1) + 1j * rng.standard_normal(cfg.n - 1)
         nv = float(np.linalg.norm(v))
@@ -508,7 +512,8 @@ def _suite_psh(cfg: SuiteConfig) -> list[CheckRecord]:
             v *= float(rng.uniform(0, 3.0)) / nv
         z0 = np.concatenate([[0.0 + 0.0j], v])
         rep = psh.complex_hessian(lambda z: psh.phi_cusp_ambient(z, cp), z0)
-        min_eig = min(min_eig, rep.min_eigenvalue)
+        eigs.append(rep.min_eigenvalue)
+    min_eig = float(np.min(eigs))
     checks.append(
         CheckRecord(
             "psh.phi_cusp_hessian", min_eig > 0.0, min_eig, {"min_eigenvalue": min_eig}
@@ -572,11 +577,8 @@ def run_suite(cfg: SuiteConfig) -> Report:
 
 
 def _curvature_summary(mp: cv.MetricPoint, seed: int, draws: int = 120) -> dict:
-    rng = np.random.default_rng(seed)
-    Y, Xi = cv._stack_frames(
-        (cv.random_frame_vector(rng, mp.n), cv.random_frame_vector(rng, mp.n))
-        for _ in range(draws)
-    )
+    F = cv.random_frame_vector(np.random.default_rng(seed), mp.n, (draws, 2))
+    Y, Xi = F[:, 0], F[:, 1]
     hbc = cv.bisectional(Y, Xi, mp) / (Y.norm_sq(mp) * Xi.norm_sq(mp))
     sec = cv.oracle_for(mp).sectional(Y, Xi)
     coef_h, coef_z = cv.ricci_coefficients(mp)
@@ -619,14 +621,10 @@ def run_sweep(axis: str, start: float, stop: float, steps: int, cfg: SuiteConfig
                 try:
                     p = build_cutoff(A, window)
                     break
-                except ProfileError:
-                    continue
+                except ProfileError as exc:
+                    err = exc
             if p is None:
-                raise ValueError(
-                    f"no admissible profile at A = {A}: the blend cannot keep "
-                    "all four derivatives positive in so short a collar; "
-                    "use A of about 4.5 or more"
-                )
+                raise ValueError(f"no admissible profile at A = {A}: {err}")
             mp = cv.MetricPoint.from_profile(p, A / 2.0, cfg.n)
             rows.append({"A": A, **_curvature_summary(mp, cfg.seed)})
     elif axis == "l":
@@ -730,7 +728,7 @@ def main(argv: list[str] | None = None) -> int:
         run_sweep(args.axis, args.sweep_from, args.sweep_to, args.steps, cfg, out)
         print(f"sweep written to {out}")
         return 0
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -150,6 +150,10 @@ class FrameVector:
     def __post_init__(self) -> None:
         object.__setattr__(self, "u", np.asarray(self.u, dtype=complex))
 
+    def __getitem__(self, k) -> "FrameVector":
+        """The sub-batch at index k of the leading axes."""
+        return FrameVector(self.u[k], self.beta[k], self.gamma[k])
+
     def J(self) -> "FrameVector":
         return FrameVector(1j * self.u, -self.gamma, self.beta)
 
@@ -181,22 +185,17 @@ def _hdot(v: np.ndarray, w: np.ndarray):
     )
 
 
-def random_frame_vector(rng: np.random.Generator, n: int, scale: float = 1.0) -> FrameVector:
-    u = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
-    beta, gamma = rng.standard_normal(2)
-    return FrameVector(scale * u, scale * float(beta), scale * float(gamma))
+def random_frame_vector(rng: np.random.Generator, n: int, shape: tuple = ()) -> FrameVector:
+    """Standard normal frame vectors of batch shape `shape`, () for one.
 
-
-def _stack_frames(rows) -> tuple[FrameVector, ...]:
-    """Batched frame vectors, one per column of a sequence of drawn rows."""
-    return tuple(
-        FrameVector(
-            np.stack([v.u for v in col]),
-            np.array([v.beta for v in col]),
-            np.array([v.gamma for v in col]),
-        )
-        for col in zip(*rows)
-    )
+    One rng.standard_normal(shape + (2n,)) block: in each row the first
+    n-1 entries are Re u, the next n-1 are Im u, and the last two are beta
+    and gamma.  The generator fills the block row by row, so a batch draws
+    the same stream as the same vectors drawn one at a time.
+    """
+    z = rng.standard_normal(tuple(shape) + (2 * n,))
+    u = z[..., : n - 1] + 1j * z[..., n - 1 : 2 * n - 2]
+    return FrameVector(u, z[..., -2][()], z[..., -1][()])
 
 
 # ---------------------------------------------------------------------------
@@ -535,17 +534,9 @@ def hbc_certificate(
     the mixed terms.
     """
     rng = np.random.default_rng(seed)
-    # draws in the per-sample order (t, Y, Xi), so the seed fixes the stream,
-    # straight into arrays, so that no per-sample object outlives its row
-    ts = np.empty(samples)
-    u = np.empty((2, samples, n - 1), dtype=complex)
-    beta, gamma = np.empty((2, samples)), np.empty((2, samples))
-    for k in range(samples):
-        ts[k] = rng.uniform(t_lo, p.A)
-        for j in range(2):
-            v = random_frame_vector(rng, n)
-            u[j, k], beta[j, k], gamma[j, k] = v.u, v.beta, v.gamma
-    Y, Xi = (FrameVector(u[j], beta[j], gamma[j]) for j in range(2))
+    ts = rng.uniform(t_lo, p.A, samples)
+    F = random_frame_vector(rng, n, (samples, 2))
+    Y, Xi = F[:, 0], F[:, 1]
     # degenerate corners: pure central and pure horizontal vectors
     Y.u[::97], Y.beta[::97], Y.gamma[::97] = 0.0, 1.0, 0.0
     mp = MetricPoint.from_jet(ts, p.jet_at(ts), n)

@@ -87,7 +87,7 @@ def h_norm(p: BundlePoint, cp: CuspParams) -> float:
     """
     nv2 = float(np.vdot(p.v, p.v).real)
     lam = lambda_const(cp.t0, cp.l)
-    return math.exp(math.pi * nv2 / cp.l) * abs(p.a) / lam
+    return math.exp(math.pi * nv2 / cp.l) * float(abs(p.a)) / lam
 
 
 def in_punctured_disk_bundle(p: BundlePoint, cp: CuspParams) -> bool:

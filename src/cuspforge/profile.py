@@ -114,25 +114,30 @@ def build_cutoff(A: float, window: tuple[float, float]) -> CutoffProfile:
     """Construct f = cosh + w sinh and certify positivity on a dense grid.
 
     Raises ProfileError naming the first derivative and location that fail
-    when the window is too tight for the requested A.
+    when the window is too tight for the requested A, or when A is so large
+    that a jet overflows (a non-finite jet fails like a nonpositive one).
     """
     d_lo, d_hi = window
     if not 0.0 < d_lo < d_hi < A:
         raise ValueError("window must satisfy 0 < d_lo < d_hi < A")
     grid = np.linspace(0.0, A, GRID_POINTS)
     prof = CutoffProfile(A=A, window=(d_lo, d_hi), grid=grid, jets=np.zeros((1, 4)))
-    jets = prof.jet_at(grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        jets = prof.jet_at(grid)
     object.__setattr__(prof, "jets", jets)
     interior = grid > 0.0
     names = ("f", "f'", "f''", "f'''")
     for k, name in enumerate(names):
         vals = jets[interior, k]
-        worst = int(np.argmin(vals))
-        if vals[worst] <= 0.0:
+        # a nan fails no comparison, so non-finite values rank lowest
+        worst = int(np.argmin(np.where(np.isfinite(vals), vals, -np.inf)))
+        if not 0.0 < vals[worst] < np.inf:
             t_bad = grid[interior][worst]
+            nonpos = vals[worst] <= 0.0
             raise ProfileError(
-                f"{name} is nonpositive at t = {t_bad:.6g} "
-                f"({name} = {vals[worst]:.6g}); widen the window or increase A"
+                f"{name} is {'nonpositive' if nonpos else 'not finite'} at t = {t_bad:.6g} "
+                f"({name} = {vals[worst]:.6g}); "
+                + ("widen the window or increase A" if nonpos else "keep A below about 710")
             )
     return prof
 
@@ -168,8 +173,11 @@ def solve_psi(p: CutoffProfile, t_min: float, num: int = 20_001) -> PsiSolution:
         raise ValueError("t_min must lie in (0, A)")
     ts = np.linspace(t_min, p.A, num)
     mids = ts[1:] + 0.5 * (ts[:-1] - ts[1:])
-    g_nodes = p.g_jet_at(ts)[:, 0]
-    g_mids = p.g_jet_at(mids)[:, 0]
+    # g = f f' overflows only past t = 355.2, where exp(2 psi) has already
+    # raised OverflowError at the first RK4 stage (psi(A) = A)
+    with np.errstate(over="ignore"):
+        g_nodes = p.g_jet_at(ts)[:, 0]
+        g_mids = p.g_jet_at(mids)[:, 0]
     t_n, t_m = ts.tolist(), mids.tolist()
     g_n, g_m = g_nodes.tolist(), g_mids.tolist()
     exp, isfinite = math.exp, math.isfinite

@@ -71,7 +71,8 @@ def reg_max(x: float, y: float, p: RegMaxParams) -> float:
     ax = x + p.eta * u
     ay = y + p.eta * u
     grid = np.maximum(ax[:, None], ay[None, :])
-    return float(w @ grid @ w)
+    # the kernel mean can round one ulp below y; M >= max(x, y) holds exactly
+    return max(float(w @ grid @ w), y)
 
 
 # ---------------------------------------------------------------------------

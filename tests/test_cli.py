@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from cuspforge import cli
 from cuspforge.cli import (
     AXES,
     SUITES,
@@ -124,6 +125,10 @@ class TestConfigUsageErrors:
         (None, ["--d", "4"]),
         (None, ["--d", "0"]),
         (None, ["--seed", "-1"]),
+        (None, ["--t0", "-5"]),
+        (None, ["--t0", "-400"]),
+        (None, ["--l", "0.05"]),
+        (None, ["--l", "1e-3"]),
     ]
 
     @pytest.mark.parametrize("config,flags", CASES)
@@ -139,6 +144,23 @@ class TestConfigUsageErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "profile", "--A", "700"],
+            ["verify", "psh", "--t0", "-5"],
+            ["sweep", "A", "--from", "800", "--to", "800", "--steps", "1"],
+            ["sweep", "t", "--from", "0.5", "--to", "1", "--steps", "2", "--A", "1e6"],
+        ],
+    )
+    def test_out_of_range_runs_exit_two(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_valid_configs_keep_dict_and_hash(self):
         assert _config_hash(SuiteConfig()) == "9963e3fa46b225f6"
@@ -159,6 +181,13 @@ class TestRunSuite:
         names = [c.name for c in report.checks]
         assert "bundle.h_norm_invariance" in names
         assert report.timings
+
+    def test_nan_norm_fails_the_bundle_check(self, monkeypatch):
+        monkeypatch.setattr(cli, "h_norm", lambda p, cp: math.nan)
+        report = run_suite(SuiteConfig(suite="bundle", samples=10))
+        check = report.checks[0]
+        assert check.name == "bundle.h_norm_invariance"
+        assert not check.passed and math.isnan(check.margin)
 
     def test_psh_suite_passes(self):
         report = run_suite(SuiteConfig(suite="psh", samples=100))

@@ -27,7 +27,6 @@ from cuspforge.curvature import (
     ricci_trace,
     rz_plane_curvature,
 )
-from cuspforge.curvature import _stack_frames
 
 small = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -287,11 +286,12 @@ def per_sample_certificate(p, samples, n, seed, t_lo=0.05, strict_ratio=1e-10):
     """The certificate with one profile jet per draw, as a reference for the
     batched evaluation in hbc_certificate."""
     rng = np.random.default_rng(seed)
+    ts = rng.uniform(t_lo, p.A, samples)
     failures = []
     max_val, min_val = -math.inf, math.inf
     worst_ratio, min_slack = -math.inf, math.inf
     for k in range(samples):
-        t = float(rng.uniform(t_lo, p.A))
+        t = float(ts[k])
         mp = MetricPoint.from_profile(p, t, n)
         Y = random_frame_vector(rng, n)
         Xi = random_frame_vector(rng, n)
@@ -355,8 +355,27 @@ class TestCertificate:
         assert "FAIL" in rep.summary()
 
 
-def row_of(fv, k):
-    return FrameVector(fv.u[k], fv.beta[k], fv.gamma[k])
+class TestFrameDraw:
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_block_draw_matches_single_draws(self, n):
+        S = 60
+        F = random_frame_vector(np.random.default_rng(7), n, (S, 2))
+        assert F.u.shape == (S, 2, n - 1) and F.beta.shape == (S, 2)
+        rng = np.random.default_rng(7)
+        for k in range(S):
+            for j in range(2):
+                # the per-vector order: Re u, Im u, then beta and gamma
+                u = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+                beta, gamma = rng.standard_normal(2)
+                v = F[k, j]
+                assert np.array_equal(v.u, u)
+                assert (v.beta, v.gamma) == (beta, gamma)
+
+    def test_empty_shape_is_one_vector(self):
+        a = random_frame_vector(np.random.default_rng(3), 4)
+        b = random_frame_vector(np.random.default_rng(3), 4, (1,))[0]
+        assert a.u.shape == (3,) and np.ndim(a.beta) == 0 and np.ndim(a.gamma) == 0
+        assert np.array_equal(a.u, b.u) and (a.beta, a.gamma) == (b.beta, b.gamma)
 
 
 class TestBatchedEvaluation:
@@ -368,9 +387,8 @@ class TestBatchedEvaluation:
     def draw(self, p, n, seed):
         rng = np.random.default_rng(seed)
         ts = rng.uniform(0.05, p.A, self.ROWS)
-        Y, Xi = _stack_frames(
-            (random_frame_vector(rng, n), random_frame_vector(rng, n)) for _ in range(self.ROWS)
-        )
+        F = random_frame_vector(rng, n, (self.ROWS, 2))
+        Y, Xi = F[:, 0], F[:, 1]
         # pure central Y on every 97th row, as in the certificate
         Y.u[::97], Y.beta[::97], Y.gamma[::97] = 0.0, 1.0, 0.0
         return ts, Y, Xi
@@ -381,7 +399,7 @@ class TestBatchedEvaluation:
         jets = default_profile.jet_at(ts)
         mp = MetricPoint.from_jet(ts, jets, n)
         rows = [
-            (row_of(Y, k), row_of(Xi, k), MetricPoint.from_jet(ts[k], jets[k], n))
+            (Y[k], Xi[k], MetricPoint.from_jet(ts[k], jets[k], n))
             for k in range(self.ROWS)
         ]
         cases = [
@@ -399,7 +417,7 @@ class TestBatchedEvaluation:
     def test_oracle_matches_per_row(self, default_profile, n):
         ts, Y, Xi = self.draw(default_profile, n, seed=50 + n)
         orc = CurvatureOracle(MetricPoint.from_profile(default_profile, ts[0], n))
-        rows = [(row_of(Y, k), row_of(Xi, k)) for k in range(self.ROWS)]
+        rows = [(Y[k], Xi[k]) for k in range(self.ROWS)]
         batched = orc.evaluate(Y, Xi, Y.J(), Xi.J())
         assert np.array_equal(batched, [orc.evaluate(y, xi, y.J(), xi.J()) for y, xi in rows])
         batched = orc.sectional(Y, Xi)

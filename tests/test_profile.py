@@ -36,6 +36,12 @@ class TestBuildCutoff:
         with pytest.raises(ProfileError, match="nonpositive at t ="):
             build_cutoff(6.0, (5.8, 5.9))
 
+    def test_overflowing_jets_raise(self):
+        # cosh overflows past t = 710.5, and inf * 0 leaves nan in f'; a nan
+        # never fails a "<= 0" test, so finiteness is checked on its own
+        with pytest.raises(ProfileError, match="f is not finite at t ="):
+            build_cutoff(720.0, (1.0, 5.0))
+
     def test_evaluation_outside_domain_raises(self, default_profile):
         for t in (-0.1, 6.1):
             with pytest.raises(ValueError, match="outside"):

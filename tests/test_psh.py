@@ -65,6 +65,12 @@ class TestRegMax:
         assert reg_max(x, y, P_HALF) == y
         assert reg_max(y, x, P_HALF) == y
 
+    def test_dominates_where_quadrature_rounds_below(self):
+        # the kernel mean of this pair rounds one ulp below y
+        x, y = 1.7637636341507594, 2.7322967956622266
+        assert reg_max(x, y, P_HALF) == y
+        assert reg_max(y, x, P_HALF) == y
+
     def test_symmetric_bitwise_in_band(self, rng):
         for _ in range(500):
             x = float(rng.uniform(-5, 5))
