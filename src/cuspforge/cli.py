@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -632,10 +632,9 @@ def run_sweep(axis: str, start: float, stop: float, steps: int, cfg: SuiteConfig
         mp = cv.MetricPoint.from_profile(p, cfg.A / 2.0, cfg.n)
         base = _curvature_summary(mp, cfg.seed)
         for l in values:
-            if l <= 0:
-                raise ValueError("l must be positive")
-            lam = lambda_const(cfg.t0, float(l))
-            rows.append({"l": float(l), "lambda": lam, **base})
+            # SuiteConfig's own checks reject l <= 0 and lambda(t0) = 0
+            swept = replace(cfg, l=float(l))
+            rows.append({"l": swept.l, "lambda": lambda_const(swept.t0, swept.l), **base})
     elif axis == "n":
         p = build_cutoff(cfg.A, cfg.window)
         for nval in values:

@@ -374,6 +374,22 @@ def _jet_inv(A: np.ndarray) -> np.ndarray:
     return np.stack([v, -a1 * v**2, (2.0 * a1**2 - a0 * a2) * v**3], axis=-1)
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows of a (x) b flattened to (..., m^2), broadcast over the leading axes."""
+    ab = a[..., :, None] * b[..., None, :]
+    return ab.reshape(ab.shape[:-2] + (a.shape[-1] * b.shape[-1],))
+
+
+def _quadratic_form(p: np.ndarray, A: np.ndarray, q: np.ndarray):
+    """p^T A q per row of the broadcast leading axes of p and q.
+
+    The stacked product p[..., None, :] @ A is one BLAS matrix-vector
+    product per row; a flat 2-D p @ A (one GEMM) or an optimized einsum
+    would round a batch row differently from the same row alone.
+    """
+    return np.sum((p[..., None, :] @ A)[..., 0, :] * q, axis=-1)[()]
+
+
 class CurvatureOracle:
     """Full curvature tensor of mu_{f,g} from the Koszul formula.
 
@@ -385,7 +401,10 @@ class CurvatureOracle:
         R(B_i, B_j) B_k = nabla_[B_i,B_j] B_k - [nabla_i, nabla_j] B_k
 
     are exact up to rounding.  The tensor R_{ijkl} is assembled once per
-    metric point; evaluations are contractions.
+    metric point and kept as the (m^2, m^2) matrix R2 with rows ij and
+    columns kl, so that R(Y, Z, W, V) = (y (x) z)^T R2 (w (x) v).  Each
+    evaluation runs one matrix-vector product per row, which keeps a batch
+    row bitwise equal to the same row evaluated alone.
     """
 
     def __init__(self, mp: MetricPoint) -> None:
@@ -432,6 +451,9 @@ class CurvatureOracle:
         )
         self.R = R_up * M[:, 0][None, None, None, :]
         self.M0 = M[:, 0]
+        self.R2 = self.R.reshape(m * m, m * m)
+        # frame direction b_j has norm^2 M0[j]
+        self.Ric = np.einsum("ijkj->ik", self.R / self.M0)
 
     def frame_coords(self, fv: FrameVector) -> np.ndarray:
         """Coordinates in the frame B, of shape (..., 2n) for a batch (...)."""
@@ -445,8 +467,8 @@ class CurvatureOracle:
 
     def evaluate(self, Y: FrameVector, Z: FrameVector, W: FrameVector, V: FrameVector):
         """R(Y, Z, W, V), broadcast over the leading axes of the frames."""
-        x = [self.frame_coords(v) for v in (Y, Z, W, V)]
-        return np.einsum("ijkl,...i,...j,...k,...l->...", self.R, *x)[()]
+        y, z, w, v = (self.frame_coords(fv) for fv in (Y, Z, W, V))
+        return _quadratic_form(_outer(y, z), self.R2, _outer(w, v))
 
     def __call__(self, Y, Z, W, V):
         return self.evaluate(Y, Z, W, V)
@@ -473,9 +495,7 @@ class CurvatureOracle:
     def ricci(self, Xi: FrameVector):
         """Sum of R(Xi, b, Xi, b) over the 2n orthonormal frame directions."""
         x = self.frame_coords(Xi)
-        # frame direction b_i has norm^2 M0[i]
-        vals = np.einsum("ijkj,...i,...k->...j", self.R, x, x) / self.M0
-        return vals.sum(axis=-1)
+        return _quadratic_form(x, self.Ric, x)
 
 
 @lru_cache(maxsize=256)

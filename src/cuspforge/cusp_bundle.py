@@ -87,7 +87,13 @@ def h_norm(p: BundlePoint, cp: CuspParams) -> float:
     """
     nv2 = float(np.vdot(p.v, p.v).real)
     lam = lambda_const(cp.t0, cp.l)
-    return math.exp(math.pi * nv2 / cp.l) * float(abs(p.a)) / lam
+    try:
+        weight = math.exp(math.pi * nv2 / cp.l)
+    except OverflowError:
+        raise OverflowError(
+            f"h_norm: exp(pi |v|^2 / l) overflows at l = {cp.l:g} and |v|^2 = {nv2:.6g}"
+        ) from None
+    return weight * float(abs(p.a)) / lam
 
 
 def in_punctured_disk_bundle(p: BundlePoint, cp: CuspParams) -> bool:

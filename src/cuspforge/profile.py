@@ -187,22 +187,27 @@ def solve_psi(p: CutoffProfile, t_min: float, num: int = 20_001) -> PsiSolution:
 
     values = [0.0] * num
     y = values[-1] = p.A
-    for k in range(num - 1, 0, -1):
-        t1, t0, tm = t_n[k], t_n[k - 1], t_m[k - 1]
-        h = t0 - t1  # negative
-        k1 = exp(2.0 * y) / g_n[k]
-        if not isfinite(k1):
-            raise failed(t1)
-        k2 = exp(2.0 * (y + 0.5 * h * k1)) / g_m[k - 1]
-        if not isfinite(k2):
-            raise failed(tm)
-        k3 = exp(2.0 * (y + 0.5 * h * k2)) / g_m[k - 1]
-        if not isfinite(k3):
-            raise failed(tm)
-        k4 = exp(2.0 * (y + h * k3)) / g_n[k - 1]
-        if not isfinite(k4):
-            raise failed(t0)
-        y = values[k - 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    try:
+        for k in range(num - 1, 0, -1):
+            t1, t0, tm = t_n[k], t_n[k - 1], t_m[k - 1]
+            h = t0 - t1  # negative
+            k1 = exp(2.0 * y) / g_n[k]
+            if not isfinite(k1):
+                raise failed(t1)
+            k2 = exp(2.0 * (y + 0.5 * h * k1)) / g_m[k - 1]
+            if not isfinite(k2):
+                raise failed(tm)
+            k3 = exp(2.0 * (y + 0.5 * h * k2)) / g_m[k - 1]
+            if not isfinite(k3):
+                raise failed(tm)
+            k4 = exp(2.0 * (y + h * k3)) / g_n[k - 1]
+            if not isfinite(k4):
+                raise failed(t0)
+            y = values[k - 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    except OverflowError:
+        raise OverflowError(
+            f"psi solve: exp(2 psi) overflows near t = {t1:.6g}, starting from psi(A) = A = {p.A:g}"
+        ) from None
     values = np.array(values)
 
     rhs = np.exp(2.0 * values) / g_nodes

@@ -162,6 +162,19 @@ class TestConfigUsageErrors:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv,key,step",
+        [
+            (["verify", "bundle", "--l", "0.05"], "l = 0.05", "exp(pi |v|^2 / l)"),
+            (["verify", "profile", "--A", "700"], "A = 700", "exp(2 psi)"),
+        ],
+    )
+    def test_overflow_names_key_and_step(self, tmp_path, capsys, argv, key, step):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert key in lines[0] and step in lines[0]
+
     def test_valid_configs_keep_dict_and_hash(self):
         assert _config_hash(SuiteConfig()) == "9963e3fa46b225f6"
         cfg = SuiteConfig(suite="bundle", A=8, window=[2, 6.5], d=7, samples=50, seed=3)
@@ -275,6 +288,18 @@ class TestSweep:
         for row in rows:
             expect = lambda_const(0.0, float(row["l"]))
             assert float(row["lambda"]) == pytest.approx(expect, rel=1e-12)
+
+    def test_l_axis_applies_the_lambda_rule(self, tmp_path, capsys):
+        # lambda(0) underflows to 0 for l below about 0.0084
+        out = tmp_path / "sweep_l.csv"
+        argv = ["sweep", "l", "--from", "0.001", "--to", "0.002", "--steps", "2"]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "t0 = 0.0" in lines[0] and "l = 0.001" in lines[0]
+        assert not out.exists()
 
     def test_single_point_sweep(self, tmp_path):
         out = tmp_path / "one.csv"

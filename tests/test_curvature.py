@@ -423,6 +423,39 @@ class TestBatchedEvaluation:
         batched = orc.sectional(Y, Xi)
         assert np.array_equal(batched, [orc.sectional(y, xi) for y, xi in rows])
 
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_oracle_broadcasts_one_frame_against_a_batch(self, default_profile, n):
+        ts, Y, Xi = self.draw(default_profile, n, seed=60 + n)
+        orc = CurvatureOracle(MetricPoint.from_profile(default_profile, ts[0], n))
+        xi = Xi[0]
+        batched = orc.bisectional(Y, xi)
+        assert batched.shape == (self.ROWS,)
+        assert np.array_equal(batched, [orc.bisectional(Y[k], xi) for k in range(self.ROWS)])
+        # the single frame leads each outer product
+        batched = orc.evaluate(xi, Y, xi.J(), Y.J())
+        assert batched.shape == (self.ROWS,)
+        expect = [orc.evaluate(xi, Y[k], xi.J(), Y[k].J()) for k in range(self.ROWS)]
+        assert np.array_equal(batched, expect)
+
+    def test_oracle_broadcasts_node_by_row_batch(self, default_profile):
+        # the (t nodes, rows) draw shape of the formula_vs_oracle check
+        n, nodes, rows = 3, 40, 10
+        F = random_frame_vector(np.random.default_rng(71), n, (nodes, rows, 2))
+        Y, Xi = F[..., 0], F[..., 1]
+        orc = CurvatureOracle(MetricPoint.from_profile(default_profile, 2.5, n))
+        batched = orc.bisectional(Y, Xi)
+        assert batched.shape == (nodes, rows)
+        expect = [[orc.bisectional(Y[s, r], Xi[s, r]) for r in range(rows)] for s in range(nodes)]
+        assert np.array_equal(batched, expect)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_oracle_ricci_matches_per_row(self, default_profile, n):
+        ts, _, Xi = self.draw(default_profile, n, seed=80 + n)
+        orc = CurvatureOracle(MetricPoint.from_profile(default_profile, ts[0], n))
+        batched = orc.ricci(Xi)
+        assert batched.shape == (self.ROWS,)
+        assert np.array_equal(batched, [orc.ricci(Xi[k]) for k in range(self.ROWS)])
+
     def test_from_jet_rejects_one_bad_row(self, default_profile):
         ts = np.linspace(0.05, default_profile.A, 50)
         jets = default_profile.jet_at(ts)
@@ -430,3 +463,25 @@ class TestBatchedEvaluation:
         jets[17, 3] = 0.0
         with pytest.raises(ValueError, match="> 0"):
             MetricPoint.from_jet(ts, jets, 3)
+
+
+class TestOracleContraction:
+    """The (y (x) z)^T R2 (w (x) v) contraction against a direct sum over
+    the four indices of R, within a rounding bound of 64 eps times the sum
+    of the absolute terms."""
+
+    ROWS = 200
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_matches_four_index_sum(self, default_profile, n):
+        rng = np.random.default_rng(90 + n)
+        eps = np.finfo(float).eps
+        for t in rng.uniform(0.05, default_profile.A, 3):
+            orc = CurvatureOracle(MetricPoint.from_profile(default_profile, t, n))
+            F = random_frame_vector(rng, n, (self.ROWS, 4))
+            got = orc.evaluate(F[:, 0], F[:, 1], F[:, 2], F[:, 3])
+            for k in range(self.ROWS):
+                y, z, w, v = (orc.frame_coords(F[k, j]) for j in range(4))
+                ref = np.einsum("ijkl,i,j,k,l->", orc.R, y, z, w, v)
+                mass = np.einsum("ijkl,i,j,k,l->", np.abs(orc.R), *map(np.abs, (y, z, w, v)))
+                assert abs(got[k] - ref) <= 64.0 * eps * mass
