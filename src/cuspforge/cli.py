@@ -357,12 +357,13 @@ def _suite_bundle(cfg: SuiteConfig) -> list[CheckRecord]:
 def _suite_cayley(cfg: SuiteConfig) -> list[CheckRecord]:
     checks: list[CheckRecord] = []
     rng = np.random.default_rng(cfg.seed + 31)
-    runs = max(10, min(cfg.samples, 400) // 10)
+    per_form = max(5, min(cfg.samples, 400) // 20)
+    runs = 0
     worst_err = 0.0
     all_exact = True
     for m in (2, 3):
         B = qc.HermitianDiagForm(tuple(Fraction(k + 1) for k in range(m)))
-        for _ in range(runs // 2):
+        for _ in range(per_form):
             x = {
                 (i, j): Fraction(float(rng.uniform(-1, 1))).limit_denominator(40)
                 for i in range(m)
@@ -379,6 +380,7 @@ def _suite_cayley(cfg: SuiteConfig) -> list[CheckRecord]:
             Mq = qc.approximate_in_Ul(M, B, cfg.d, cfg.eps)
             all_exact &= qc.in_unitary_group(Mq, B.matrix(cfg.d))
             worst_err = max(worst_err, float(np.max(np.abs(Mq.to_complex() - M))))
+            runs += 1
     checks.append(
         CheckRecord(
             "cayley.exact_unitarity",

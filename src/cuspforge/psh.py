@@ -247,28 +247,27 @@ def _raw_hessian(fn: Callable[[np.ndarray], float], z0: np.ndarray, h: float) ->
     for j in range(m):
         dirs[2 * j, j] = 1.0
         dirs[2 * j + 1, j] = 1.0j
+    # one stencil table over the 2m real coordinates r_a: the centre, z0 +- h e_a
+    # and z0 +- h (e_a +- e_b) for a < b, leaving out the (Re z_j, Im z_j) pairs,
+    # which only feed Im H[j, j], and Hermitian symmetrization discards that
+    a, b = np.triu_indices(2 * m, 1)
+    keep = (a % 2 == 1) | (b != a + 1)
+    a, b = a[keep], b[keep]
+    plus, minus = dirs[a] + dirs[b], dirs[a] - dirs[b]
+    table = [z0[None], z0 + h * dirs, z0 - h * dirs]
+    table += [z0 + h * plus, z0 + h * minus, z0 - h * minus, z0 - h * plus]
+    vals = np.array([fn(p) for p in np.concatenate(table)])
+    f0, fp, fm, pp, pm, mp, mm = np.split(vals, np.cumsum([len(t) for t in table[:-1]]))
 
-    def second(a: int, b: int) -> float:
-        # d^2 fn / d r_a d r_b over the 2m real coordinates
-        if a == b:
-            return (fn(z0 + h * dirs[a]) - 2.0 * fn(z0) + fn(z0 - h * dirs[a])) / h**2
-        return (
-            fn(z0 + h * (dirs[a] + dirs[b]))
-            - fn(z0 + h * (dirs[a] - dirs[b]))
-            - fn(z0 - h * (dirs[a] - dirs[b]))
-            + fn(z0 - h * (dirs[a] + dirs[b]))
-        ) / (4.0 * h**2)
-
-    H = np.zeros((m, m), dtype=complex)
-    for j in range(m):
-        for k in range(j, m):
-            xx = second(2 * j, 2 * k)
-            yy = second(2 * j + 1, 2 * k + 1)
-            xy = second(2 * j, 2 * k + 1)
-            yx = second(2 * j + 1, 2 * k)
-            H[j, k] = 0.25 * (xx + yy) + 0.25j * (xy - yx)
-            if k > j:
-                H[k, j] = np.conj(H[j, k])
+    # d^2 fn / d r_a d r_b on and above the diagonal
+    second = np.zeros((2 * m, 2 * m))
+    np.fill_diagonal(second, (fp - 2.0 * f0 + fm) / h**2)
+    second[a, b] = (pp - pm - mp + mm) / (4.0 * h**2)
+    xx, yy = second[0::2, 0::2], second[1::2, 1::2]
+    xy, yx = second[0::2, 1::2], second[1::2, 0::2]
+    H = 0.25 * (xx + yy) + 0.25j * (xy - yx)
+    k, j = np.tril_indices(m, -1)
+    H[k, j] = np.conj(H[j, k])
     return H
 
 
@@ -277,8 +276,9 @@ def complex_hessian(
 ) -> HessianReport:
     """Mixed second derivatives d^2 fn / dz_j dzbar_k at z0.
 
-    Central differences in the four real directions per index pair, one
-    Richardson halving, then Hermitian symmetrization.  Raises on step
+    Central differences in the four real directions per index pair, read
+    from one stencil table per step size with each point evaluated once,
+    one Richardson halving, then Hermitian symmetrization.  Raises on step
     underflow.
     """
     z0 = np.asarray(z0, dtype=complex).reshape(-1)

@@ -162,83 +162,77 @@ def qomega(d: int) -> QuadElem:
     return QuadElem(Fraction(0), Fraction(1), d)
 
 
-def _gauss_jordan(
-    rows: list[list[QuadElem]], ncols: int
-) -> tuple[list[int], QuadElem]:
-    """Reduce rows to reduced row echelon form in place, exactly.
+def _gauss_jordan(rows: np.ndarray, ncols: int) -> tuple[list[int], QuadElem]:
+    """Reduce an object array to reduced row echelon form in place, exactly.
 
     Pivots are searched in the first ncols columns; the pivot is the first
     nonzero entry at or below the current row.  Returns the pivot columns
     and the product of the pivots, negated once per row swap, which is the
     determinant when the leading square block has full rank.
     """
-    nrows = len(rows)
-    prod = qone(rows[0][0].d)
+    nrows = rows.shape[0]
+    prod = qone(rows[0, 0].d)
     pivots: list[int] = []
     for col in range(ncols):
         row = len(pivots)
         if row == nrows:
             break
-        piv = next((r for r in range(row, nrows) if not rows[r][col].is_zero()), None)
+        piv = next((r for r in range(row, nrows) if not rows[r, col].is_zero()), None)
         if piv is None:
             continue
         if piv != row:
-            rows[row], rows[piv] = rows[piv], rows[row]
+            rows[[row, piv]] = rows[[piv, row]]
             prod = -prod
-        prod = prod * rows[row][col]
+        prod = prod * rows[row, col]
         # the pivot row is zero left of col, so only col onward changes
-        pinv = rows[row][col].inv()
-        prow = [pinv * e for e in rows[row][col:]]
-        rows[row] = rows[row][:col] + prow
-        for r in range(nrows):
-            if r == row or rows[r][col].is_zero():
-                continue
-            factor = rows[r][col]
-            rows[r] = rows[r][:col] + [
-                a - factor * b for a, b in zip(rows[r][col:], prow)
-            ]
+        rows[row, col:] = rows[row, col].inv() * rows[row, col:]
+        others = [r for r in range(nrows) if r != row and not rows[r, col].is_zero()]
+        rows[others, col:] -= np.multiply.outer(rows[others, col], rows[row, col:])
         pivots.append(col)
     return pivots, prod
 
 
+_conj = np.frompyfunc(QuadElem.conj, 1, 1)
+
+
 class QuadMatrix:
-    """Square matrix over Q(sqrt(-d)) with exact arithmetic throughout."""
+    """Square matrix over Q(sqrt(-d)) with exact arithmetic throughout.
+
+    entries is an (m, m) numpy object array of QuadElem, so numpy's own
+    loops carry the exact field arithmetic of +, -, @ and the rest.
+    """
 
     __slots__ = ("entries", "m", "d")
 
     def __init__(self, entries: Sequence[Sequence[QuadElem]]):
-        rows = [list(r) for r in entries]
-        m = len(rows)
-        if m == 0 or any(len(r) != m for r in rows):
+        arr = np.array(entries, dtype=object)
+        m = len(arr)
+        if m == 0 or arr.shape != (m, m):
             raise ValueError("square nonempty entry grid required")
-        d = rows[0][0].d
-        if any(e.d != d for r in rows for e in r):
+        d = arr[0, 0].d
+        if any(e.d != d for e in arr.flat):
             raise ValueError("all entries must share d")
-        self.entries = rows
+        self.entries = arr
         self.m = m
         self.d = d
 
     @classmethod
     def identity(cls, m: int, d: int) -> "QuadMatrix":
-        return cls(
-            [[qone(d) if i == j else qzero(d) for j in range(m)] for i in range(m)]
-        )
+        return cls.diagonal([1] * m, d)
 
     @classmethod
     def zero(cls, m: int, d: int) -> "QuadMatrix":
-        return cls([[qzero(d) for _ in range(m)] for _ in range(m)])
+        return cls.diagonal([0] * m, d)
 
     @classmethod
     def diagonal(cls, diag: Sequence[RationalLike], d: int) -> "QuadMatrix":
-        m = len(diag)
-        out = cls.zero(m, d)
-        for i, v in enumerate(diag):
-            out.entries[i][i] = QuadElem(_frac(v), Fraction(0), d)
-        return out
+        entries = np.full((len(diag), len(diag)), qzero(d), dtype=object)
+        np.fill_diagonal(entries, [QuadElem(_frac(v), Fraction(0), d) for v in diag])
+        return cls(entries)
 
     def __getitem__(self, ij) -> QuadElem:
         i, j = ij
-        return self.entries[i][j]
+        return self.entries[i, j]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuadMatrix):
@@ -246,30 +240,16 @@ class QuadMatrix:
         return (
             self.m == other.m
             and self.d == other.d
-            and all(
-                self.entries[i][j] == other.entries[i][j]
-                for i in range(self.m)
-                for j in range(self.m)
-            )
+            and bool((self.entries == other.entries).all())
         )
 
     def __add__(self, other: "QuadMatrix") -> "QuadMatrix":
         self._check(other)
-        return QuadMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.m)]
-                for i in range(self.m)
-            ]
-        )
+        return QuadMatrix(self.entries + other.entries)
 
     def __sub__(self, other: "QuadMatrix") -> "QuadMatrix":
         self._check(other)
-        return QuadMatrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.m)]
-                for i in range(self.m)
-            ]
-        )
+        return QuadMatrix(self.entries - other.entries)
 
     def _check(self, other: "QuadMatrix") -> None:
         if self.m != other.m or self.d != other.d:
@@ -277,60 +257,39 @@ class QuadMatrix:
 
     def scale(self, c: QuadElem | RationalLike) -> "QuadMatrix":
         cc = c if isinstance(c, QuadElem) else QuadElem(_frac(c), Fraction(0), self.d)
-        return QuadMatrix(
-            [[cc * self.entries[i][j] for j in range(self.m)] for i in range(self.m)]
-        )
+        return QuadMatrix(cc * self.entries)
 
     def __matmul__(self, other: "QuadMatrix") -> "QuadMatrix":
         self._check(other)
-        m, d = self.m, self.d
-        out = [[qzero(d) for _ in range(m)] for _ in range(m)]
-        for i in range(m):
-            row = self.entries[i]
-            for j in range(m):
-                acc = qzero(d)
-                for k in range(m):
-                    acc = acc + row[k] * other.entries[k][j]
-                out[i][j] = acc
-        return QuadMatrix(out)
+        return QuadMatrix(self.entries @ other.entries)
 
     def transpose(self) -> "QuadMatrix":
-        return QuadMatrix(
-            [[self.entries[j][i] for j in range(self.m)] for i in range(self.m)]
-        )
+        return QuadMatrix(self.entries.T)
 
     def conj(self) -> "QuadMatrix":
-        return QuadMatrix(
-            [[self.entries[i][j].conj() for j in range(self.m)] for i in range(self.m)]
-        )
+        return QuadMatrix(_conj(self.entries))
 
     def conj_transpose(self) -> "QuadMatrix":
         return self.transpose().conj()
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for r in self.entries for e in r)
+        return all(e.is_zero() for e in self.entries.flat)
 
     def apply(self, vec: Sequence[QuadElem]) -> list[QuadElem]:
         if len(vec) != self.m:
             raise ValueError("vector length mismatch")
-        return [
-            sum((self.entries[i][k] * vec[k] for k in range(self.m)), qzero(self.d))
-            for i in range(self.m)
-        ]
+        return list(self.entries @ np.array(vec, dtype=object))
 
     def inverse(self) -> "QuadMatrix":
         m = self.m
-        rows = [
-            list(r) + e
-            for r, e in zip(self.entries, QuadMatrix.identity(m, self.d).entries)
-        ]
+        rows = np.hstack([self.entries, QuadMatrix.identity(m, self.d).entries])
         pivots, _ = _gauss_jordan(rows, m)
         if len(pivots) < m:
             raise ZeroDivisionError("singular matrix")
-        return QuadMatrix([r[m:] for r in rows])
+        return QuadMatrix(rows[:, m:])
 
     def det(self) -> QuadElem:
-        pivots, prod = _gauss_jordan([list(r) for r in self.entries], self.m)
+        pivots, prod = _gauss_jordan(self.entries.copy(), self.m)
         return prod if len(pivots) == self.m else qzero(self.d)
 
     def to_complex(self) -> np.ndarray:
@@ -551,7 +510,7 @@ def approximate_in_Ul(
 def _rref_kernel(A: QuadMatrix) -> list[list[QuadElem]]:
     """Exact kernel basis of A over Q(sqrt(-d))."""
     m, d = A.m, A.d
-    rows = [list(r) for r in A.entries]
+    rows = A.entries.copy()
     pivots, _ = _gauss_jordan(rows, m)
     free = [c for c in range(m) if c not in pivots]
     basis = []
@@ -559,7 +518,7 @@ def _rref_kernel(A: QuadMatrix) -> list[list[QuadElem]]:
         vec = [qzero(d) for _ in range(m)]
         vec[fc] = qone(d)
         for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
+            vec[pc] = -rows[r, fc]
         basis.append(vec)
     return basis
 

@@ -243,6 +243,24 @@ class TestMainVerify:
         assert data["suite"] == "bundle"
         assert data["passed"] is True
 
+    def test_cayley_runs_witness_counts_the_approximations(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return approximate(*args)
+
+        approximate = cli.qc.approximate_in_Ul
+        monkeypatch.setattr(cli.qc, "approximate_in_Ul", counting)
+        out_file = tmp_path / "report.json"
+        argv = ["verify", "cayley", "--samples", "110", "--out", str(out_file)]
+        assert main(argv) == 0
+        check = next(
+            c for c in json.loads(out_file.read_text())["checks"]
+            if c["name"] == "cayley.exact_unitarity"
+        )
+        assert check["witness"]["runs"] == len(calls) == 10
+
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nothere"])

@@ -231,6 +231,68 @@ class TestComplexHessian:
         blob = json.dumps(rep.to_json_dict())
         assert "eigenvalues" in blob
 
+    @pytest.mark.parametrize("n, calls", [(3, 122), (6, 530)])
+    def test_stencil_table_matches_pairwise_stencils(self, rng, n, calls):
+        # one evaluation per stencil point; the matrix and eigenvalues keep
+        # the bits of four separate evaluations per second derivative
+        cp = CuspParams(l=2.0 * math.pi, t0=0.0, n=n)
+        for _ in range(4):
+            z0 = 0.4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            points = []
+
+            def fn(z):
+                points.append(z)
+                return phi_cusp_ambient(z, cp)
+
+            rep = complex_hessian(fn, z0)
+            assert len(points) == calls
+            ref_matrix, ref_eigs = pairwise_complex_hessian(
+                lambda z: phi_cusp_ambient(z, cp), z0
+            )
+            assert rep.matrix.tobytes() == ref_matrix.tobytes()
+            assert rep.eigenvalues.tobytes() == ref_eigs.tobytes()
+            assert rep.hermiticity_defect == 0.0
+
+
+def pairwise_raw_hessian(fn, z0, h):
+    """Second derivatives with four fresh evaluations each, entry by entry."""
+    m = z0.size
+    dirs = np.zeros((2 * m, m), dtype=complex)
+    for j in range(m):
+        dirs[2 * j, j] = 1.0
+        dirs[2 * j + 1, j] = 1.0j
+
+    def second(a, b):
+        if a == b:
+            return (fn(z0 + h * dirs[a]) - 2.0 * fn(z0) + fn(z0 - h * dirs[a])) / h**2
+        return (
+            fn(z0 + h * (dirs[a] + dirs[b]))
+            - fn(z0 + h * (dirs[a] - dirs[b]))
+            - fn(z0 - h * (dirs[a] - dirs[b]))
+            + fn(z0 - h * (dirs[a] + dirs[b]))
+        ) / (4.0 * h**2)
+
+    H = np.zeros((m, m), dtype=complex)
+    for j in range(m):
+        for k in range(j, m):
+            xx = second(2 * j, 2 * k)
+            yy = second(2 * j + 1, 2 * k + 1)
+            xy = second(2 * j, 2 * k + 1)
+            yx = second(2 * j + 1, 2 * k)
+            H[j, k] = 0.25 * (xx + yy) + 0.25j * (xy - yx)
+            if k > j:
+                H[k, j] = np.conj(H[j, k])
+    return H
+
+
+def pairwise_complex_hessian(fn, z0):
+    z0 = np.asarray(z0, dtype=complex).reshape(-1)
+    h = 1e-4 * (1.0 + float(np.linalg.norm(z0)))
+    fine, coarse = pairwise_raw_hessian(fn, z0, h / 2.0), pairwise_raw_hessian(fn, z0, h)
+    H = (4.0 * fine - coarse) / 3.0
+    H = 0.5 * (H + H.conj().T)
+    return H, np.linalg.eigvalsh(H)
+
 
 class TestPhiCusp:
     def test_anchor_values(self):

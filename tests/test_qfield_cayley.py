@@ -349,6 +349,102 @@ class TestGaussJordan:
         assert min(invertible, singular, needs_swap) > 50
 
 
+# Reference copies of the list-based loops QuadMatrix carried before its
+# entries became a numpy object array; each returns a list of rows.
+
+
+def ref_add(A, B):
+    return [[A.entries[i][j] + B.entries[i][j] for j in range(A.m)] for i in range(A.m)]
+
+
+def ref_sub(A, B):
+    return [[A.entries[i][j] - B.entries[i][j] for j in range(A.m)] for i in range(A.m)]
+
+
+def ref_scale(A, c):
+    cc = c if isinstance(c, QuadElem) else QuadElem(Fraction(c), Fraction(0), A.d)
+    return [[cc * A.entries[i][j] for j in range(A.m)] for i in range(A.m)]
+
+
+def ref_matmul(A, B):
+    m, d = A.m, A.d
+    out = [[qzero(d) for _ in range(m)] for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            acc = qzero(d)
+            for k in range(m):
+                acc = acc + A.entries[i][k] * B.entries[k][j]
+            out[i][j] = acc
+    return out
+
+
+def ref_transpose(A):
+    return [[A.entries[j][i] for j in range(A.m)] for i in range(A.m)]
+
+
+def ref_conj(A):
+    return [[A.entries[i][j].conj() for j in range(A.m)] for i in range(A.m)]
+
+
+def ref_apply(A, vec):
+    return [
+        sum((A.entries[i][k] * vec[k] for k in range(A.m)), qzero(A.d))
+        for i in range(A.m)
+    ]
+
+
+def rows_of(A):
+    return [list(r) for r in A.entries]
+
+
+def is_quad_list(v):
+    return type(v) is list and all(type(e) is QuadElem for e in v)
+
+
+class TestObjectArrayEntries:
+    def test_matches_list_reference(self):
+        rng = np.random.default_rng(5)
+        previous = {}
+        fields = set()
+        for d, A in elimination_cases(rng):
+            # binary operations pair A with the previous case of its field and size
+            B = previous.setdefault((d, A.m), A)
+            previous[d, A.m] = A
+            fields.add(d)
+            c = random_quad_elem(rng, d, 0.2)
+            v = [random_quad_elem(rng, d, 0.2) for _ in range(A.m)]
+            assert rows_of(A + B) == ref_add(A, B)
+            assert rows_of(A - B) == ref_sub(A, B)
+            assert rows_of(A.scale(c)) == ref_scale(A, c)
+            assert rows_of(A.scale(-3)) == ref_scale(A, -3)
+            assert rows_of(A @ B) == ref_matmul(A, B)
+            assert rows_of(A.transpose()) == ref_transpose(A)
+            assert rows_of(A.conj()) == ref_conj(A)
+            out = A.apply(v)
+            assert is_quad_list(out) and out == ref_apply(A, v)
+            assert (A == B) == (rows_of(A) == rows_of(B))
+            assert A == QuadMatrix(rows_of(A))
+        assert fields == {1, 2, 3, 7}
+
+    def test_results_are_fresh_arrays(self):
+        # results never alias their operands: writing into one leaves the other
+        A = QuadMatrix.identity(3, 2)
+        for out in (A.transpose(), A.conj(), A + QuadMatrix.zero(3, 2), A.scale(1)):
+            out.entries[0][1] = qone(2)
+            assert A == QuadMatrix.identity(3, 2)
+
+    def test_vectors_stay_lists(self):
+        d = 3
+        H = polarized_form_matrix(3, d)
+        v = [qe(2, 1, d), QuadElem(Fraction(1, 2), Fraction(1, 2), d)]
+        M = heisenberg_matrix_exact(Fraction(5, 7), v, d)
+        kernel = _rref_kernel(M - QuadMatrix.identity(4, d))
+        assert type(kernel) is list and kernel and all(is_quad_list(v) for v in kernel)
+        w = unipotent_fixed_vector(M, H)
+        assert is_quad_list(w)
+        assert is_quad_list(M.apply(w)) and M.apply(w) == w
+
+
 class TestCayleyTransform:
     def test_involution_exact(self, rng):
         B = HermitianDiagForm((1, 2, 3))
