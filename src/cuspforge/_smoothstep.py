@@ -80,8 +80,12 @@ def _fold(x: np.ndarray) -> np.ndarray:
 def step(x: np.ndarray | float) -> np.ndarray:
     """S(x): 0 for x <= 0, 1 for x >= 1, normalized bump integral between."""
     x = np.asarray(x, dtype=float)
-    half = _half_step(_fold(x))
-    return np.where(x > 0.5, 1.0 - half, half)
+    out = np.where(x > 0.5, 1.0, 0.0)
+    inside = (x > 0.0) & (x < 1.0)
+    xi = x[inside]
+    half = _half_step(_fold(xi))
+    out[inside] = np.where(xi > 0.5, 1.0 - half, half)
+    return out
 
 
 def step_integral(x: np.ndarray | float) -> np.ndarray:

@@ -225,7 +225,7 @@ def _suite_curvature(cfg: SuiteConfig) -> list[CheckRecord]:
     rng = np.random.default_rng(cfg.seed + 11)
     F = cv.random_frame_vector(rng, cfg.n, (min(cfg.samples, 1000), 2))
     X, Y = F[:, 0], F[:, 1]
-    oracle = cv.oracle_for(mp_exp)
+    oracle = cv.CurvatureOracle(mp_exp)
     hsc_dev = float(np.max(np.abs(oracle.holomorphic_sectional(X) + 4.0)))
     s = oracle.sectional(X, Y)
     sec_lo, sec_hi = float(s.min()), float(s.max())
@@ -247,7 +247,7 @@ def _suite_curvature(cfg: SuiteConfig) -> list[CheckRecord]:
     for t, jet, pairs in zip(t_nodes, p.jet_at(t_nodes), F):
         mp = cv.MetricPoint.from_jet(t, jet, cfg.n)
         Y, Xi = pairs[:, 0], pairs[:, 1]
-        ref = cv.oracle_for(mp).bisectional(Y, Xi)
+        ref = cv.CurvatureOracle(mp).bisectional(Y, Xi)
         errs.append(np.abs(cv.bisectional(Y, Xi, mp) - ref) / (1.0 + np.abs(ref)))
     worst = float(np.max(errs))
     checks.append(
@@ -578,11 +578,11 @@ def run_suite(cfg: SuiteConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _curvature_summary(mp: cv.MetricPoint, seed: int, draws: int = 120) -> dict:
-    F = cv.random_frame_vector(np.random.default_rng(seed), mp.n, (draws, 2))
+def _curvature_summary(mp: cv.MetricPoint, seed: int) -> dict:
+    F = cv.random_frame_vector(np.random.default_rng(seed), mp.n, (120, 2))
     Y, Xi = F[:, 0], F[:, 1]
     hbc = cv.bisectional(Y, Xi, mp) / (Y.norm_sq(mp) * Xi.norm_sq(mp))
-    sec = cv.oracle_for(mp).sectional(Y, Xi)
+    sec = cv.CurvatureOracle(mp).sectional(Y, Xi)
     coef_h, coef_z = cv.ricci_coefficients(mp)
     ric_lo = min(-coef_h / mp.f**2, -coef_z / mp.g**2)
     return {

@@ -75,9 +75,8 @@ class MetricPoint:
 
     The jet fields are floats for one point or arrays of one batch shape,
     such as (S,) for S times; the formulas broadcast them against the
-    leading axes of the frame vectors.  g and gp are redundant (g = f f')
-    but stored so that a metric point is self-contained; construction
-    validates the Kahler relation on every row.
+    leading axes of the frame vectors.  g = f f' and its derivatives are
+    derived from the jet, so the Kahler relation holds by construction.
     """
 
     t: float
@@ -85,8 +84,6 @@ class MetricPoint:
     fp: float
     fpp: float
     fppp: float
-    g: float
-    gp: float
     n: int
 
     def __post_init__(self) -> None:
@@ -94,8 +91,14 @@ class MetricPoint:
             raise ValueError("dimension n must be at least 2")
         if not np.all((self.f > 0.0) & (self.fp > 0.0) & (self.fpp > 0.0) & (self.fppp > 0.0)):
             raise ValueError("metric point requires f, f', f'', f''' > 0")
-        if np.any(np.abs(self.g - self.f * self.fp) > 1e-9 * np.maximum(1.0, np.abs(self.g))):
-            raise ValueError("Kahler relation g = f f' violated")
+
+    @property
+    def g(self) -> float:
+        return self.f * self.fp
+
+    @property
+    def gp(self) -> float:
+        return self.fp * self.fp + self.f * self.fpp
 
     @property
     def gpp(self) -> float:
@@ -106,10 +109,7 @@ class MetricPoint:
         """Metric point from the profile jet (f, f', f'', f''') at t: a
         float t with a (4,) jet, or (S,) times with (S, 4) jets."""
         f0, f1, f2, f3 = np.moveaxis(np.asarray(jet, dtype=float), -1, 0)
-        return cls(
-            t=t, f=f0, fp=f1, fpp=f2, fppp=f3,
-            g=f0 * f1, gp=f1 * f1 + f0 * f2, n=n,
-        )
+        return cls(t=t, f=f0, fp=f1, fpp=f2, fppp=f3, n=n)
 
     @classmethod
     def from_profile(cls, p: CutoffProfile, t: float, n: int) -> "MetricPoint":
@@ -119,7 +119,7 @@ class MetricPoint:
     def exp_model(cls, t: float, n: int) -> "MetricPoint":
         """Constant-curvature model f = e^t, g = e^(2t)."""
         e = math.exp(t)
-        return cls(t=t, f=e, fp=e, fpp=e, fppp=e, g=e * e, gp=2.0 * e * e, n=n)
+        return cls(t=t, f=e, fp=e, fpp=e, fppp=e, n=n)
 
     @classmethod
     def cosh_model(cls, t: float, n: int) -> "MetricPoint":
@@ -127,10 +127,7 @@ class MetricPoint:
         if t <= 0.0:
             raise ValueError("cosh model needs t > 0")
         ch, sh = math.cosh(t), math.sinh(t)
-        return cls(
-            t=t, f=ch, fp=sh, fpp=ch, fppp=sh,
-            g=ch * sh, gp=sh * sh + ch * ch, n=n,
-        )
+        return cls(t=t, f=ch, fp=sh, fpp=ch, fppp=sh, n=n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,10 +17,15 @@ The second half of the module solves, backward from A,
     psi'(t) = e^(2 psi(t)) / g(t),   psi(A) = A,   g = f f',
 
 the coordinate change that pulls the model metric back to the hyperbolic
-one.  The RK4 stage times are fixed by the grid, so g is tabulated once at
-the grid nodes and once at the step midpoints, and the classical RK4
-recursion then runs on those tables.  Where f = exp we have g = e^(2t) and
-psi = id is the exact solution; the integrator preserves this to rounding.
+one.  The equation separates: E = e^(-2 psi) has E' = -2/g, so
+
+    e^(-2 psi(t)) = e^(-2A) + 2 int_t^A ds/g(s),
+
+and psi is one cumulative Simpson sum of 1/g over the grid nodes and the
+cell midpoints.  The grid step is capped so that the five-point residual
+check next to t_min stays accurate for every A.  Where f = exp we have
+g = e^(2t) and psi = id is the exact solution; the quadrature preserves
+this to rounding.
 """
 
 from __future__ import annotations
@@ -159,58 +164,40 @@ class PsiSolution:
         return float(np.abs(self.values[mask] - self.grid[mask]).max())
 
 
-def solve_psi(p: CutoffProfile, t_min: float, num: int = 20_001) -> PsiSolution:
-    """Integrate the ODE backward from A to t_min with classical RK4.
+def solve_psi(p: CutoffProfile, t_min: float) -> PsiSolution:
+    """psi on [t_min, A] from its first integral.
 
-    Every RK4 stage time is a grid node or a step midpoint, so g is
-    tabulated at the nodes and at the midpoints by two batched jet
-    evaluations; the recursion itself is unchanged, and the node table is
-    reused for the residual.  g(0) = 0 makes the equation singular at the
-    origin, so t_min must be positive.  On the exp region every RK4 stage
-    slope is 1 to rounding and the identity solution is preserved.
+    g is tabulated at the grid nodes and at the cell midpoints by two
+    batched jet evaluations; Simpson's rule on each cell, summed backward
+    from A, gives E = e^(-2 psi), and the node table is reused for the
+    five-point residual of the ODE, an independent check of the quadrature.
+    The step is at most 3e-4, so the grid grows with A past the default
+    20,001 nodes.  g(0) = 0 makes the equation singular at the origin, so
+    t_min must be positive.
     """
     if not 0.0 < t_min < p.A:
         raise ValueError("t_min must lie in (0, A)")
+    try:
+        math.exp(2.0 * p.A)  # the residual needs e^(2 psi) = 1/E up to psi(A) = A
+    except OverflowError:
+        raise OverflowError(
+            f"psi solve: exp(2 psi) overflows near t = {p.A:.6g}, starting from psi(A) = A = {p.A:g}"
+        ) from None
+    num = max(20_001, math.ceil((p.A - t_min) / 3e-4) + 1)
     ts = np.linspace(t_min, p.A, num)
     mids = ts[1:] + 0.5 * (ts[:-1] - ts[1:])
-    # g = f f' overflows only past t = 355.2, where exp(2 psi) has already
-    # raised OverflowError at the first RK4 stage (psi(A) = A)
+    # g'' = 4 e^(2t) on the exp region overflows past t = 354.2, before g
+    # itself; only the g column is used
     with np.errstate(over="ignore"):
         g_nodes = p.g_jet_at(ts)[:, 0]
         g_mids = p.g_jet_at(mids)[:, 0]
-    t_n, t_m = ts.tolist(), mids.tolist()
-    g_n, g_m = g_nodes.tolist(), g_mids.tolist()
-    exp, isfinite = math.exp, math.isfinite
+    inv_g = 1.0 / g_nodes
+    cells = np.diff(ts) / 6.0 * (inv_g[:-1] + 4.0 / g_mids + inv_g[1:])
+    tail = np.append(np.cumsum(cells[::-1])[::-1], 0.0)  # int_t^A ds/g at each node
+    E = math.exp(-2.0 * p.A) + 2.0 * tail
+    values = -0.5 * np.log(E)
 
-    def failed(t: float) -> ProfileError:
-        return ProfileError(f"psi integration step failed near t = {t:.6g}")
-
-    values = [0.0] * num
-    y = values[-1] = p.A
-    try:
-        for k in range(num - 1, 0, -1):
-            t1, t0, tm = t_n[k], t_n[k - 1], t_m[k - 1]
-            h = t0 - t1  # negative
-            k1 = exp(2.0 * y) / g_n[k]
-            if not isfinite(k1):
-                raise failed(t1)
-            k2 = exp(2.0 * (y + 0.5 * h * k1)) / g_m[k - 1]
-            if not isfinite(k2):
-                raise failed(tm)
-            k3 = exp(2.0 * (y + 0.5 * h * k2)) / g_m[k - 1]
-            if not isfinite(k3):
-                raise failed(tm)
-            k4 = exp(2.0 * (y + h * k3)) / g_n[k - 1]
-            if not isfinite(k4):
-                raise failed(t0)
-            y = values[k - 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    except OverflowError:
-        raise OverflowError(
-            f"psi solve: exp(2 psi) overflows near t = {t1:.6g}, starting from psi(A) = A = {p.A:g}"
-        ) from None
-    values = np.array(values)
-
-    rhs = np.exp(2.0 * values) / g_nodes
+    rhs = (1.0 / E) / g_nodes  # e^(2 psi) / g
     h = ts[1] - ts[0]
     # fourth-order five-point first derivative at interior points
     d = (

@@ -529,16 +529,6 @@ def form_value(H: QuadMatrix, u: Sequence[QuadElem], v: Sequence[QuadElem]) -> Q
     return sum((u[i] * Hvbar[i] for i in range(H.m)), qzero(H.d))
 
 
-def _form_value_direct(
-    H: QuadMatrix, u: Sequence[QuadElem], v: Sequence[QuadElem]
-) -> QuadElem:
-    acc = qzero(H.d)
-    for i in range(H.m):
-        for j in range(H.m):
-            acc = acc + u[i] * H.entries[i][j] * v[j].conj()
-    return acc
-
-
 def unipotent_fixed_vector(
     M: QuadMatrix, H: QuadMatrix
 ) -> list[QuadElem]:
@@ -561,11 +551,11 @@ def unipotent_fixed_vector(
     for vec in basis:
         w = list(vec)
         for prev, prev_sq in ortho:
-            coef = _form_value_direct(H, w, prev) * prev_sq.inv()
+            coef = form_value(H, w, prev) * prev_sq.inv()
             w = [w[i] - coef * prev[i] for i in range(len(w))]
         if all(e.is_zero() for e in w):
             continue
-        sq = _form_value_direct(H, w, w)
+        sq = form_value(H, w, w)
         if not sq.is_rational():
             raise AssertionError("Hermitian square must be rational")
         if sq.a <= 0:
@@ -574,16 +564,14 @@ def unipotent_fixed_vector(
     raise ValueError("kernel of M - I is H-positive: not unipotent-parabolic")
 
 
-def root_of_unity_power(
-    M: QuadMatrix, x: Sequence[QuadElem], bound: int | None = None
-) -> int:
+def root_of_unity_power(M: QuadMatrix, x: Sequence[QuadElem]) -> int:
     """Smallest k with M^k x = x, for an exact eigenvector x of M.
 
     The eigenvalue is read off from the first nonzero coordinate and
     verified on all of x.  Eigenvalues of isometries defined over the
-    ring of integers are roots of unity; the search bound 6(n+1) covers
-    the possible orders with room to spare.  Raises if x is not an
-    eigenvector or no power works within the bound.
+    ring of integers are roots of unity; the search bound 6m, for an
+    m x m matrix, covers the possible orders with room to spare.  Raises
+    if x is not an eigenvector or no power works within the bound.
     """
     vals = M.apply(list(x))
     lead = next((i for i, e in enumerate(x) if not e.is_zero()), None)
@@ -593,7 +581,7 @@ def root_of_unity_power(
     for i in range(M.m):
         if vals[i] != alpha * x[i]:
             raise ValueError("not an eigenvector of M")
-    k_max = bound if bound is not None else 6 * M.m
+    k_max = 6 * M.m
     power = qone(M.d)
     for k in range(1, k_max + 1):
         power = power * alpha

@@ -20,6 +20,7 @@ from cuspforge.cli import (
     run_suite,
     run_sweep,
 )
+from cuspforge.profile import CutoffProfile
 
 
 class TestSuiteConfig:
@@ -260,6 +261,25 @@ class TestMainVerify:
             if c["name"] == "cayley.exact_unitarity"
         )
         assert check["witness"]["runs"] == len(calls) == 10
+
+    @pytest.mark.parametrize("A", ["10", "20", "100"])
+    def test_profile_suite_passes_at_large_A(self, capsys, A):
+        # the psi grid step stays at or below 3e-4, so the five-point
+        # residual next to t_min keeps its 1e-8 bound as A grows
+        assert main(["verify", "profile", "--A", A]) == 0
+        assert "[pass] profile.psi_residual" in capsys.readouterr().out
+
+    def test_psi_overflow_builds_no_grid(self, tmp_path, capsys, monkeypatch):
+        def no_grid(self, t):
+            raise AssertionError("g tabulated before the overflow check")
+
+        monkeypatch.setattr(CutoffProfile, "g_jet_at", no_grid)
+        argv = ["verify", "profile", "--A", "700", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+        assert "A = 700" in lines[0] and "exp(2 psi)" in lines[0]
 
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -44,15 +44,11 @@ def sample_points():
 class TestMetricPoint:
     def test_dimension_validation(self):
         with pytest.raises(ValueError, match="dimension"):
-            MetricPoint(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, n=1)
+            MetricPoint(1.0, 1.0, 1.0, 1.0, 1.0, n=1)
 
     def test_positivity_validation(self):
         with pytest.raises(ValueError, match="positive|> 0"):
-            MetricPoint(1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, n=3)
-
-    def test_kahler_relation_enforced(self):
-        with pytest.raises(ValueError, match="Kahler"):
-            MetricPoint(1.0, 2.0, 1.0, 1.0, 1.0, g=3.0, gp=2.0, n=3)
+            MetricPoint(1.0, 1.0, 0.0, 1.0, 1.0, n=3)
 
     def test_from_profile_matches_jet(self, default_profile):
         mp = MetricPoint.from_profile(default_profile, 2.3, 3)

@@ -29,7 +29,7 @@ from cuspforge.qfield_cayley import (
     unitary_defect,
     unitary_defect_float,
 )
-from cuspforge.qfield_cayley import _form_value_direct, _is_squarefree, _rref_kernel
+from cuspforge.qfield_cayley import _is_squarefree, _rref_kernel
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
@@ -535,6 +535,15 @@ class TestApproximateInUl:
         B = HermitianDiagForm((1, 1, 1))
         with pytest.raises(ValueError, match="sizes"):
             approximate_in_Ul(np.eye(2, dtype=complex), B, 1, 1e-6)
+
+
+def _form_value_direct(H, u, v):
+    # the double sum of u_i H_ij conj(v_j), as a reference for form_value
+    acc = qzero(H.d)
+    for i in range(H.m):
+        for j in range(H.m):
+            acc = acc + u[i] * H.entries[i][j] * v[j].conj()
+    return acc
 
 
 class TestFormValue:

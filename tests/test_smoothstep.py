@@ -87,3 +87,26 @@ def test_smoothed_hinge_continuous_at_band_edges(r):
     for edge in (-r, r):
         x = np.array([np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)])
         assert np.max(np.abs(_smoothed_hinge(x, r) - np.maximum(x, 0.0))) <= 4.0 * np.spacing(r)
+
+
+def _unmasked_step(x):
+    # S evaluated through the half-step rule at every point, flat regions
+    # included: the formula step now applies only inside (0, 1)
+    x = np.asarray(x, dtype=float)
+    half = sm._half_step(sm._fold(x))
+    return np.where(x > 0.5, 1.0 - half, half)
+
+
+def test_masked_step_matches_unmasked_formula_bitwise():
+    special = [0.0, -0.0, 0.5, 1.0, -1.0, 2.0, np.inf, -np.inf, np.nan, 1e-300, 1.0 - 1e-16]
+    x = np.concatenate(
+        [np.random.default_rng(13).uniform(-1.0, 2.0, 3000), special, _edge_points()]
+    )
+    batch, ref = sm.step(x), _unmasked_step(x)
+    assert batch.dtype == ref.dtype and batch.shape == ref.shape
+    assert np.array_equal(batch, ref)
+    assert np.array_equal(sm.step(x.reshape(-1, 4)[:, ::-1]), ref.reshape(-1, 4)[:, ::-1])
+    for xi in special:
+        got, want = sm.step(xi), _unmasked_step(xi)
+        assert got.shape == want.shape == ()
+        assert got == want
