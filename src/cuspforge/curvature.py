@@ -24,9 +24,10 @@ Two independent curvature routes are implemented and cross-checked.
 
 * An oracle: the Koszul formula evaluated on the frame
   (d/dt, X_1, JX_1, ..., X_{n-1}, JX_{n-1}, Z) with the Heisenberg bracket
-  [X, JX] = 2 Z, carrying f and g as exact second-order jets in t so that
-  the frame derivatives entering the curvature are differentiated
-  symbolically, not by finite differences.
+  [X, JX] = 2 Z.  The Koszul sum is linear in the metric coefficients and
+  their t-derivatives, so the t-derivatives of the Christoffel symbols are
+  the same sum over f and g's higher derivatives, taken symbolically and
+  not by finite differences.
 
 The oracle is the arbiter for every orientation-dependent sign in the
 closed forms.
@@ -353,22 +354,24 @@ def discriminant_inequality(v: FrameVector, w: FrameVector, Rt, tol: float = 1e-
 
 
 # ---------------------------------------------------------------------------
-# Koszul-formula oracle on second-order jets
+# Koszul-formula oracle
 # ---------------------------------------------------------------------------
 
 
-def _jet_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    a0, a1, a2 = A[..., 0], A[..., 1], A[..., 2]
-    b0, b1, b2 = B[..., 0], B[..., 1], B[..., 2]
-    return np.stack(
-        [a0 * b0, a1 * b0 + a0 * b1, a2 * b0 + 2.0 * a1 * b1 + a0 * b2], axis=-1
-    )
+def _koszul(c: np.ndarray, M: np.ndarray, Mp: np.ndarray) -> np.ndarray:
+    """2 M_k Gamma_ij^k = 2 mu(nabla_{b_i} b_j, b_k) from the Koszul formula.
 
-
-def _jet_inv(A: np.ndarray) -> np.ndarray:
-    a0, a1, a2 = A[..., 0], A[..., 1], A[..., 2]
-    v = 1.0 / a0
-    return np.stack([v, -a1 * v**2, (2.0 * a1**2 - a0 * a2) * v**3], axis=-1)
+    The frame B has the diagonal metric M, with t-derivative Mp, and the
+    brackets [b_i, b_j] = c_ij^k b_k; only b_0 = d/dt differentiates the
+    metric.  The sum is linear in (M, Mp), so _koszul(c, Mp, Mpp) is its
+    t-derivative.
+    """
+    idx = np.arange(M.size)
+    K = c * M - np.swapaxes(c, 1, 2) * M[:, None] - np.transpose(c, (2, 0, 1)) * M[:, None, None]
+    K[0, idx, idx] += Mp
+    K[idx, 0, idx] += Mp
+    K[idx, idx, 0] -= Mp
+    return K
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -392,8 +395,9 @@ class CurvatureOracle:
 
     Frame B = (d/dt, X_1, JX_1, ..., X_{n-1}, JX_{n-1}, Z), metric
     diag(1, f^2, ..., f^2, g^2), brackets [X_k, JX_k] = 2 Z and Z central.
-    The metric coefficients are carried as jets (value, d/dt, d2/dt2), so
-    the connection coefficients and their t-derivatives entering
+    The Christoffel symbols G0[i, j, k] = Gamma_ij^k come from the Koszul
+    sum, and their t-derivatives G1 from the same sum over the metric's
+    first and second derivatives and the quotient rule, so the terms of
 
         R(B_i, B_j) B_k = nabla_[B_i,B_j] B_k - [nabla_i, nabla_j] B_k
 
@@ -405,6 +409,9 @@ class CurvatureOracle:
     """
 
     def __init__(self, mp: MetricPoint) -> None:
+        shape = np.broadcast(mp.f, mp.fp, mp.fpp, mp.fppp).shape
+        if shape:
+            raise ValueError(f"the oracle takes one metric point, got jets of shape {shape + (4,)}")
         self.mp = mp
         n = mp.n
         m = 2 * n
@@ -412,45 +419,32 @@ class CurvatureOracle:
         f, fp, fpp = mp.f, mp.fp, mp.fpp
         g, gp, gpp = mp.g, mp.gp, mp.gpp
 
-        M = np.zeros((m, 3))
-        M[0] = (1.0, 0.0, 0.0)
-        M[1 : m - 1] = (f * f, 2.0 * f * fp, 2.0 * fp * fp + 2.0 * f * fpp)
-        M[m - 1] = (g * g, 2.0 * g * gp, 2.0 * gp * gp + 2.0 * g * gpp)
-        Mp = np.stack([M[:, 1], M[:, 2], np.zeros(m)], axis=-1)
+        # 1, f^2 and g^2 with their first and second t-derivatives
+        coef = [
+            (1.0, 0.0, 0.0),
+            (f * f, 2.0 * f * fp, 2.0 * fp * fp + 2.0 * f * fpp),
+            (g * g, 2.0 * g * gp, 2.0 * gp * gp + 2.0 * g * gpp),
+        ]
+        M, Mp, Mpp = np.repeat(coef, [1, m - 2, 1], axis=0).T
 
         c = np.zeros((m, m, m))
-        for k in range(n - 1):
-            i, j = 1 + 2 * k, 2 + 2 * k
-            c[i, j, m - 1] = 2.0
-            c[j, i, m - 1] = -2.0
+        h = np.arange(1, m - 1, 2)
+        c[h, h + 1, m - 1] = 2.0
+        c[h + 1, h, m - 1] = -2.0
 
-        idx = np.arange(m)
-        K = np.zeros((m, m, m, 3))
-        K[0, idx, idx] += Mp
-        K[idx, 0, idx] += Mp
-        K[idx, idx, 0] -= Mp
-        K += np.einsum("ijk,kx->ijkx", c, M)
-        K -= np.einsum("ikj,jx->ijkx", c, M)
-        K -= np.einsum("jki,ix->ijkx", c, M)
+        G0 = _koszul(c, M, Mp) / (2.0 * M)
+        G1 = (_koszul(c, Mp, Mpp) - 2.0 * Mp * G0) / (2.0 * M)
 
-        gamma = _jet_mul(K, _jet_inv(2.0 * M)[None, None, :, :])
-        G0, G1 = gamma[..., 0], gamma[..., 1]
-
-        e0 = np.zeros(m)
-        e0[0] = 1.0
-        t_deriv = np.einsum("i,jkl->ijkl", e0, G1)
-        R_up = (
-            np.einsum("ijm,mkl->ijkl", c, G0)
-            - t_deriv
-            + np.transpose(t_deriv, (1, 0, 2, 3))
-            - np.einsum("jkm,iml->ijkl", G0, G0)
-            + np.einsum("ikm,jml->ijkl", G0, G0)
-        )
-        self.R = R_up * M[:, 0][None, None, None, :]
-        self.M0 = M[:, 0]
+        # P[i, j, k, l] = sum_m G0[i, k, m] G0[j, m, l]
+        P = G0[:, None] @ G0[None, :]
+        R_up = (c.reshape(m * m, m) @ G0.reshape(m, m * m)).reshape(m, m, m, m)
+        R_up += P - P.transpose(1, 0, 2, 3)
+        R_up[0] -= G1
+        R_up[:, 0] += G1
+        self.R = R_up * M
         self.R2 = self.R.reshape(m * m, m * m)
-        # frame direction b_j has norm^2 M0[j]
-        self.Ric = np.einsum("ijkj->ik", self.R / self.M0)
+        # the trace over j of R_up is sum_j R_ijkj / |b_j|^2
+        self.Ric = np.einsum("ijkj->ik", R_up)
 
     def frame_coords(self, fv: FrameVector) -> np.ndarray:
         """Coordinates in the frame B, of shape (..., 2n) for a batch (...)."""

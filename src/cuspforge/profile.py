@@ -186,11 +186,7 @@ def solve_psi(p: CutoffProfile, t_min: float) -> PsiSolution:
     num = max(20_001, math.ceil((p.A - t_min) / 3e-4) + 1)
     ts = np.linspace(t_min, p.A, num)
     mids = ts[1:] + 0.5 * (ts[:-1] - ts[1:])
-    # g'' = 4 e^(2t) on the exp region overflows past t = 354.2, before g
-    # itself; only the g column is used
-    with np.errstate(over="ignore"):
-        g_nodes = p.g_jet_at(ts)[:, 0]
-        g_mids = p.g_jet_at(mids)[:, 0]
+    g_nodes, g_mids = (p.jet_at(x)[:, :2].prod(axis=-1) for x in (ts, mids))  # g = f f'
     inv_g = 1.0 / g_nodes
     cells = np.diff(ts) / 6.0 * (inv_g[:-1] + 4.0 / g_mids + inv_g[1:])
     tail = np.append(np.cumsum(cells[::-1])[::-1], 0.0)  # int_t^A ds/g at each node

@@ -481,3 +481,91 @@ class TestOracleContraction:
                 ref = np.einsum("ijkl,i,j,k,l->", orc.R, y, z, w, v)
                 mass = np.einsum("ijkl,i,j,k,l->", np.abs(orc.R), *map(np.abs, (y, z, w, v)))
                 assert abs(got[k] - ref) <= 64.0 * eps * mass
+
+
+def reference_oracle_tensor(mp):
+    """(R, Ric) from the Koszul formula on second-order jets: the metric
+    coefficients carried as (value, d/dt, d2/dt2) and every contraction a
+    dense einsum, as the oracle was first written."""
+
+    def jet_mul(A, B):
+        a0, a1, a2 = A[..., 0], A[..., 1], A[..., 2]
+        b0, b1, b2 = B[..., 0], B[..., 1], B[..., 2]
+        return np.stack([a0 * b0, a1 * b0 + a0 * b1, a2 * b0 + 2.0 * a1 * b1 + a0 * b2], axis=-1)
+
+    def jet_inv(A):
+        a0, a1, a2 = A[..., 0], A[..., 1], A[..., 2]
+        v = 1.0 / a0
+        return np.stack([v, -a1 * v**2, (2.0 * a1**2 - a0 * a2) * v**3], axis=-1)
+
+    n = mp.n
+    m = 2 * n
+    f, fp, fpp = mp.f, mp.fp, mp.fpp
+    g, gp, gpp = mp.g, mp.gp, mp.gpp
+    M = np.zeros((m, 3))
+    M[0] = (1.0, 0.0, 0.0)
+    M[1 : m - 1] = (f * f, 2.0 * f * fp, 2.0 * fp * fp + 2.0 * f * fpp)
+    M[m - 1] = (g * g, 2.0 * g * gp, 2.0 * gp * gp + 2.0 * g * gpp)
+    Mp = np.stack([M[:, 1], M[:, 2], np.zeros(m)], axis=-1)
+
+    c = np.zeros((m, m, m))
+    for k in range(n - 1):
+        i, j = 1 + 2 * k, 2 + 2 * k
+        c[i, j, m - 1] = 2.0
+        c[j, i, m - 1] = -2.0
+
+    idx = np.arange(m)
+    K = np.zeros((m, m, m, 3))
+    K[0, idx, idx] += Mp
+    K[idx, 0, idx] += Mp
+    K[idx, idx, 0] -= Mp
+    K += np.einsum("ijk,kx->ijkx", c, M)
+    K -= np.einsum("ikj,jx->ijkx", c, M)
+    K -= np.einsum("jki,ix->ijkx", c, M)
+
+    gamma = jet_mul(K, jet_inv(2.0 * M)[None, None, :, :])
+    G0, G1 = gamma[..., 0], gamma[..., 1]
+
+    e0 = np.zeros(m)
+    e0[0] = 1.0
+    t_deriv = np.einsum("i,jkl->ijkl", e0, G1)
+    R_up = (
+        np.einsum("ijm,mkl->ijkl", c, G0)
+        - t_deriv
+        + np.transpose(t_deriv, (1, 0, 2, 3))
+        - np.einsum("jkm,iml->ijkl", G0, G0)
+        + np.einsum("ikm,jml->ijkl", G0, G0)
+    )
+    R = R_up * M[:, 0][None, None, None, :]
+    return R, np.einsum("ijkj->ik", R / M[:, 0])
+
+
+class TestOracleBuild:
+    """The oracle's tensor against the jet-and-einsum reference builder,
+    within 64 eps of the largest entry of R with its last index raised;
+    that entry, not R's, sets the size of the terms that cancel near the
+    divisor, where g^2 is small."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_matches_reference_builder(self, default_profile, n):
+        eps = np.finfo(float).eps
+        # cosh region (t <= 0.3 near the divisor), window (1, 5), exp region
+        ts = (0.05, 0.3, 0.7, 1.5, 3.0, 4.8, 5.5, 6.0)
+        points = [MetricPoint.from_profile(default_profile, t, n) for t in ts]
+        points += [MetricPoint.exp_model(0.0, n), MetricPoint.exp_model(1.3, n)]
+        points += [MetricPoint.cosh_model(0.2, n), MetricPoint.cosh_model(1.6, n)]
+        for mp in points:
+            orc = CurvatureOracle(mp)
+            R, Ric = reference_oracle_tensor(mp)
+            norms = np.array([1.0] + [mp.f * mp.f] * (2 * n - 2) + [mp.g * mp.g])
+            bound = 64.0 * eps * np.abs(R / norms).max()
+            assert orc.R.shape == R.shape
+            assert np.all(np.abs(orc.R - R) <= bound * norms)
+            assert np.all(np.abs(orc.Ric - Ric) <= bound)
+            assert np.shares_memory(orc.R2, orc.R)
+
+    def test_rejects_a_batched_metric_point(self, default_profile):
+        ts = np.array([0.5, 2.0, 5.5])
+        mp = MetricPoint.from_jet(ts, default_profile.jet_at(ts), 3)
+        with pytest.raises(ValueError, match=r"one metric point.*\(3, 4\)"):
+            CurvatureOracle(mp)

@@ -188,18 +188,20 @@ class TestPsiSolution:
         assert sol.max_residual() <= 1e-8
 
     def test_first_integral_oracle(self, default_psi, default_profile):
-        # e^(-2 psi(t)) = e^(-2A) + 2 int_t^A ds/g(s): quadrature of the
-        # right side by a trapezoid rule is a check on the Simpson sum
+        # e^(-2 psi(t)) = e^(-2A) + 2 int_t^A ds/g(s): a 10-node
+        # Gauss-Legendre rule on 200 equal panels of [t, A], whose nodes
+        # are unrelated to the Simpson grid, is a check on the Simpson sum
         A = default_profile.A
+        x, w = np.polynomial.legendre.leggauss(10)
         for t in (0.3, 1.0, 2.5, 4.0):
             idx = int(np.argmin(np.abs(default_psi.grid - t)))
-            t_node = float(default_psi.grid[idx])
-            ts = np.linspace(t_node, A, 400_001)
-            g = default_profile.g_jet_at(ts)[:, 0]
-            integral = float(np.trapezoid(1.0 / g, ts))
+            edges = np.linspace(default_psi.grid[idx], A, 201)
+            half = 0.5 * np.diff(edges)[:, None]
+            g = default_profile.g_jet_at(edges[:-1, None] + half * (1.0 + x))[..., 0]
+            integral = float(np.sum(half * w / g))
             rhs = math.exp(-2.0 * A) + 2.0 * integral
             lhs = math.exp(-2.0 * default_psi.values[idx])
-            assert lhs == pytest.approx(rhs, rel=1e-6)
+            assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_t_min_validation(self, default_profile):
         for bad in (0.0, -1.0, 6.0, 7.0):
