@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass, field, fields, asdict, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -66,13 +67,12 @@ class SuiteConfig:
     def __post_init__(self) -> None:
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
-        for key in ("n", "d", "samples", "seed"):
+        # the integer keys first, then the float keys
+        for key, kind in sorted(_FLAG_TYPES.items(), key=lambda item: item[1] is float):
             value = getattr(self, key)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
-        for key in ("A", "l", "t0", "eps"):
-            value = getattr(self, key)
-            if not _is_finite_number(value):
+            if kind is float and not _is_finite_number(value):
                 raise ValueError(f"{key} must be a finite number, got {value!r}")
         w = self.window
         if not isinstance(w, (tuple, list)) or len(w) != 2 or not all(
@@ -108,6 +108,11 @@ class SuiteConfig:
 
     def cusp_params(self) -> CuspParams:
         return CuspParams(l=self.l, t0=self.t0, n=self.n)
+
+
+# each int or float field of SuiteConfig is a config key with a flag of the
+# same name and type, in declaration order
+_FLAG_TYPES = {k: t for k, t in get_type_hints(SuiteConfig).items() if t in (int, float)}
 
 
 @dataclass
@@ -415,7 +420,6 @@ def _suite_cayley(cfg: SuiteConfig) -> list[CheckRecord]:
         qc.qzero(cfg.d) for _ in range(cfg.n - 2)
     ]
     Mh = qc.heisenberg_matrix_exact(Fraction(2, 3), vq, cfg.d)
-    fixed_ok = True
     try:
         vfix = qc.unipotent_fixed_vector(Mh, H)
         sq = qc.form_value(H, vfix, vfix)
@@ -427,7 +431,6 @@ def _suite_cayley(cfg: SuiteConfig) -> list[CheckRecord]:
         )
     except ValueError:
         fixed_ok = False
-    ident_ok = True
     vfix = qc.unipotent_fixed_vector(qc.QuadMatrix.identity(cfg.n + 1, cfg.d), H)
     ident_ok = qc.form_value(H, vfix, vfix).a <= 0
     checks.append(
@@ -667,14 +670,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--d", type=int, default=None)
-        p.add_argument("--A", type=float, default=None)
-        p.add_argument("--l", type=float, default=None)
-        p.add_argument("--t0", type=float, default=None)
-        p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        for key, kind in _FLAG_TYPES.items():
+            p.add_argument(f"--{key}", type=kind, default=None)
         p.add_argument("--config", type=Path, default=None)
         p.add_argument("--out", type=Path, default=None)
 
@@ -702,7 +699,7 @@ def _merge_config(args: argparse.Namespace, suite: str) -> SuiteConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         values.update(loaded)
-    for key in ("n", "d", "A", "l", "t0", "eps", "samples", "seed"):
+    for key in _FLAG_TYPES:
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag

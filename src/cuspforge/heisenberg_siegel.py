@@ -20,14 +20,13 @@ immutable after construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "HeisenbergElement",
     "SiegelPoint",
-    "HoroballParams",
     "hermitian_product",
     "identity_element",
     "compose",
@@ -84,18 +83,6 @@ class SiegelPoint:
 
     def in_domain(self) -> bool:
         return self.defect() < 0.0
-
-
-@dataclass(frozen=True)
-class HoroballParams:
-    """Horoball depth t0 and central translation length l > 0."""
-
-    t0: float
-    l: float = field(default=2.0 * math.pi)
-
-    def __post_init__(self) -> None:
-        if self.l <= 0.0:
-            raise ValueError("central translation length l must be positive")
 
 
 def identity_element(n: int) -> HeisenbergElement:
@@ -157,10 +144,10 @@ def orbit_coords(s: float, v: np.ndarray, t: float) -> SiegelPoint:
     return SiegelPoint(a, v)
 
 
-def horoball_contains(p: SiegelPoint, hb: HoroballParams) -> bool:
+def horoball_contains(p: SiegelPoint, t0: float) -> bool:
     """Membership in the horoball of depth t0: Re(a) < -|v|^2/2 - e^(-2 t0)."""
     nv2 = float(np.vdot(p.v, p.v).real)
-    return p.a.real < -0.5 * nv2 - math.exp(-2.0 * hb.t0)
+    return p.a.real < -0.5 * nv2 - math.exp(-2.0 * t0)
 
 
 def quotient_to_omega(p: SiegelPoint, l: float) -> tuple[complex, np.ndarray]:

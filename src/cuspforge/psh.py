@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,26 +29,20 @@ from .cusp_bundle import BundlePoint, CuspParams, h_norm
 
 @dataclass(frozen=True)
 class RegMaxParams:
-    """Kernel scale eta and per-axis quadrature resolution."""
+    """Kernel scale eta."""
 
     eta: float
-    nodes: int = 33
 
     def __post_init__(self) -> None:
         if not self.eta > 0:
             raise ValueError("eta must be positive")
-        if self.nodes < 3 or self.nodes % 2 == 0:
-            raise ValueError("nodes must be odd and at least 3")
 
 
-@lru_cache(maxsize=16)
-def _kernel(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    # symmetric interior nodes keep the kernel mean exactly zero
-    half = (nodes - 1) // 2
-    u = np.arange(-half, half + 1) / (half + 1.0)
-    w = bump((u + 1.0) / 2.0)
-    w = w / w.sum()
-    return u, w
+# the kernel on 33 nodes per axis; symmetric interior nodes keep its mean
+# exactly zero
+_KERNEL_U = np.arange(-16, 17) / 17.0
+_KERNEL_W = bump((_KERNEL_U + 1.0) / 2.0)
+_KERNEL_W = _KERNEL_W / _KERNEL_W.sum()
 
 
 def reg_max(x: float, y: float, p: RegMaxParams) -> float:
@@ -67,12 +60,11 @@ def reg_max(x: float, y: float, p: RegMaxParams) -> float:
         x, y = y, x
     if y >= x + 2.0 * p.eta:
         return y
-    u, w = _kernel(p.nodes)
-    ax = x + p.eta * u
-    ay = y + p.eta * u
+    ax = x + p.eta * _KERNEL_U
+    ay = y + p.eta * _KERNEL_U
     grid = np.maximum(ax[:, None], ay[None, :])
     # the kernel mean can round one ulp below y; M >= max(x, y) holds exactly
-    return max(float(w @ grid @ w), y)
+    return max(float(_KERNEL_W @ grid @ _KERNEL_W), y)
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +128,12 @@ class ChiFunction:
         return float(out) if out.ndim == 0 else out
 
 
+_SAFETY = 0.5  # how far chi's knot targets clear the phi levels they cover
+
+
 def build_chi(
     phi_samples: Sequence[tuple[object, float]],
     psi_samples: Sequence[tuple[object, float]],
-    safety: float = 0.5,
 ) -> ChiFunction:
     """Convex chi with chi(psi(x)) > phi(x) at every paired sample.
 
@@ -156,8 +150,6 @@ def build_chi(
     """
     if len(phi_samples) != len(psi_samples) or not phi_samples:
         raise ValueError("need matching nonempty sample lists")
-    if safety <= 0:
-        raise ValueError("safety margin must be positive")
     phis = np.array([v for _, v in phi_samples], dtype=float)
     psis = np.array([v for _, v in psi_samples], dtype=float)
     m = float(psis.min())
@@ -183,13 +175,13 @@ def build_chi(
             k -= 1
         return k
 
-    cap_target = level_ids[-1] + 1 + safety
+    cap_target = level_ids[-1] + 1 + _SAFETY
     knots: list[float] = []
     targets: list[float] = []
     n = 1
     while True:
         k_next = first_covered((n + 1) * m)
-        target = cap_target if k_next >= n_lvl else level_ids[k_next] + safety
+        target = cap_target if k_next >= n_lvl else level_ids[k_next] + _SAFETY
         knots.append(n * m)
         targets.append(target if not targets else max(target, targets[-1]))
         if k_next >= n_lvl:
@@ -271,21 +263,16 @@ def _raw_hessian(fn: Callable[[np.ndarray], float], z0: np.ndarray, h: float) ->
     return H
 
 
-def complex_hessian(
-    fn: Callable[[np.ndarray], float], z0: Sequence[complex], h: float | None = None
-) -> HessianReport:
+def complex_hessian(fn: Callable[[np.ndarray], float], z0: Sequence[complex]) -> HessianReport:
     """Mixed second derivatives d^2 fn / dz_j dzbar_k at z0.
 
     Central differences in the four real directions per index pair, read
     from one stencil table per step size with each point evaluated once,
-    one Richardson halving, then Hermitian symmetrization.  Raises on step
-    underflow.
+    one Richardson halving, then Hermitian symmetrization.  The step is
+    1e-4 (1 + |z0|).
     """
     z0 = np.asarray(z0, dtype=complex).reshape(-1)
-    if h is None:
-        h = 1e-4 * (1.0 + float(np.linalg.norm(z0)))
-    if h < 1e-12:
-        raise ValueError("difference step underflow")
+    h = 1e-4 * (1.0 + float(np.linalg.norm(z0)))
     coarse = _raw_hessian(fn, z0, h)
     fine = _raw_hessian(fn, z0, h / 2.0)
     H = (4.0 * fine - coarse) / 3.0

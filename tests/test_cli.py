@@ -3,9 +3,14 @@
 import csv
 import json
 import math
+import re
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspforge import cli
 from cuspforge.cli import (
@@ -13,6 +18,7 @@ from cuspforge.cli import (
     SUITES,
     Report,
     SuiteConfig,
+    _FLAG_TYPES,
     _build_parser,
     _config_hash,
     _merge_config,
@@ -20,7 +26,7 @@ from cuspforge.cli import (
     run_suite,
     run_sweep,
 )
-from cuspforge.profile import CutoffProfile
+from cuspforge.profile import GRID_POINTS, CutoffProfile
 
 
 class TestSuiteConfig:
@@ -187,6 +193,45 @@ class TestConfigUsageErrors:
         assert _config_hash(cfg) == "09f59b8101d2cf09"
 
 
+CONFIG_KEYS = st.sampled_from([*_FLAG_TYPES, "window"])
+CONFIG_SCALARS = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+)
+CONFIG_VALUES = st.one_of(CONFIG_SCALARS, st.lists(CONFIG_SCALARS, max_size=3))
+
+
+def _rejection(key, value):
+    """The ValueError SuiteConfig raises for {key: value}, or None when it
+    builds; suites never run here, since nothing bounds n or samples yet."""
+    try:
+        SuiteConfig(**{key: value})
+    except ValueError as exc:
+        return exc
+    return None
+
+
+class TestConfigSchema:
+    @settings(max_examples=300, deadline=None)
+    @given(CONFIG_KEYS, CONFIG_VALUES)
+    def test_bad_value_names_its_key(self, key, value):
+        exc = _rejection(key, value)
+        assert exc is None or re.search(rf"\b{key}\b", str(exc)), (key, value, exc)
+
+    @settings(max_examples=40, deadline=None)
+    @given(CONFIG_KEYS, CONFIG_VALUES)
+    def test_bad_config_file_value_exits_two(self, key, value):
+        if _rejection(key, value) is None:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps({key: value}))
+            assert main(["verify", "bundle", "--config", str(path)]) == 2
+
+
 class TestRunSuite:
     def test_bundle_suite_passes(self):
         report = run_suite(SuiteConfig(suite="bundle", samples=100))
@@ -270,10 +315,15 @@ class TestMainVerify:
         assert "[pass] profile.psi_residual" in capsys.readouterr().out
 
     def test_psi_overflow_builds_no_grid(self, tmp_path, capsys, monkeypatch):
-        def no_grid(self, t):
-            raise AssertionError("g tabulated before the overflow check")
+        jet_at = CutoffProfile.jet_at
 
-        monkeypatch.setattr(CutoffProfile, "g_jet_at", no_grid)
+        def no_psi_grid(self, t):
+            # build_cutoff tabulates GRID_POINTS nodes; only the psi solve takes more
+            if np.size(t) > GRID_POINTS:
+                raise AssertionError("psi grid tabulated before the overflow check")
+            return jet_at(self, t)
+
+        monkeypatch.setattr(CutoffProfile, "jet_at", no_psi_grid)
         argv = ["verify", "profile", "--A", "700", "--out", str(tmp_path / "out")]
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -278,11 +278,11 @@ class TestOracle:
         assert oracle_curvature(X, Y, X, Y, mp) == oracle_for(mp)(X, Y, X, Y)
 
 
-def per_sample_certificate(p, samples, n, seed, t_lo=0.05, strict_ratio=1e-10):
+def per_sample_certificate(p, samples, n, seed, strict_ratio=1e-10):
     """The certificate with one profile jet per draw, as a reference for the
     batched evaluation in hbc_certificate."""
     rng = np.random.default_rng(seed)
-    ts = rng.uniform(t_lo, p.A, samples)
+    ts = rng.uniform(0.05, p.A, samples)
     failures = []
     max_val, min_val = -math.inf, math.inf
     worst_ratio, min_slack = -math.inf, math.inf
@@ -569,3 +569,17 @@ class TestOracleBuild:
         mp = MetricPoint.from_jet(ts, default_profile.jet_at(ts), 3)
         with pytest.raises(ValueError, match=r"one metric point.*\(3, 4\)"):
             CurvatureOracle(mp)
+
+    def test_cached_routes_reject_a_batched_metric_point(self, default_profile, rng):
+        # oracle_for hashes its argument before building, so the point check
+        # must run there too, not only in CurvatureOracle
+        ts = np.array([0.5, 2.0, 5.5])
+        mp = MetricPoint.from_jet(ts, default_profile.jet_at(ts), 3)
+        X = random_frame_vector(rng, 3)
+        for call in (
+            lambda: oracle_for(mp),
+            lambda: oracle_curvature(X, X, X, X, mp),
+            lambda: ricci_trace(X, mp),
+        ):
+            with pytest.raises(ValueError, match=r"one metric point.*\(3, 4\)"):
+                call()

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cuspforge.heisenberg_siegel import (
     HeisenbergElement,
-    HoroballParams,
     SiegelPoint,
     compose,
     hermitian_form,
@@ -160,10 +159,9 @@ class TestSiegelDomain:
     def test_horoball_membership_monotone_in_t(self):
         # deeper means smaller t here: Re(a) = -|v|^2/2 - e^(-2t) drops as
         # t decreases, so the horoball of depth t0 is exactly { t < t0 }
-        hb = HoroballParams(t0=1.0)
         v = np.array([0.2 + 0.1j, -0.3j])
-        assert horoball_contains(orbit_coords(0.5, v, 0.5), hb)
-        assert not horoball_contains(orbit_coords(0.5, v, 2.0), hb)
+        assert horoball_contains(orbit_coords(0.5, v, 0.5), 1.0)
+        assert not horoball_contains(orbit_coords(0.5, v, 2.0), 1.0)
 
     def test_quotient_invariant_under_center(self, rng):
         l = 2.0 * math.pi

@@ -31,10 +31,6 @@ class TestRegMaxParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             RegMaxParams(eta=0.0)
-        with pytest.raises(ValueError):
-            RegMaxParams(eta=1.0, nodes=10)
-        with pytest.raises(ValueError):
-            RegMaxParams(eta=1.0, nodes=1)
 
 
 class TestRegMax:
@@ -188,10 +184,6 @@ class TestBuildChi:
         with pytest.raises(ValueError, match="matching"):
             build_chi([(0, 1.0)], [])
 
-    def test_bad_safety_rejected(self):
-        with pytest.raises(ValueError, match="safety"):
-            build_chi([(0, 1.0)], [(0, 1.0)], safety=0.0)
-
 
 class TestComplexHessian:
     def test_norm_squared_gives_identity(self):
@@ -219,10 +211,6 @@ class TestComplexHessian:
         rep = complex_hessian(lambda z: float(np.vdot(z, z).real), [1.0, 1.0j])
         assert rep.hermiticity_defect <= 1e-8
         np.testing.assert_allclose(rep.matrix, rep.matrix.conj().T, atol=0.0)
-
-    def test_step_underflow_raises(self):
-        with pytest.raises(ValueError, match="underflow"):
-            complex_hessian(lambda z: 0.0, [0.0], h=1e-13)
 
     def test_report_serializable(self):
         import json
