@@ -1,10 +1,15 @@
 """Exact arithmetic over imaginary quadratic fields and the Cayley
 transform route into rational unitary groups.
 
-Elements of Q(sqrt(-d)) are pairs of exact rationals; matrices over the
-field support exact inverse, determinant, and Hermitian-form identities
-with zero tolerance.  Inverse, determinant and the kernel behind fixed
-vectors share one exact Gauss-Jordan reduction.  The Cayley transform
+Elements of Q(sqrt(-d)) are pairs of exact rationals, and QuadElem stays
+the scalar API.  Matrices over the field support exact inverse,
+determinant, and Hermitian-form identities with zero tolerance.  Their
+arithmetic runs on integers: a matrix is read as (X + Y sqrt(-d))/D with
+integer arrays X, Y and one common denominator D, products and the
+unitarity test are integer matrix products, and inverse, determinant and
+the kernel behind fixed vectors share one fraction-free Gauss-Jordan
+reduction over Z[sqrt(-d)] (Bareiss).  QuadElem entries are built only
+for results, each coordinate reduced by one gcd.  The Cayley transform
 S(N) = 2(I+N)^{-1} - I swaps the unitary group of a diagonal form B with
 the linear space of matrices satisfying tS B = -B conj(S), and that space
 is cut out by rational linear constraints on real and imaginary parts.
@@ -16,6 +21,7 @@ one.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -31,12 +37,10 @@ def _frac(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-_SQUAREFREE_CACHE: dict[int, bool] = {}
-
-
+# d is validated on every QuadElem built; the cache keeps the most recent
+# fields, so a sweep over many d stays bounded
+@functools.lru_cache(maxsize=256)
 def _is_squarefree(d: int) -> bool:
-    if d in _SQUAREFREE_CACHE:
-        return _SQUAREFREE_CACHE[d]
     # divide out each prime k with k^3 <= cofactor, failing on a second division;
     # the rest has at most two prime factors: squarefree unless a perfect square
     ok = d >= 1
@@ -46,9 +50,7 @@ def _is_squarefree(d: int) -> bool:
             m //= k
             ok = m % k != 0
         k += 1
-    ok = ok and (m == 1 or math.isqrt(m) ** 2 != m)
-    _SQUAREFREE_CACHE[d] = ok
-    return ok
+    return ok and (m == 1 or math.isqrt(m) ** 2 != m)
 
 
 @dataclass(frozen=True)
@@ -162,34 +164,116 @@ def qomega(d: int) -> QuadElem:
     return QuadElem(Fraction(0), Fraction(1), d)
 
 
-def _gauss_jordan(rows: np.ndarray, ncols: int) -> tuple[list[int], QuadElem]:
-    """Reduce an object array to reduced row echelon form in place, exactly.
+# ---------------------------------------------------------------------------
+# Integer arrays over one common denominator
+# ---------------------------------------------------------------------------
+#
+# An object array of QuadElem is read as (X + Y w)/D, w = sqrt(-d), with
+# object arrays X, Y of Python ints and one positive int D.  Never int64:
+# the denominators of exact approximants run to hundreds of digits.
+
+
+def _ints(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Integer arrays X, Y and the least D > 0 with entries == (X + Y w)/D."""
+    flat = entries.ravel()
+    D = math.lcm(*(c.denominator for e in flat for c in (e.a, e.b)))
+    X = np.array([e.a.numerator * (D // e.a.denominator) for e in flat], dtype=object)
+    Y = np.array([e.b.numerator * (D // e.b.denominator) for e in flat], dtype=object)
+    return X.reshape(entries.shape), Y.reshape(entries.shape), D
+
+
+def _quads(X: np.ndarray, Y: np.ndarray, D: int, d: int) -> np.ndarray:
+    """Object array of the QuadElem entries of (X + Y w)/D."""
+    pairs = zip(X.flat, Y.flat)
+    quads = [QuadElem(Fraction(x, D), Fraction(y, D), d) for x, y in pairs]
+    return np.array(quads, dtype=object).reshape(X.shape)
+
+
+def _vector(vec: Sequence[QuadElem], m: int, d: int) -> np.ndarray:
+    """vec as an object array, checked to hold m QuadElem over the field d."""
+    if len(vec) != m:
+        raise ValueError("vector length mismatch")
+    for i, e in enumerate(vec):
+        if not isinstance(e, QuadElem):
+            raise TypeError(f"entry {e!r} at {i} is not a QuadElem")
+        if e.d != d:
+            raise ValueError(f"mixed fields: d = {d} vs {e.d}")
+    return np.array(vec, dtype=object)
+
+
+def _wmul(X1, Y1, X2, Y2, d: int) -> tuple:
+    """(X1 + Y1 w) @ (X2 + Y2 w) as its two integer parts, w^2 = -d."""
+    return X1 @ X2 - d * (Y1 @ Y2), X1 @ Y2 + Y1 @ X2
+
+
+def _times_conj(X, Y, px: int, py: int, d: int) -> tuple:
+    """(X + Y w) conj(p) for p = px + py w, so that dividing by p leaves
+    a division by the integer norm px^2 + d py^2."""
+    return X * px + d * py * Y, Y * px - X * py
+
+
+_divmod = np.frompyfunc(divmod, 2, 2)
+
+
+def _gauss_jordan(
+    X: np.ndarray, Y: np.ndarray, d: int, ncols: int
+) -> tuple[list[int], tuple[int, int], int]:
+    """Fraction-free Gauss-Jordan on X + Y w over Z[w], in place.
 
     Pivots are searched in the first ncols columns; the pivot is the first
-    nonzero entry at or below the current row.  Returns the pivot columns
-    and the product of the pivots, negated once per row swap, which is the
-    determinant when the leading square block has full rank.
+    nonzero entry at or below the current row.  With pivot a in row r and
+    p the previous pivot (1 at first), every other row becomes
+    (a row_i - row_i[col] row_r)/p (Bareiss, Math. Comp. 22, 1968).  Each
+    entry is then a minor of the input, so the division is exact in
+    Z[w]; it is done through conj(p) and the norm of p, and a nonzero
+    remainder raises.  Afterwards every pivot entry equals the last pivot
+    p, so the reduced row echelon form is (X + Y w)/p.  Returns the pivot
+    columns, p as (px, py), and the sign of the row permutation: sign * p
+    is the determinant of the leading square block when it has full rank.
     """
-    nrows = rows.shape[0]
-    prod = qone(rows[0, 0].d)
+    nrows = X.shape[0]
+    px, py = 1, 0
+    sign = 1
     pivots: list[int] = []
     for col in range(ncols):
         row = len(pivots)
         if row == nrows:
             break
-        piv = next((r for r in range(row, nrows) if not rows[r, col].is_zero()), None)
+        piv = next((r for r in range(row, nrows) if X[r, col] or Y[r, col]), None)
         if piv is None:
             continue
         if piv != row:
-            rows[[row, piv]] = rows[[piv, row]]
-            prod = -prod
-        prod = prod * rows[row, col]
-        # the pivot row is zero left of col, so only col onward changes
-        rows[row, col:] = rows[row, col].inv() * rows[row, col:]
-        others = [r for r in range(nrows) if r != row and not rows[r, col].is_zero()]
-        rows[others, col:] -= np.multiply.outer(rows[others, col], rows[row, col:])
+            X[[row, piv]] = X[[piv, row]]
+            Y[[row, piv]] = Y[[piv, row]]
+            sign = -sign
+        ax, ay = X[row, col], Y[row, col]
+        rest = np.arange(nrows) != row
+        cx, cy = X[rest, col : col + 1], Y[rest, col : col + 1]
+        nx = ax * X[rest] - d * ay * Y[rest] - (cx * X[row] - d * cy * Y[row])
+        ny = ax * Y[rest] + ay * X[rest] - (cx * Y[row] + cy * X[row])
+        divisor = px
+        if py:
+            nx, ny = _times_conj(nx, ny, px, py, d)
+            divisor = px * px + d * py * py
+        (X[rest], rx), (Y[rest], ry) = _divmod(nx, divisor), _divmod(ny, divisor)
+        if rx.any() or ry.any():
+            raise AssertionError("inexact division by the previous pivot")
+        px, py = ax, ay
         pivots.append(col)
-    return pivots, prod
+    return pivots, (px, py), sign
+
+
+def _inverse_ints(X: np.ndarray, Y: np.ndarray, D: int, d: int) -> tuple:
+    """Integer form (X', Y', D') of the inverse of (X + Y w)/D."""
+    m = len(X)
+    rows_x = np.hstack([X, np.eye(m, dtype=object)])
+    rows_y = np.hstack([Y, np.zeros((m, m), dtype=object)])
+    pivots, (px, py), _ = _gauss_jordan(rows_x, rows_y, d, m)
+    if len(pivots) < m:
+        raise ZeroDivisionError("singular matrix")
+    # the right block is p (X + Y w)^{-1}, and (X + Y w)/D inverts to D times that
+    Rx, Ry = _times_conj(D * rows_x[:, m:], D * rows_y[:, m:], px, py, d)
+    return Rx, Ry, px * px + d * py * py
 
 
 _conj = np.frompyfunc(QuadElem.conj, 1, 1)
@@ -198,8 +282,9 @@ _conj = np.frompyfunc(QuadElem.conj, 1, 1)
 class QuadMatrix:
     """Square matrix over Q(sqrt(-d)) with exact arithmetic throughout.
 
-    entries is an (m, m) numpy object array of QuadElem, so numpy's own
-    loops carry the exact field arithmetic of +, -, @ and the rest.
+    entries is an (m, m) numpy object array of QuadElem.  Products,
+    inverse and determinant run on its integer form over one common
+    denominator; +, - and conj are numpy's own loops over the entries.
     """
 
     __slots__ = ("entries", "m", "d")
@@ -209,6 +294,9 @@ class QuadMatrix:
         m = len(arr)
         if m == 0 or arr.shape != (m, m):
             raise ValueError("square nonempty entry grid required")
+        for (i, j), e in np.ndenumerate(arr):
+            if not isinstance(e, QuadElem):
+                raise TypeError(f"entry {e!r} at ({i}, {j}) is not a QuadElem")
         d = arr[0, 0].d
         if any(e.d != d for e in arr.flat):
             raise ValueError("all entries must share d")
@@ -257,11 +345,17 @@ class QuadMatrix:
 
     def scale(self, c: QuadElem | RationalLike) -> "QuadMatrix":
         cc = c if isinstance(c, QuadElem) else QuadElem(_frac(c), Fraction(0), self.d)
-        return QuadMatrix(cc * self.entries)
+        (cx,), (cy,), cD = _ints(_vector([cc], 1, self.d))
+        X, Y, D = _ints(self.entries)
+        X, Y = cx * X - self.d * cy * Y, cx * Y + cy * X
+        return QuadMatrix(_quads(X, Y, cD * D, self.d))
 
     def __matmul__(self, other: "QuadMatrix") -> "QuadMatrix":
         self._check(other)
-        return QuadMatrix(self.entries @ other.entries)
+        X1, Y1, D1 = _ints(self.entries)
+        X2, Y2, D2 = _ints(other.entries)
+        X, Y = _wmul(X1, Y1, X2, Y2, self.d)
+        return QuadMatrix(_quads(X, Y, D1 * D2, self.d))
 
     def transpose(self) -> "QuadMatrix":
         return QuadMatrix(self.entries.T)
@@ -276,21 +370,23 @@ class QuadMatrix:
         return all(e.is_zero() for e in self.entries.flat)
 
     def apply(self, vec: Sequence[QuadElem]) -> list[QuadElem]:
-        if len(vec) != self.m:
-            raise ValueError("vector length mismatch")
-        return list(self.entries @ np.array(vec, dtype=object))
+        X, Y, D = _ints(self.entries)
+        vx, vy, vD = _ints(_vector(vec, self.m, self.d))
+        ox, oy = _wmul(X, Y, vx, vy, self.d)
+        return list(_quads(ox, oy, D * vD, self.d))
 
     def inverse(self) -> "QuadMatrix":
-        m = self.m
-        rows = np.hstack([self.entries, QuadMatrix.identity(m, self.d).entries])
-        pivots, _ = _gauss_jordan(rows, m)
-        if len(pivots) < m:
-            raise ZeroDivisionError("singular matrix")
-        return QuadMatrix(rows[:, m:])
+        X, Y, D = _inverse_ints(*_ints(self.entries), self.d)
+        return QuadMatrix(_quads(X, Y, D, self.d))
 
     def det(self) -> QuadElem:
-        pivots, prod = _gauss_jordan(self.entries.copy(), self.m)
-        return prod if len(pivots) == self.m else qzero(self.d)
+        X, Y, D = _ints(self.entries)
+        pivots, (px, py), sign = _gauss_jordan(X, Y, self.d, self.m)
+        if len(pivots) < self.m:
+            return qzero(self.d)
+        # det (X + Y w) = sign * p, and each of the m rows carries 1/D
+        Dm = D**self.m
+        return QuadElem(Fraction(sign * px, Dm), Fraction(sign * py, Dm), self.d)
 
     def to_complex(self) -> np.ndarray:
         return np.array(
@@ -355,13 +451,25 @@ class HermitianDiagForm:
 # ---------------------------------------------------------------------------
 
 
+def _pullback(M: QuadMatrix, H: QuadMatrix) -> tuple:
+    """Integer forms (PX, PY, DP) of tM H conj(M) and (HX, HY, DH) of H."""
+    M._check(H)
+    X, Y, D = _ints(M.entries)
+    HX, HY, DH = _ints(H.entries)
+    PX, PY = _wmul(*_wmul(X.T, Y.T, HX, HY, M.d), X, -Y, M.d)
+    return (PX, PY, D * D * DH), (HX, HY, DH)
+
+
 def unitary_defect(M: QuadMatrix, H: QuadMatrix) -> QuadMatrix:
     """tM H conj(M) - H; zero iff M preserves the form H."""
-    return (M.transpose() @ H @ M.conj()) - H
+    (PX, PY, DP), (HX, HY, DH) = _pullback(M, H)
+    return QuadMatrix(_quads(PX * DH - HX * DP, PY * DH - HY * DP, DP * DH, M.d))
 
 
 def in_unitary_group(M: QuadMatrix, H: QuadMatrix) -> bool:
-    return unitary_defect(M, H).is_zero()
+    """tM H conj(M) == H, decided on integers: P/DP == H/DH cross-multiplied."""
+    (PX, PY, DP), (HX, HY, DH) = _pullback(M, H)
+    return np.array_equal(PX * DH, HX * DP) and np.array_equal(PY * DH, HY * DP)
 
 
 def skew_defect(S: QuadMatrix, B: HermitianDiagForm) -> QuadMatrix:
@@ -390,8 +498,12 @@ def cayley(N):
     Raises on singular I + N.
     """
     if isinstance(N, QuadMatrix):
-        eye = QuadMatrix.identity(N.m, N.d)
-        return ((eye + N).inverse()).scale(2) - eye
+        X, Y, D = _ints(N.entries)
+        eye = np.eye(N.m, dtype=object)
+        # I + N = (X + D I + Y w)/D; then 2 (I + N)^{-1} - I over the
+        # inverse's denominator Di
+        Xi, Yi, Di = _inverse_ints(X + D * eye, Y, D, N.d)
+        return QuadMatrix(_quads(2 * Xi - Di * eye, 2 * Yi, Di, N.d))
     A = np.asarray(N, dtype=complex)
     eye = np.eye(A.shape[0], dtype=complex)
     if abs(np.linalg.det(eye + A)) < 1e-14:
@@ -510,23 +622,28 @@ def approximate_in_Ul(
 def _rref_kernel(A: QuadMatrix) -> list[list[QuadElem]]:
     """Exact kernel basis of A over Q(sqrt(-d))."""
     m, d = A.m, A.d
-    rows = A.entries.copy()
-    pivots, _ = _gauss_jordan(rows, m)
-    free = [c for c in range(m) if c not in pivots]
+    X, Y, _ = _ints(A.entries)
+    pivots, (px, py), _ = _gauss_jordan(X, Y, d, m)
+    rank = len(pivots)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(m) if c not in pivots):
         vec = [qzero(d) for _ in range(m)]
         vec[fc] = qone(d)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r, fc]
+        # the reduced rows are (X + Y w)/p; the pivot coordinates are minus column fc
+        kx, ky = _times_conj(-X[:rank, fc], -Y[:rank, fc], px, py, d)
+        for pc, e in zip(pivots, _quads(kx, ky, px * px + d * py * py, d)):
+            vec[pc] = e
         basis.append(vec)
     return basis
 
 
 def form_value(H: QuadMatrix, u: Sequence[QuadElem], v: Sequence[QuadElem]) -> QuadElem:
     """H(u, v) = tu H conj(v), linear in the first argument."""
-    Hvbar = H.apply([e.conj() for e in v])
-    return sum((u[i] * Hvbar[i] for i in range(H.m)), qzero(H.d))
+    X, Y, D = _ints(H.entries)
+    ux, uy, uD = _ints(_vector(u, H.m, H.d))
+    vx, vy, vD = _ints(_vector(v, H.m, H.d))
+    x, y = _wmul(ux, uy, *_wmul(X, Y, vx, -vy, H.d), H.d)
+    return QuadElem(Fraction(x, uD * D * vD), Fraction(y, uD * D * vD), H.d)
 
 
 def unipotent_fixed_vector(

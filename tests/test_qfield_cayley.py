@@ -40,6 +40,16 @@ def qe(a, b, d=1):
     return QuadElem(Fraction(a), Fraction(b), d)
 
 
+def by_square_divisors(d):
+    ok = d >= 1
+    k = 2
+    while ok and k * k <= d:
+        if d % (k * k) == 0:
+            ok = False
+        k += 1
+    return ok
+
+
 def random_skew(rng, B, d, denom=7):
     x_upper = {}
     y_upper = {}
@@ -96,20 +106,21 @@ class TestQuadElem:
                 QuadElem(Fraction(1), Fraction(0), bad)
 
     def test_squarefree_matches_trial_division(self):
-        def by_square_divisors(d):
-            ok = d >= 1
-            k = 2
-            while ok and k * k <= d:
-                if d % (k * k) == 0:
-                    ok = False
-                k += 1
-            return ok
-
         for d in range(-3, 20000):
             assert _is_squarefree(d) == by_square_divisors(d), d
         assert not _is_squarefree(1000003**2)
         assert _is_squarefree(999983 * 1000003)
         assert not _is_squarefree(7 * (10**6 + 3) ** 2)
+
+    def test_squarefree_cache_is_bounded(self):
+        _is_squarefree.cache_clear()
+        for d in range(1, 5000):
+            assert _is_squarefree(d) == by_square_divisors(d), d
+        info = _is_squarefree.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize < 4999
+        # the most recent field is a cache hit and still answers right
+        assert _is_squarefree(4998) == by_square_divisors(4998)
+        assert _is_squarefree.cache_info().hits == info.hits + 1
 
     def test_mixed_discriminants_rejected(self):
         with pytest.raises(ValueError, match="discriminant|mixed|field"):
@@ -148,6 +159,17 @@ class TestQuadMatrix:
             except ZeroDivisionError:
                 continue
             assert (M @ Minv) == QuadMatrix.identity(3, d)
+
+    def test_non_quad_entries_rejected(self):
+        with pytest.raises(TypeError, match=r"entry 1 at \(0, 0\) is not a QuadElem"):
+            QuadMatrix([[1, 0], [0, 1]])
+        with pytest.raises(TypeError, match=r"entry Fraction\(1, 2\) at \(1, 0\)"):
+            QuadMatrix([[qone(1), qzero(1)], [Fraction(1, 2), qone(1)]])
+        A = QuadMatrix.identity(2, 1)
+        with pytest.raises(TypeError, match="entry 0 at 1 is not a QuadElem"):
+            A.apply([qone(1), 0])
+        with pytest.raises(ValueError, match="mixed fields"):
+            A.apply([qone(1), qone(3)])
 
     def test_singular_matrix_raises(self):
         with pytest.raises(ZeroDivisionError, match="singular"):
@@ -291,8 +313,36 @@ def random_quad_matrix(rng, m, d, zero_prob=0.3):
     )
 
 
+def half_integer_matrix(rng, m, d):
+    """Entries (a + b sqrt(-d))/2 with a = b mod 2, such as (1 + sqrt(-3))/2:
+    algebraic integers when d = 3 mod 4, with common denominator 2."""
+    rows = []
+    for _ in range(m):
+        a = rng.integers(-4, 5, m)
+        b = a % 2 + 2 * rng.integers(-2, 2, m)
+        rows.append(
+            [QuadElem(Fraction(int(x), 2), Fraction(int(y), 2), d) for x, y in zip(a, b)]
+        )
+    return QuadMatrix(rows)
+
+
+def generic_approximant(rng, m, d, eps=1e-9):
+    """Exact approximant of a generic unitary: scaling an exact skew matrix
+    by sqrt(2) keeps its constraints and makes its entries irrational, so
+    the rationalized entries have denominators near 1/eps, and the Cayley
+    transform multiplies them together."""
+    B = HermitianDiagForm(tuple(range(1, m + 1)))
+    S = np.sqrt(2.0) * random_skew(rng, B, d).to_complex()
+    return approximate_in_Ul(cayley(S), B, d, eps), B
+
+
+def max_denominator(A):
+    return max(c.denominator for e in A.entries.flat for c in (e.a, e.b))
+
+
 def elimination_cases(rng):
-    """(d, matrix) pairs: generic, swap-forcing, rank-deficient, M - I."""
+    """(d, matrix) pairs: generic, swap-forcing, rank-deficient, M - I,
+    half-integer and large-denominator."""
     for d in (1, 2, 3, 7):
         for m in range(1, 6):
             yield d, QuadMatrix.zero(m, d)
@@ -315,6 +365,20 @@ def elimination_cases(rng):
                     q = Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 8)))
                     M = heisenberg_matrix_exact(q, v, d)
                     yield d, M - QuadMatrix.identity(m, d)
+    for d in (3, 7):
+        for m in range(1, 6):
+            yield d, half_integer_matrix(rng, m, d)
+            A = half_integer_matrix(rng, m, d)
+            A.entries[0][0] = qzero(d)
+            yield d, A
+            P, Q = half_integer_matrix(rng, m, d), half_integer_matrix(rng, m, d)
+            yield d, P @ QuadMatrix.diagonal([1] * (m - 1) + [0], d) @ Q
+    for d in (1, 2, 3, 7):
+        for m in (2, 3):
+            A, _ = generic_approximant(rng, m, d)
+            yield d, A
+            # rank m - 1 with the same large denominators
+            yield d, A @ QuadMatrix.diagonal([0] + [1] * (m - 1), d)
 
 
 class TestGaussJordan:
@@ -535,6 +599,47 @@ class TestApproximateInUl:
         B = HermitianDiagForm((1, 1, 1))
         with pytest.raises(ValueError, match="sizes"):
             approximate_in_Ul(np.eye(2, dtype=complex), B, 1, 1e-6)
+
+
+class TestIntegerRoute:
+    def test_one_step_off_breaks_unitarity(self):
+        rng = np.random.default_rng(12)
+        step = Fraction(1, 10**12)
+        for d in (1, 3, 7):
+            A, B = generic_approximant(rng, 3, d)
+            H = B.matrix(d)
+            assert max_denominator(A) > 2**64
+            assert in_unitary_group(A, H)
+            for i, j in np.ndindex(3, 3):
+                e = A[i, j]
+                for moved in (QuadElem(e.a + step, e.b, d), QuadElem(e.a, e.b - step, d)):
+                    M = QuadMatrix(A.entries.copy())
+                    M.entries[i][j] = moved
+                    assert not in_unitary_group(M, H), (d, i, j, moved)
+            # the defect of the last one matches the QuadElem reference loops
+            tMH = QuadMatrix(ref_matmul(QuadMatrix(ref_transpose(M)), H))
+            expected = ref_sub(QuadMatrix(ref_matmul(tMH, QuadMatrix(ref_conj(M)))), H)
+            defect = unitary_defect(M, H)
+            assert rows_of(defect) == expected and not defect.is_zero()
+
+    def test_defect_only_in_sqrt_part(self):
+        # diag(1, 1 + sqrt(-d)) against the polarized form: the rational
+        # parts of tM H conj(M) equal H's, only the sqrt(-d) parts differ
+        for d in (1, 3):
+            M = QuadMatrix.diagonal([1, 1], d)
+            M.entries[1][1] = qe(1, 1, d)
+            H = polarized_form_matrix(1, d)
+            defect = unitary_defect(M, H)
+            assert all(e.a == 0 for e in defect.entries.flat)
+            assert not defect.is_zero()
+            assert not in_unitary_group(M, H)
+
+    def test_to_complex_is_per_entry(self):
+        rng = np.random.default_rng(13)
+        for d in (1, 2, 3, 7):
+            A, _ = generic_approximant(rng, 3, d)
+            per_entry = np.array([[e.to_complex() for e in row] for row in A.entries])
+            assert A.to_complex().tobytes() == per_entry.tobytes()
 
 
 def _form_value_direct(H, u, v):
