@@ -3,19 +3,19 @@ transform route into rational unitary groups.
 
 Elements of Q(sqrt(-d)) are pairs of exact rationals, and QuadElem stays
 the scalar API.  Matrices over the field support exact inverse,
-determinant, and Hermitian-form identities with zero tolerance.  Their
-arithmetic runs on integers: a matrix is read as (X + Y sqrt(-d))/D with
-integer arrays X, Y and one common denominator D, products and the
-unitarity test are integer matrix products, and inverse, determinant and
-the kernel behind fixed vectors share one fraction-free Gauss-Jordan
-reduction over Z[sqrt(-d)] (Bareiss).  QuadElem entries are built only
-for results, each coordinate reduced by one gcd.  The Cayley transform
-S(N) = 2(I+N)^{-1} - I swaps the unitary group of a diagonal form B with
-the linear space of matrices satisfying tS B = -B conj(S), and that space
-is cut out by rational linear constraints on real and imaginary parts.
-Rationalizing a complex matrix on the constraint side and mapping back
-therefore produces exact unitary matrices arbitrarily close to a given
-one.
+determinant, and Hermitian-form identities with zero tolerance.  A matrix
+is stored only as (X + Y sqrt(-d))/D with integer arrays X, Y and the
+least common denominator D, reduced by one gcd per result; its QuadElem
+entries are a read-only view.  Sums and products are integer array
+operations, the unitarity test compares the pulled-back form with H, and
+inverse, determinant and the kernel behind fixed vectors share one
+fraction-free Gauss-Jordan reduction over Z[sqrt(-d)] (Bareiss).  The
+Cayley transform S(N) = 2(I+N)^{-1} - I swaps the unitary group of a
+diagonal form B with the linear space of matrices satisfying
+tS B = -B conj(S), and that space is cut out by rational linear
+constraints on real and imaginary parts.  Rationalizing a complex matrix
+on the constraint side and mapping back therefore produces exact unitary
+matrices arbitrarily close to a given one.
 """
 
 from __future__ import annotations
@@ -189,8 +189,8 @@ def _quads(X: np.ndarray, Y: np.ndarray, D: int, d: int) -> np.ndarray:
     return np.array(quads, dtype=object).reshape(X.shape)
 
 
-def _vector(vec: Sequence[QuadElem], m: int, d: int) -> np.ndarray:
-    """vec as an object array, checked to hold m QuadElem over the field d."""
+def _vector(vec: Sequence[QuadElem], m: int, d: int) -> tuple:
+    """Integer form (x, y, D) of vec, checked to hold m QuadElem over the field d."""
     if len(vec) != m:
         raise ValueError("vector length mismatch")
     for i, e in enumerate(vec):
@@ -198,7 +198,14 @@ def _vector(vec: Sequence[QuadElem], m: int, d: int) -> np.ndarray:
             raise TypeError(f"entry {e!r} at {i} is not a QuadElem")
         if e.d != d:
             raise ValueError(f"mixed fields: d = {d} vs {e.d}")
-    return np.array(vec, dtype=object)
+    return _ints(np.array(vec, dtype=object))
+
+
+def _diagonal_grid(diag: Sequence[RationalLike], d: int) -> np.ndarray:
+    """Writable object array of QuadElem with diag on the diagonal, zero elsewhere."""
+    grid = np.full((len(diag), len(diag)), qzero(d), dtype=object)
+    np.fill_diagonal(grid, [QuadElem(_frac(v), Fraction(0), d) for v in diag])
+    return grid
 
 
 def _wmul(X1, Y1, X2, Y2, d: int) -> tuple:
@@ -276,18 +283,17 @@ def _inverse_ints(X: np.ndarray, Y: np.ndarray, D: int, d: int) -> tuple:
     return Rx, Ry, px * px + d * py * py
 
 
-_conj = np.frompyfunc(QuadElem.conj, 1, 1)
-
-
 class QuadMatrix:
     """Square matrix over Q(sqrt(-d)) with exact arithmetic throughout.
 
-    entries is an (m, m) numpy object array of QuadElem.  Products,
-    inverse and determinant run on its integer form over one common
-    denominator; +, - and conj are numpy's own loops over the entries.
+    Stored as (X + Y sqrt(-d))/D with the least D: X and Y are (m, m)
+    object arrays of Python ints, D > 0 and gcd(D, X, Y) = 1, so the form
+    is canonical and == compares it directly.  Every operation runs on
+    this form.  entries is a read-only view, an (m, m) object array of
+    QuadElem built on each access.
     """
 
-    __slots__ = ("entries", "m", "d")
+    __slots__ = ("X", "Y", "D", "m", "d")
 
     def __init__(self, entries: Sequence[Sequence[QuadElem]]):
         arr = np.array(entries, dtype=object)
@@ -300,9 +306,18 @@ class QuadMatrix:
         d = arr[0, 0].d
         if any(e.d != d for e in arr.flat):
             raise ValueError("all entries must share d")
-        self.entries = arr
-        self.m = m
-        self.d = d
+        # the least common denominator of reduced fractions leaves gcd 1
+        self.X, self.Y, self.D = _ints(arr)
+        self.m, self.d = m, d
+
+    @classmethod
+    def _reduced(cls, X: np.ndarray, Y: np.ndarray, D: int, d: int) -> "QuadMatrix":
+        """(X + Y w)/D for D > 0, with X, Y and D divided by their gcd."""
+        g = math.gcd(D, *X.flat, *Y.flat)
+        out = cls.__new__(cls)
+        out.X, out.Y, out.D = X // g, Y // g, D // g
+        out.m, out.d = len(X), d
+        return out
 
     @classmethod
     def identity(cls, m: int, d: int) -> "QuadMatrix":
@@ -314,30 +329,32 @@ class QuadMatrix:
 
     @classmethod
     def diagonal(cls, diag: Sequence[RationalLike], d: int) -> "QuadMatrix":
-        entries = np.full((len(diag), len(diag)), qzero(d), dtype=object)
-        np.fill_diagonal(entries, [QuadElem(_frac(v), Fraction(0), d) for v in diag])
-        return cls(entries)
+        return cls(_diagonal_grid(diag, d))
+
+    @property
+    def entries(self) -> np.ndarray:
+        grid = _quads(self.X, self.Y, self.D, self.d)
+        grid.flags.writeable = False
+        return grid
 
     def __getitem__(self, ij) -> QuadElem:
-        i, j = ij
-        return self.entries[i, j]
+        return QuadElem(Fraction(self.X[ij], self.D), Fraction(self.Y[ij], self.D), self.d)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuadMatrix):
             return NotImplemented
-        return (
-            self.m == other.m
-            and self.d == other.d
-            and bool((self.entries == other.entries).all())
-        )
+        same = (self.m, self.d, self.D) == (other.m, other.d, other.D)
+        return same and np.array_equal(self.X, other.X) and np.array_equal(self.Y, other.Y)
 
     def __add__(self, other: "QuadMatrix") -> "QuadMatrix":
         self._check(other)
-        return QuadMatrix(self.entries + other.entries)
+        L = math.lcm(self.D, other.D)
+        a, b = L // self.D, L // other.D
+        X, Y = a * self.X + b * other.X, a * self.Y + b * other.Y
+        return QuadMatrix._reduced(X, Y, L, self.d)
 
     def __sub__(self, other: "QuadMatrix") -> "QuadMatrix":
-        self._check(other)
-        return QuadMatrix(self.entries - other.entries)
+        return self + other.scale(-1)
 
     def _check(self, other: "QuadMatrix") -> None:
         if self.m != other.m or self.d != other.d:
@@ -345,76 +362,66 @@ class QuadMatrix:
 
     def scale(self, c: QuadElem | RationalLike) -> "QuadMatrix":
         cc = c if isinstance(c, QuadElem) else QuadElem(_frac(c), Fraction(0), self.d)
-        (cx,), (cy,), cD = _ints(_vector([cc], 1, self.d))
-        X, Y, D = _ints(self.entries)
-        X, Y = cx * X - self.d * cy * Y, cx * Y + cy * X
-        return QuadMatrix(_quads(X, Y, cD * D, self.d))
+        (cx,), (cy,), cD = _vector([cc], 1, self.d)
+        X, Y = cx * self.X - self.d * cy * self.Y, cx * self.Y + cy * self.X
+        return QuadMatrix._reduced(X, Y, cD * self.D, self.d)
 
     def __matmul__(self, other: "QuadMatrix") -> "QuadMatrix":
         self._check(other)
-        X1, Y1, D1 = _ints(self.entries)
-        X2, Y2, D2 = _ints(other.entries)
-        X, Y = _wmul(X1, Y1, X2, Y2, self.d)
-        return QuadMatrix(_quads(X, Y, D1 * D2, self.d))
+        X, Y = _wmul(self.X, self.Y, other.X, other.Y, self.d)
+        return QuadMatrix._reduced(X, Y, self.D * other.D, self.d)
 
     def transpose(self) -> "QuadMatrix":
-        return QuadMatrix(self.entries.T)
+        return QuadMatrix._reduced(self.X.T, self.Y.T, self.D, self.d)
 
     def conj(self) -> "QuadMatrix":
-        return QuadMatrix(_conj(self.entries))
+        return QuadMatrix._reduced(self.X, -self.Y, self.D, self.d)
 
     def conj_transpose(self) -> "QuadMatrix":
         return self.transpose().conj()
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries.flat)
+        return not (self.X.any() or self.Y.any())
 
     def apply(self, vec: Sequence[QuadElem]) -> list[QuadElem]:
-        X, Y, D = _ints(self.entries)
-        vx, vy, vD = _ints(_vector(vec, self.m, self.d))
-        ox, oy = _wmul(X, Y, vx, vy, self.d)
-        return list(_quads(ox, oy, D * vD, self.d))
+        vx, vy, vD = _vector(vec, self.m, self.d)
+        ox, oy = _wmul(self.X, self.Y, vx, vy, self.d)
+        return list(_quads(ox, oy, self.D * vD, self.d))
 
     def inverse(self) -> "QuadMatrix":
-        X, Y, D = _inverse_ints(*_ints(self.entries), self.d)
-        return QuadMatrix(_quads(X, Y, D, self.d))
+        return QuadMatrix._reduced(*_inverse_ints(self.X, self.Y, self.D, self.d), self.d)
 
     def det(self) -> QuadElem:
-        X, Y, D = _ints(self.entries)
-        pivots, (px, py), sign = _gauss_jordan(X, Y, self.d, self.m)
+        pivots, (px, py), sign = _gauss_jordan(self.X.copy(), self.Y.copy(), self.d, self.m)
         if len(pivots) < self.m:
             return qzero(self.d)
         # det (X + Y w) = sign * p, and each of the m rows carries 1/D
-        Dm = D**self.m
+        Dm = self.D**self.m
         return QuadElem(Fraction(sign * px, Dm), Fraction(sign * py, Dm), self.d)
 
     def to_complex(self) -> np.ndarray:
-        return np.array(
-            [[e.to_complex() for e in row] for row in self.entries], dtype=complex
-        )
+        # Python scalar arithmetic per entry: int / int rounds once, as
+        # float(Fraction) does, and the sums match QuadElem.to_complex
+        re, im = self.X / self.D, self.Y / self.D
+        return (re + 1j * im * math.sqrt(self.d)).astype(complex)
 
     def to_json_dict(self) -> dict:
-        def s(x: Fraction) -> str:
-            return f"{x.numerator}/{x.denominator}"
+        def s(x: int) -> str:
+            f = Fraction(x, self.D)
+            return f"{f.numerator}/{f.denominator}"
 
-        return {
-            "d": self.d,
-            "m": self.m,
-            "entries": [[[s(e.a), s(e.b)] for e in row] for row in self.entries],
-        }
+        rows = [[[s(x), s(y)] for x, y in zip(*xy)] for xy in zip(self.X, self.Y)]
+        return {"d": self.d, "m": self.m, "entries": rows}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QuadMatrix":
-        d = int(data["d"])
-        return cls(
-            [
-                [QuadElem(Fraction(x), Fraction(y), d) for x, y in row]
-                for row in data["entries"]
-            ]
-        )
+        d, rows = int(data["d"]), data["entries"]
+        if len(rows) != int(data["m"]):
+            raise ValueError(f"m = {data['m']} disagrees with {len(rows)} entry rows")
+        return cls([[QuadElem(Fraction(x), Fraction(y), d) for x, y in row] for row in rows])
 
     @classmethod
     def from_json(cls, text: str) -> "QuadMatrix":
@@ -451,25 +458,21 @@ class HermitianDiagForm:
 # ---------------------------------------------------------------------------
 
 
-def _pullback(M: QuadMatrix, H: QuadMatrix) -> tuple:
-    """Integer forms (PX, PY, DP) of tM H conj(M) and (HX, HY, DH) of H."""
+def _pullback(M: QuadMatrix, H: QuadMatrix) -> QuadMatrix:
+    """tM H conj(M), the form H pulled back along M."""
     M._check(H)
-    X, Y, D = _ints(M.entries)
-    HX, HY, DH = _ints(H.entries)
-    PX, PY = _wmul(*_wmul(X.T, Y.T, HX, HY, M.d), X, -Y, M.d)
-    return (PX, PY, D * D * DH), (HX, HY, DH)
+    P = _wmul(*_wmul(M.X.T, M.Y.T, H.X, H.Y, M.d), M.X, -M.Y, M.d)
+    return QuadMatrix._reduced(*P, M.D * M.D * H.D, M.d)
 
 
 def unitary_defect(M: QuadMatrix, H: QuadMatrix) -> QuadMatrix:
     """tM H conj(M) - H; zero iff M preserves the form H."""
-    (PX, PY, DP), (HX, HY, DH) = _pullback(M, H)
-    return QuadMatrix(_quads(PX * DH - HX * DP, PY * DH - HY * DP, DP * DH, M.d))
+    return _pullback(M, H) - H
 
 
 def in_unitary_group(M: QuadMatrix, H: QuadMatrix) -> bool:
-    """tM H conj(M) == H, decided on integers: P/DP == H/DH cross-multiplied."""
-    (PX, PY, DP), (HX, HY, DH) = _pullback(M, H)
-    return np.array_equal(PX * DH, HX * DP) and np.array_equal(PY * DH, HY * DP)
+    """tM H conj(M) == H, compared in reduced integer form."""
+    return _pullback(M, H) == H
 
 
 def skew_defect(S: QuadMatrix, B: HermitianDiagForm) -> QuadMatrix:
@@ -498,12 +501,11 @@ def cayley(N):
     Raises on singular I + N.
     """
     if isinstance(N, QuadMatrix):
-        X, Y, D = _ints(N.entries)
         eye = np.eye(N.m, dtype=object)
         # I + N = (X + D I + Y w)/D; then 2 (I + N)^{-1} - I over the
         # inverse's denominator Di
-        Xi, Yi, Di = _inverse_ints(X + D * eye, Y, D, N.d)
-        return QuadMatrix(_quads(2 * Xi - Di * eye, 2 * Yi, Di, N.d))
+        Xi, Yi, Di = _inverse_ints(N.X + N.D * eye, N.Y, N.D, N.d)
+        return QuadMatrix._reduced(2 * Xi - Di * eye, 2 * Yi, Di, N.d)
     A = np.asarray(N, dtype=complex)
     eye = np.eye(A.shape[0], dtype=complex)
     if abs(np.linalg.det(eye + A)) < 1e-14:
@@ -524,17 +526,16 @@ def constraint_fill(
     y_ji = (b_ii/b_jj) y_ij, and x_ii = 0.
     """
     m = B.m
-    S = QuadMatrix.zero(m, d)
+    S = _diagonal_grid([0] * m, d)
     for i in range(m):
-        yi = _frac(y_upper.get((i, i), 0))
-        S.entries[i][i] = QuadElem(Fraction(0), yi, d)
+        S[i, i] = QuadElem(Fraction(0), _frac(y_upper.get((i, i), 0)), d)
         for j in range(i + 1, m):
             x = _frac(x_upper.get((i, j), 0))
             y = _frac(y_upper.get((i, j), 0))
             ratio = B.diag[i] / B.diag[j]
-            S.entries[i][j] = QuadElem(x, y, d)
-            S.entries[j][i] = QuadElem(-ratio * x, ratio * y, d)
-    return S
+            S[i, j] = QuadElem(x, y, d)
+            S[j, i] = QuadElem(-ratio * x, ratio * y, d)
+    return QuadMatrix(S)
 
 
 class ApproximationError(RuntimeError):
@@ -551,18 +552,20 @@ def approximate_in_Ul(
 ) -> QuadMatrix:
     """Exactly B-unitary matrix over Q(sqrt(-d)) within eps of M.
 
-    M must preserve B within 1e-10.  Route: rotate M off the singular set
-    of the Cayley transform if needed (scalar rotations stay in U(B)),
-    pass to S = cayley(M), rationalize the free entries of Re S and Im S
-    by continued fractions, rebuild an exact constraint solution, and map
-    back.  Exactness of tM'B conj(M') = B holds by construction and is
-    re-verified; the eps bound is checked numerically and the
-    rationalization is tightened until it holds.
+    M must be finite and preserve B within 1e-10.  Route: rotate M off
+    the singular set of the Cayley transform if needed (scalar rotations
+    stay in U(B)), pass to S = cayley(M), rationalize the free entries of
+    Re S and Im S by continued fractions, rebuild an exact constraint
+    solution, and map back.  Exactness of tM'B conj(M') = B holds by
+    construction and is re-verified; the eps bound is checked numerically
+    and the rationalization is tightened until it holds.
     """
     M = np.asarray(M, dtype=complex)
     m = M.shape[0]
     if M.shape != (m, m) or m != B.m:
         raise ValueError("matrix and form sizes disagree")
+    if not np.isfinite(M).all():
+        raise ValueError("matrix entries must be finite")
     pre = unitary_defect_float(M, B)
     if pre > 1e-10:
         raise ValueError(f"input does not preserve B: defect {pre:.3e}")
@@ -622,7 +625,7 @@ def approximate_in_Ul(
 def _rref_kernel(A: QuadMatrix) -> list[list[QuadElem]]:
     """Exact kernel basis of A over Q(sqrt(-d))."""
     m, d = A.m, A.d
-    X, Y, _ = _ints(A.entries)
+    X, Y = A.X.copy(), A.Y.copy()
     pivots, (px, py), _ = _gauss_jordan(X, Y, d, m)
     rank = len(pivots)
     basis = []
@@ -639,11 +642,10 @@ def _rref_kernel(A: QuadMatrix) -> list[list[QuadElem]]:
 
 def form_value(H: QuadMatrix, u: Sequence[QuadElem], v: Sequence[QuadElem]) -> QuadElem:
     """H(u, v) = tu H conj(v), linear in the first argument."""
-    X, Y, D = _ints(H.entries)
-    ux, uy, uD = _ints(_vector(u, H.m, H.d))
-    vx, vy, vD = _ints(_vector(v, H.m, H.d))
-    x, y = _wmul(ux, uy, *_wmul(X, Y, vx, -vy, H.d), H.d)
-    return QuadElem(Fraction(x, uD * D * vD), Fraction(y, uD * D * vD), H.d)
+    ux, uy, uD = _vector(u, H.m, H.d)
+    vx, vy, vD = _vector(v, H.m, H.d)
+    x, y = _wmul(ux, uy, *_wmul(H.X, H.Y, vx, -vy, H.d), H.d)
+    return QuadElem(Fraction(x, uD * H.D * vD), Fraction(y, uD * H.D * vD), H.d)
 
 
 def unipotent_fixed_vector(
@@ -716,12 +718,9 @@ def polarized_form_matrix(n: int, d: int) -> QuadMatrix:
     """Matrix of 2 Re(a conj(b)) + |v|^2 in the basis with two null vectors."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    H = QuadMatrix.zero(n + 1, d)
-    H.entries[0][1] = qone(d)
-    H.entries[1][0] = qone(d)
-    for j in range(2, n + 1):
-        H.entries[j][j] = qone(d)
-    return H
+    H = _diagonal_grid([0, 0] + [1] * (n - 1), d)
+    H[0, 1] = H[1, 0] = qone(d)
+    return QuadMatrix(H)
 
 
 def heisenberg_matrix_exact(
@@ -735,10 +734,10 @@ def heisenberg_matrix_exact(
     qf = _frac(q)
     v = list(v)
     n = len(v) + 1
-    M = QuadMatrix.identity(n + 1, d)
+    M = _diagonal_grid([1] * (n + 1), d)
     nrm = sum((e.norm() for e in v), Fraction(0))
-    M.entries[0][1] = QuadElem(-nrm / 2, -qf, d)
+    M[0, 1] = QuadElem(-nrm / 2, -qf, d)
     for j, e in enumerate(v):
-        M.entries[0][2 + j] = -e.conj()
-        M.entries[2 + j][1] = e
-    return M
+        M[0, 2 + j] = -e.conj()
+        M[2 + j, 1] = e
+    return QuadMatrix(M)

@@ -1,5 +1,6 @@
 """Tests for exact arithmetic over Q(sqrt(-d)) and the Cayley density route."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,15 @@ rationals = st.fractions(
 
 def qe(a, b, d=1):
     return QuadElem(Fraction(a), Fraction(b), d)
+
+
+def with_entries(A, changes):
+    """A copy of A with the entries at the given positions replaced; the
+    entries view is read-only, so the grid is edited before constructing."""
+    grid = A.entries.copy()
+    for ij, e in changes.items():
+        grid[ij] = e
+    return QuadMatrix(grid)
 
 
 def by_square_divisors(d):
@@ -146,14 +156,15 @@ class TestQuadMatrix:
     def test_inverse_exact(self, rng):
         d = 3
         for _ in range(10):
-            M = QuadMatrix.identity(3, d)
+            grid = QuadMatrix.identity(3, d).entries.copy()
             for i in range(3):
                 for j in range(3):
-                    M.entries[i][j] = M.entries[i][j] + QuadElem(
+                    grid[i][j] = grid[i][j] + QuadElem(
                         Fraction(int(rng.integers(-2, 3)), 3),
                         Fraction(int(rng.integers(-2, 3)), 5),
                         d,
                     )
+            M = QuadMatrix(grid)
             try:
                 Minv = M.inverse()
             except ZeroDivisionError:
@@ -177,28 +188,25 @@ class TestQuadMatrix:
 
     def test_det_multiplicative(self, rng):
         d = 7
-        A = QuadMatrix.identity(2, d)
-        A.entries[0][1] = qe(1, 2, d)
-        B = QuadMatrix.identity(2, d)
-        B.entries[1][0] = qe(-3, 1, d)
+        A = with_entries(QuadMatrix.identity(2, d), {(0, 1): qe(1, 2, d)})
+        B = with_entries(QuadMatrix.identity(2, d), {(1, 0): qe(-3, 1, d)})
         assert (A @ B).det() == A.det() * B.det()
 
     def test_transpose_conj_interact(self):
-        A = QuadMatrix.identity(2, 1)
-        A.entries[0][1] = qe(1, 1, 1)
+        A = with_entries(QuadMatrix.identity(2, 1), {(0, 1): qe(1, 1, 1)})
         assert A.conj_transpose() == A.transpose().conj()
 
     def test_apply_matches_matmul(self):
-        A = QuadMatrix.identity(2, 1)
-        A.entries[0][1] = qe(2, -1, 1)
+        A = with_entries(QuadMatrix.identity(2, 1), {(0, 1): qe(2, -1, 1)})
         v = [qe(1, 0, 1), qe(0, 1, 1)]
         out = A.apply(v)
         assert out[0] == v[0] + qe(2, -1, 1) * v[1]
         assert out[1] == v[1]
 
     def test_json_round_trip(self):
-        A = QuadMatrix.identity(2, 3)
-        A.entries[0][1] = QuadElem(Fraction(2, 7), Fraction(-1, 3), 3)
+        A = with_entries(
+            QuadMatrix.identity(2, 3), {(0, 1): QuadElem(Fraction(2, 7), Fraction(-1, 3), 3)}
+        )
         blob = A.to_json()
         back = QuadMatrix.from_json(blob)
         assert back == A
@@ -210,9 +218,14 @@ class TestQuadMatrix:
             for pair in row:
                 assert all("/" in c for c in pair)
 
+    def test_json_m_must_match_entries(self):
+        with pytest.raises(ValueError, match="m = 2"):
+            QuadMatrix.from_json_dict({"d": 1, "m": 2, "entries": [[["1", "0"]]]})
+        with pytest.raises(ValueError):
+            QuadMatrix.from_json_dict({"d": 1, "m": 1, "entries": [[["1", "0"], ["0", "0"]]]})
+
     def test_to_complex_matches_entries(self):
-        A = QuadMatrix.identity(2, 1)
-        A.entries[1][0] = qe(0, 2, 1)
+        A = with_entries(QuadMatrix.identity(2, 1), {(1, 0): qe(0, 2, 1)})
         C = A.to_complex()
         assert C[1, 0] == pytest.approx(2j)
         assert C[0, 0] == 1.0
@@ -352,8 +365,7 @@ def elimination_cases(rng):
                 # a zero leading entry forces a row swap whenever column 0
                 # has a nonzero entry lower down
                 A = random_quad_matrix(rng, m, d, zero_prob=0.0)
-                A.entries[0][0] = qzero(d)
-                yield d, A
+                yield d, with_entries(A, {(0, 0): qzero(d)})
                 # P D Q with zeros on D: rank at most the nonzeros of D
                 diag = [int(rng.integers(0, 3)) * int(rng.integers(0, 2)) for _ in range(m)]
                 P = random_quad_matrix(rng, m, d, zero_prob=0.0)
@@ -369,8 +381,7 @@ def elimination_cases(rng):
         for m in range(1, 6):
             yield d, half_integer_matrix(rng, m, d)
             A = half_integer_matrix(rng, m, d)
-            A.entries[0][0] = qzero(d)
-            yield d, A
+            yield d, with_entries(A, {(0, 0): qzero(d)})
             P, Q = half_integer_matrix(rng, m, d), half_integer_matrix(rng, m, d)
             yield d, P @ QuadMatrix.diagonal([1] * (m - 1) + [0], d) @ Q
     for d in (1, 2, 3, 7):
@@ -408,53 +419,59 @@ class TestGaussJordan:
             for vec in kernel:
                 assert all(e.is_zero() for e in A.apply(vec))
             if m >= 2:
-                B = QuadMatrix([A.entries[1], A.entries[0], *A.entries[2:]])
+                rows = A.entries
+                B = QuadMatrix([rows[1], rows[0], *rows[2:]])
                 assert B.det() == -det
         assert min(invertible, singular, needs_swap) > 50
 
 
-# Reference copies of the list-based loops QuadMatrix carried before its
-# entries became a numpy object array; each returns a list of rows.
+# Reference copies of the list-based loops QuadMatrix carried before it
+# stored an integer form; each returns a list of rows.  The entries view
+# is rebuilt on every access, so each reads it once.
 
 
 def ref_add(A, B):
-    return [[A.entries[i][j] + B.entries[i][j] for j in range(A.m)] for i in range(A.m)]
+    a, b = A.entries, B.entries
+    return [[a[i][j] + b[i][j] for j in range(A.m)] for i in range(A.m)]
 
 
 def ref_sub(A, B):
-    return [[A.entries[i][j] - B.entries[i][j] for j in range(A.m)] for i in range(A.m)]
+    a, b = A.entries, B.entries
+    return [[a[i][j] - b[i][j] for j in range(A.m)] for i in range(A.m)]
 
 
 def ref_scale(A, c):
     cc = c if isinstance(c, QuadElem) else QuadElem(Fraction(c), Fraction(0), A.d)
-    return [[cc * A.entries[i][j] for j in range(A.m)] for i in range(A.m)]
+    a = A.entries
+    return [[cc * a[i][j] for j in range(A.m)] for i in range(A.m)]
 
 
 def ref_matmul(A, B):
     m, d = A.m, A.d
+    a, b = A.entries, B.entries
     out = [[qzero(d) for _ in range(m)] for _ in range(m)]
     for i in range(m):
         for j in range(m):
             acc = qzero(d)
             for k in range(m):
-                acc = acc + A.entries[i][k] * B.entries[k][j]
+                acc = acc + a[i][k] * b[k][j]
             out[i][j] = acc
     return out
 
 
 def ref_transpose(A):
-    return [[A.entries[j][i] for j in range(A.m)] for i in range(A.m)]
+    a = A.entries
+    return [[a[j][i] for j in range(A.m)] for i in range(A.m)]
 
 
 def ref_conj(A):
-    return [[A.entries[i][j].conj() for j in range(A.m)] for i in range(A.m)]
+    a = A.entries
+    return [[a[i][j].conj() for j in range(A.m)] for i in range(A.m)]
 
 
 def ref_apply(A, vec):
-    return [
-        sum((A.entries[i][k] * vec[k] for k in range(A.m)), qzero(A.d))
-        for i in range(A.m)
-    ]
+    a = A.entries
+    return [sum((a[i][k] * vec[k] for k in range(A.m)), qzero(A.d)) for i in range(A.m)]
 
 
 def rows_of(A):
@@ -490,12 +507,50 @@ class TestObjectArrayEntries:
             assert A == QuadMatrix(rows_of(A))
         assert fields == {1, 2, 3, 7}
 
-    def test_results_are_fresh_arrays(self):
-        # results never alias their operands: writing into one leaves the other
+    def test_entries_are_read_only(self):
+        # an in-place write raises instead of being lost on the next access
         A = QuadMatrix.identity(3, 2)
-        for out in (A.transpose(), A.conj(), A + QuadMatrix.zero(3, 2), A.scale(1)):
-            out.entries[0][1] = qone(2)
-            assert A == QuadMatrix.identity(3, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            A.entries[0][1] = qone(2)
+        with pytest.raises(ValueError, match="read-only"):
+            A.entries[0, 1] = qone(2)
+        assert A == QuadMatrix.identity(3, 2)
+
+    def test_results_are_fresh_arrays(self):
+        # results never alias their operands' integer arrays
+        A = with_entries(QuadMatrix.identity(3, 2), {(0, 1): qe(1, 1, 2)})
+        Z, I = QuadMatrix.zero(3, 2), QuadMatrix.identity(3, 2)
+        for out in (
+            A.transpose(), A.conj(), A + Z, A - Z, A.scale(1), A @ I, I @ A, A.inverse(),
+        ):
+            for res in (out.X, out.Y):
+                for operand in (A.X, A.Y, Z.X, Z.Y, I.X, I.Y):
+                    assert not np.shares_memory(res, operand)
+
+    def test_results_are_reduced(self):
+        # the stored form is canonical: D > 0 and gcd(D, X, Y) = 1, the
+        # same form that converting the entry grid produces
+        def assert_reduced(M):
+            assert M.D > 0 and math.gcd(M.D, *M.X.flat, *M.Y.flat) == 1
+            back = QuadMatrix(rows_of(M))
+            assert back.D == M.D
+            assert np.array_equal(back.X, M.X) and np.array_equal(back.Y, M.Y)
+
+        rng = np.random.default_rng(6)
+        previous = {}
+        for d, A in elimination_cases(rng):
+            B = previous.setdefault((d, A.m), A)
+            previous[d, A.m] = A
+            I = QuadMatrix.identity(A.m, d)
+            results = [A, A + B, A - B, A - A, A.scale(random_quad_elem(rng, d, 0.2)),
+                       A.scale(0), A @ B, A.transpose(), A.conj(), unitary_defect(A, I)]
+            for op in (A.inverse, lambda: cayley(A)):
+                try:
+                    results.append(op())
+                except ZeroDivisionError:
+                    pass
+            for M in results:
+                assert_reduced(M)
 
     def test_vectors_stay_lists(self):
         d = 3
@@ -595,6 +650,18 @@ class TestApproximateInUl:
         with pytest.raises(ValueError, match="does not preserve"):
             approximate_in_Ul(np.diag([2.0, 1.0]).astype(complex), B, 1, 1e-6)
 
+    def test_non_finite_input_rejected(self):
+        B = HermitianDiagForm((1, 1))
+        for bad in (np.nan, np.inf, complex(0, -np.inf)):
+            M = np.eye(2, dtype=complex)
+            M[0, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                approximate_in_Ul(M, B, 1, 1e-6)
+            M = np.eye(2, dtype=complex)
+            M[1, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                approximate_in_Ul(M, B, 1, 1e-6)
+
     def test_size_mismatch_rejected(self):
         B = HermitianDiagForm((1, 1, 1))
         with pytest.raises(ValueError, match="sizes"):
@@ -613,8 +680,7 @@ class TestIntegerRoute:
             for i, j in np.ndindex(3, 3):
                 e = A[i, j]
                 for moved in (QuadElem(e.a + step, e.b, d), QuadElem(e.a, e.b - step, d)):
-                    M = QuadMatrix(A.entries.copy())
-                    M.entries[i][j] = moved
+                    M = with_entries(A, {(i, j): moved})
                     assert not in_unitary_group(M, H), (d, i, j, moved)
             # the defect of the last one matches the QuadElem reference loops
             tMH = QuadMatrix(ref_matmul(QuadMatrix(ref_transpose(M)), H))
@@ -626,8 +692,7 @@ class TestIntegerRoute:
         # diag(1, 1 + sqrt(-d)) against the polarized form: the rational
         # parts of tM H conj(M) equal H's, only the sqrt(-d) parts differ
         for d in (1, 3):
-            M = QuadMatrix.diagonal([1, 1], d)
-            M.entries[1][1] = qe(1, 1, d)
+            M = with_entries(QuadMatrix.diagonal([1, 1], d), {(1, 1): qe(1, 1, d)})
             H = polarized_form_matrix(1, d)
             defect = unitary_defect(M, H)
             assert all(e.a == 0 for e in defect.entries.flat)
@@ -645,9 +710,10 @@ class TestIntegerRoute:
 def _form_value_direct(H, u, v):
     # the double sum of u_i H_ij conj(v_j), as a reference for form_value
     acc = qzero(H.d)
+    h = H.entries
     for i in range(H.m):
         for j in range(H.m):
-            acc = acc + u[i] * H.entries[i][j] * v[j].conj()
+            acc = acc + u[i] * h[i][j] * v[j].conj()
     return acc
 
 
@@ -747,10 +813,8 @@ class TestUnipotentFixedVector:
         # diag(i, i, 1) preserves the polarized form but fixes only the
         # positive vector e3, so the parabolic search must refuse it
         d = 1
-        M = QuadMatrix.zero(3, d)
-        M.entries[0][0] = qomega(d)
-        M.entries[1][1] = qomega(d)
-        M.entries[2][2] = qone(d)
+        diag = {(0, 0): qomega(d), (1, 1): qomega(d), (2, 2): qone(d)}
+        M = with_entries(QuadMatrix.zero(3, d), diag)
         H = polarized_form_matrix(2, d)
         assert in_unitary_group(M, H)
         with pytest.raises(ValueError, match="H-positive"):
@@ -759,10 +823,7 @@ class TestUnipotentFixedVector:
 
 class TestRootOfUnityPower:
     def build_diag(self, alpha, d):
-        M = QuadMatrix.zero(2, d)
-        M.entries[0][0] = alpha
-        M.entries[1][1] = qone(d)
-        return M
+        return QuadMatrix([[alpha, qzero(d)], [qzero(d), qone(d)]])
 
     def test_orders(self):
         e0 = [qone(1), qzero(1)]
