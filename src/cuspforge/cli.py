@@ -6,6 +6,10 @@ curvature, bundle, cayley, psh, or all) and emits a JSON report;
 along a parameter axis as CSV for external plotting.  Reports are
 deterministic for a fixed seed: everything except the timings field is
 byte-stable.
+
+`_SUITES` is the one table of checks: for each suite, the function that
+computes its results and the `Check`s they belong to, in report order.
+Each `Check` names the routes it compares, or says why it has only one.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields, asdict, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, fields, asdict, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import get_type_hints
@@ -43,7 +48,6 @@ from .heisenberg_siegel import (
 )
 from .profile import ProfileError, build_cutoff, solve_psi
 
-SUITES = ("profile", "curvature", "bundle", "cayley", "psh", "all")
 AXES = ("t", "A", "l", "n")
 
 
@@ -120,15 +124,7 @@ class CheckRecord:
     name: str
     passed: bool
     margin: float
-    witness: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "margin": self.margin,
-            "witness": self.witness,
-        }
+    witness: dict
 
 
 @dataclass
@@ -149,7 +145,7 @@ class Report:
             "passed": self.passed,
             "config": self.config,
             "config_hash": self.config_hash,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
             "timings": self.timings,
         }
 
@@ -171,54 +167,51 @@ def _config_hash(cfg: SuiteConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+@dataclass(frozen=True)
+class Check:
+    """One entry of a suite: `routes` names, by function name, the
+    computations the check compares.  A check with a single route says in
+    `why_one_route` why it has no second one."""
+
+    name: str
+    routes: tuple[str, ...]
+    why_one_route: str = ""
+
+
 # ---------------------------------------------------------------------------
-# Individual suites.  Each returns a list of CheckRecord and must be
-# deterministic for a fixed config.
+# Check functions.  Each yields (passed, margin, witness) for the checks of
+# its suite, in the order of the table below, and must be deterministic for
+# a fixed config.
 # ---------------------------------------------------------------------------
 
 
-def _suite_profile(cfg: SuiteConfig) -> list[CheckRecord]:
-    checks: list[CheckRecord] = []
+def _profile_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
     p = build_cutoff(cfg.A, cfg.window)
     margins = p.positivity_margins()
     names = ("f", "fp", "fpp", "fppp")
-    checks.append(
-        CheckRecord(
-            "profile.positive_derivatives",
-            bool(np.all(margins > 0)),
-            float(margins.min()),
-            {k: float(v) for k, v in zip(names, margins)},
-        )
+    yield (
+        bool(np.all(margins > 0)),
+        float(margins.min()),
+        {k: float(v) for k, v in zip(names, margins)},
     )
     j0 = p.jet_at(0.0)
     jA = p.jet_at(cfg.A)
     exact0 = tuple(j0) == (1.0, 0.0, 1.0, 0.0)
     exactA = jA[0] == jA[1] == jA[2] == jA[3]
     relA = abs(float(jA[0]) - math.exp(cfg.A)) / math.exp(cfg.A)
-    checks.append(
-        CheckRecord(
-            "profile.endpoint_jets_exact",
-            bool(exact0 and exactA) and relA < 1e-10,
-            -relA,
-            {"jet0": [float(v) for v in j0], "jetA": [float(v) for v in jA]},
-        )
+    yield (
+        bool(exact0 and exactA) and relA < 1e-10,
+        -relA,
+        {"jet0": [float(v) for v in j0], "jetA": [float(v) for v in jA]},
     )
     sol = solve_psi(p, t_min=0.05)
     res = sol.max_residual()
-    checks.append(
-        CheckRecord("profile.psi_residual", res <= 1e-8, 1e-8 - res, {"residual": res})
-    )
+    yield res <= 1e-8, 1e-8 - res, {"residual": res}
     idd = sol.identity_defect(cfg.window[1])
-    checks.append(
-        CheckRecord(
-            "profile.psi_identity_exp_region", idd <= 1e-10, 1e-10 - idd, {"defect": idd}
-        )
-    )
-    return checks
+    yield idd <= 1e-10, 1e-10 - idd, {"defect": idd}
 
 
-def _suite_curvature(cfg: SuiteConfig) -> list[CheckRecord]:
-    checks: list[CheckRecord] = []
+def _curvature_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
     p = build_cutoff(cfg.A, cfg.window)
 
     mp_exp = cv.MetricPoint.exp_model(0.0, cfg.n)
@@ -235,14 +228,10 @@ def _suite_curvature(cfg: SuiteConfig) -> list[CheckRecord]:
     s = oracle.sectional(X, Y)
     sec_lo, sec_hi = float(s.min()), float(s.max())
     in_band = -4.0 - 1e-8 <= sec_lo and sec_hi <= -1.0 + 1e-8
-    checks.append(
-        CheckRecord(
-            "curvature.space_form_blocks",
-            dev <= 1e-12 and hsc_dev <= 1e-8 and in_band,
-            -max(dev, hsc_dev),
-            {"block_deviation": dev, "hsc_deviation": hsc_dev,
-             "sectional": [sec_lo, sec_hi]},
-        )
+    yield (
+        dev <= 1e-12 and hsc_dev <= 1e-8 and in_band,
+        -max(dev, hsc_dev),
+        {"block_deviation": dev, "hsc_deviation": hsc_dev, "sectional": [sec_lo, sec_hi]},
     )
 
     rng = np.random.default_rng(cfg.seed + 13)
@@ -255,26 +244,18 @@ def _suite_curvature(cfg: SuiteConfig) -> list[CheckRecord]:
         ref = cv.CurvatureOracle(mp).bisectional(Y, Xi)
         errs.append(np.abs(cv.bisectional(Y, Xi, mp) - ref) / (1.0 + np.abs(ref)))
     worst = float(np.max(errs))
-    checks.append(
-        CheckRecord(
-            "curvature.formula_vs_oracle", worst <= 1e-6, 1e-6 - worst,
-            {"max_relative_error": worst},
-        )
-    )
+    yield worst <= 1e-6, 1e-6 - worst, {"max_relative_error": worst}
 
     cert = cv.hbc_certificate(p, cfg.samples, n=cfg.n, seed=cfg.seed)
-    checks.append(
-        CheckRecord(
-            "curvature.nonpositivity_certificate",
-            cert.passed,
-            -cert.worst_interior_ratio,
-            {
-                "max_value": cert.max_value,
-                "worst_interior_ratio": cert.worst_interior_ratio,
-                "min_cs_slack": cert.min_cs_slack,
-                "failures": cert.failures,
-            },
-        )
+    yield (
+        cert.passed,
+        -cert.worst_interior_ratio,
+        {
+            "max_value": cert.max_value,
+            "worst_interior_ratio": cert.worst_interior_ratio,
+            "min_cs_slack": cert.min_cs_slack,
+            "failures": cert.failures,
+        },
     )
 
     rng = np.random.default_rng(cfg.seed + 17)
@@ -290,19 +271,14 @@ def _suite_curvature(cfg: SuiteConfig) -> list[CheckRecord]:
         np.max(np.abs(cv.ricci(Xie, mpe) + (2 * cfg.n + 2) * nsq) / np.maximum(1.0, nsq))
     )
     cosh_slack = float(np.max(cv.ricci(Xic, mpc) + 2.0 * Xic.norm_sq(mpc)))
-    checks.append(
-        CheckRecord(
-            "curvature.ricci_bounds",
-            einstein <= 1e-8 and cosh_slack <= 1e-10,
-            -max(einstein - 1e-8, cosh_slack - 1e-10),
-            {"einstein_defect": einstein, "cosh_region_slack": cosh_slack},
-        )
+    yield (
+        einstein <= 1e-8 and cosh_slack <= 1e-10,
+        -max(einstein - 1e-8, cosh_slack - 1e-10),
+        {"einstein_defect": einstein, "cosh_region_slack": cosh_slack},
     )
-    return checks
 
 
-def _suite_bundle(cfg: SuiteConfig) -> list[CheckRecord]:
-    checks: list[CheckRecord] = []
+def _bundle_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
     cp = cfg.cusp_params()
     rng = np.random.default_rng(cfg.seed + 23)
     drifts = []
@@ -317,26 +293,13 @@ def _suite_bundle(cfg: SuiteConfig) -> list[CheckRecord]:
         base = h_norm(pt, cp)
         drifts.append(abs(h_norm(moved, cp) - base) / max(1.0, base))
     worst = float(np.max(drifts))
-    checks.append(
-        CheckRecord(
-            "bundle.h_norm_invariance", worst <= 1e-12, 1e-12 - worst,
-            {"max_relative_drift": worst},
-        )
-    )
+    yield worst <= 1e-12, 1e-12 - worst, {"max_relative_drift": worst}
 
     curv = bundle_curvature(cp)
     eigs = np.linalg.eigvalsh(0.5 * (curv + curv.T))
-    checks.append(
-        CheckRecord(
-            "bundle.curvature_negative_definite",
-            bool(np.all(eigs < 0.0)),
-            float(-np.max(eigs)),
-            {"eigenvalues": [float(e) for e in eigs]},
-        )
-    )
+    yield bool(np.all(eigs < 0.0)), float(-np.max(eigs)), {"eigenvalues": [float(e) for e in eigs]}
 
     lam = lambda_const(cfg.t0, cfg.l)
-    # independent route: quotient radius of the orbit point at height t0
     boundary = orbit_coords(0.0, np.zeros(cfg.n - 1), cfg.t0)
     lam_q = abs(quotient_to_omega(boundary, cfg.l)[0])
     drift = abs(lam - lam_q)
@@ -348,19 +311,14 @@ def _suite_bundle(cfg: SuiteConfig) -> list[CheckRecord]:
         cusp_to_disk(cfg.A + 1.0, elem, cfg.A)
     except ValueError as e:
         domain_err = str(e)
-    checks.append(
-        CheckRecord(
-            "bundle.disk_coordinates",
-            drift <= 1e-12 and abs(abs(a_disk) - t_probe) <= 1e-12 and domain_err is not None,
-            1e-12 - drift,
-            {"lambda": lam, "lambda_quotient_route": lam_q, "domain_error": domain_err},
-        )
+    yield (
+        drift <= 1e-12 and abs(abs(a_disk) - t_probe) <= 1e-12 and domain_err is not None,
+        1e-12 - drift,
+        {"lambda": lam, "lambda_quotient_route": lam_q, "domain_error": domain_err},
     )
-    return checks
 
 
-def _suite_cayley(cfg: SuiteConfig) -> list[CheckRecord]:
-    checks: list[CheckRecord] = []
+def _cayley_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
     rng = np.random.default_rng(cfg.seed + 31)
     per_form = max(5, min(cfg.samples, 400) // 20)
     runs = 0
@@ -386,13 +344,10 @@ def _suite_cayley(cfg: SuiteConfig) -> list[CheckRecord]:
             all_exact &= qc.in_unitary_group(Mq, B.matrix(cfg.d))
             worst_err = max(worst_err, float(np.max(np.abs(Mq.to_complex() - M))))
             runs += 1
-    checks.append(
-        CheckRecord(
-            "cayley.exact_unitarity",
-            all_exact and worst_err <= cfg.eps,
-            cfg.eps - worst_err,
-            {"max_entry_error": worst_err, "eps": cfg.eps, "runs": runs},
-        )
+    yield (
+        all_exact and worst_err <= cfg.eps,
+        cfg.eps - worst_err,
+        {"max_entry_error": worst_err, "eps": cfg.eps, "runs": runs},
     )
 
     B = qc.HermitianDiagForm((Fraction(1), Fraction(2), Fraction(3)))
@@ -406,13 +361,10 @@ def _suite_cayley(cfg: SuiteConfig) -> list[CheckRecord]:
     fill_ok = qc.in_cayley_image(S, B)
     M = qc.cayley(S)
     invol_ok = qc.cayley(M) == S and qc.in_unitary_group(M, B.matrix(cfg.d))
-    checks.append(
-        CheckRecord(
-            "cayley.involution_and_fill",
-            fill_ok and invol_ok,
-            0.0 if (fill_ok and invol_ok) else -1.0,
-            {"constraint_exact": fill_ok, "involution_exact": invol_ok},
-        )
+    yield (
+        fill_ok and invol_ok,
+        0.0 if (fill_ok and invol_ok) else -1.0,
+        {"constraint_exact": fill_ok, "involution_exact": invol_ok},
     )
 
     H = qc.polarized_form_matrix(cfg.n, cfg.d)
@@ -433,13 +385,10 @@ def _suite_cayley(cfg: SuiteConfig) -> list[CheckRecord]:
         fixed_ok = False
     vfix = qc.unipotent_fixed_vector(qc.QuadMatrix.identity(cfg.n + 1, cfg.d), H)
     ident_ok = qc.form_value(H, vfix, vfix).a <= 0
-    checks.append(
-        CheckRecord(
-            "cayley.fixed_vectors",
-            fixed_ok and ident_ok,
-            0.0 if (fixed_ok and ident_ok) else -1.0,
-            {"heisenberg_case": fixed_ok, "identity_case": ident_ok},
-        )
+    yield (
+        fixed_ok and ident_ok,
+        0.0 if (fixed_ok and ident_ok) else -1.0,
+        {"heisenberg_case": fixed_ok, "identity_case": ident_ok},
     )
 
     orders = {}
@@ -455,16 +404,10 @@ def _suite_cayley(cfg: SuiteConfig) -> list[CheckRecord]:
         got = qc.root_of_unity_power(qc.QuadMatrix([[alpha]]), [qc.qone(cfg.d)])
         orders[name] = got
         ok &= got == want
-    checks.append(
-        CheckRecord(
-            "cayley.root_of_unity_orders", ok, 0.0 if ok else -1.0, {"orders": orders}
-        )
-    )
-    return checks
+    yield ok, 0.0 if ok else -1.0, {"orders": orders}
 
 
-def _suite_psh(cfg: SuiteConfig) -> list[CheckRecord]:
-    checks: list[CheckRecord] = []
+def _psh_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
     pr = psh.RegMaxParams(eta=0.5)
     rng = np.random.default_rng(cfg.seed + 41)
     defects = []
@@ -480,13 +423,10 @@ def _suite_psh(cfg: SuiteConfig) -> list[CheckRecord]:
     worst = float(np.max(defects))
     diag = psh.reg_max(0.0, 0.0, pr)
     diag_ok = 0.0 < diag < 2.0 * pr.eta
-    checks.append(
-        CheckRecord(
-            "psh.reg_max_properties",
-            worst <= 1e-9 and diag_ok,
-            1e-9 - worst,
-            {"worst_defect": worst, "diagonal_excess": diag},
-        )
+    yield (
+        worst <= 1e-9 and diag_ok,
+        1e-9 - worst,
+        {"worst_defect": worst, "diagonal_excess": diag},
     )
 
     rng = np.random.default_rng(cfg.seed + 43)
@@ -497,14 +437,11 @@ def _suite_psh(cfg: SuiteConfig) -> list[CheckRecord]:
     vals = chi(np.array([v for _, v in psi_samples]))
     margins = vals - np.array([v for _, v in phi_samples])
     chi_ok = bool(np.all(margins > 0)) and chi(0.0) == 0.0
-    checks.append(
-        CheckRecord(
-            "psh.chi_domination",
-            chi_ok,
-            float(margins.min()),
-            {"min_margin": float(margins.min()), "chi_at_zero": chi(0.0),
-             "slopes": list(chi.slopes)},
-        )
+    yield (
+        chi_ok,
+        float(margins.min()),
+        {"min_margin": float(margins.min()), "chi_at_zero": chi(0.0),
+         "slopes": list(chi.slopes)},
     )
 
     cp = cfg.cusp_params()
@@ -519,11 +456,7 @@ def _suite_psh(cfg: SuiteConfig) -> list[CheckRecord]:
         rep = psh.complex_hessian(lambda z: psh.phi_cusp_ambient(z, cp), z0)
         eigs.append(rep.min_eigenvalue)
     min_eig = float(np.min(eigs))
-    checks.append(
-        CheckRecord(
-            "psh.phi_cusp_hessian", min_eig > 0.0, min_eig, {"min_eigenvalue": min_eig}
-        )
-    )
+    yield min_eig > 0.0, min_eig, {"min_eigenvalue": min_eig}
 
     eta = 0.5
     pp = psh.RegMaxParams(eta=eta)
@@ -535,43 +468,75 @@ def _suite_psh(cfg: SuiteConfig) -> list[CheckRecord]:
     glued = psh.glue_exhaustion(phi2, psi2, band, pp)
     outer_dev = max(abs(glued(t) - psi2(t)) for t in band.outer)
     inner_ok = all(glued(t) >= phi2(t) for t in band.inner)
-    checks.append(
-        CheckRecord(
-            "psh.glue_outer_band",
-            outer_dev == 0.0 and inner_ok,
-            -outer_dev,
-            {"outer_deviation": outer_dev, "inner_dominates": inner_ok},
-        )
+    yield (
+        outer_dev == 0.0 and inner_ok,
+        -outer_dev,
+        {"outer_deviation": outer_dev, "inner_dominates": inner_ok},
     )
-    return checks
 
 
-_SUITE_RUNNERS = {
-    "profile": _suite_profile,
-    "curvature": _suite_curvature,
-    "bundle": _suite_bundle,
-    "cayley": _suite_cayley,
-    "psh": _suite_psh,
+# The one table of checks: per suite, its check function and the checks
+# that function yields results for, in report order.
+_SUITES = {
+    "profile": (_profile_checks, (
+        Check("profile.positive_derivatives", ("CutoffProfile.positivity_margins",),
+              "samples f, f', f'', f''' on the build_cutoff grid only"),
+        Check("profile.endpoint_jets_exact", ("CutoffProfile.jet_at", "math.exp")),
+        Check("profile.psi_residual", ("solve_psi", "PsiSolution.max_residual")),
+        Check("profile.psi_identity_exp_region", ("solve_psi", "PsiSolution.identity_defect")),
+    )),
+    "curvature": (_curvature_checks, (
+        Check("curvature.space_form_blocks", ("hs_blocks", "CurvatureOracle.sectional")),
+        Check("curvature.formula_vs_oracle", ("bisectional", "CurvatureOracle.bisectional")),
+        Check("curvature.nonpositivity_certificate", ("hbc_certificate",),
+              "samples the one closed form bisectional at random points"),
+        Check("curvature.ricci_bounds", ("ricci",),
+              "compares the closed-form Ricci with the constants -(2n+2) and -2"),
+    )),
+    "bundle": (_bundle_checks, (
+        Check("bundle.h_norm_invariance", ("h_norm", "lattice_act")),
+        Check("bundle.curvature_negative_definite", ("bundle_curvature",),
+              "reads the hard-coded -(2 pi / l) Id"),
+        Check("bundle.disk_coordinates", ("lambda_const", "quotient_to_omega")),
+    )),
+    "cayley": (_cayley_checks, (
+        Check("cayley.exact_unitarity", ("approximate_in_Ul", "in_unitary_group")),
+        Check("cayley.involution_and_fill", ("constraint_fill", "in_cayley_image")),
+        Check("cayley.fixed_vectors", ("unipotent_fixed_vector", "QuadMatrix.apply")),
+        Check("cayley.root_of_unity_orders", ("root_of_unity_power",),
+              "compares with orders written as literals"),
+    )),
+    "psh": (_psh_checks, (
+        Check("psh.reg_max_properties", ("reg_max", "max")),
+        Check("psh.chi_domination", ("build_chi",), "runs on synthetic level sets"),
+        Check("psh.phi_cusp_hessian", ("complex_hessian",),
+              "trusts one finite-difference Hessian"),
+        Check("psh.glue_outer_band", ("glue_exhaustion",), "runs on synthetic linear candidates"),
+    )),
 }
+SUITES = (*_SUITES, "all")
 
 
 def run_suite(cfg: SuiteConfig) -> Report:
-    names = (
-        ["profile", "curvature", "bundle", "cayley", "psh"]
-        if cfg.suite == "all"
-        else [cfg.suite]
-    )
-    checks: list[CheckRecord] = []
+    names = list(_SUITES) if cfg.suite == "all" else [cfg.suite]
+    records: list[CheckRecord] = []
     timings: dict[str, float] = {}
     for name in names:
+        check_fn, checks = _SUITES[name]
         start = time.perf_counter()
-        checks.extend(_SUITE_RUNNERS[name](cfg))
+        results = list(check_fn(cfg))
         timings[name] = time.perf_counter() - start
+        if len(results) != len(checks):
+            # a program bug, not a usage error: main lets it propagate
+            raise RuntimeError(
+                f"the {name} suite gave {len(results)} results for {len(checks)} checks"
+            )
+        records += [CheckRecord(c.name, *r) for c, r in zip(checks, results)]
     return Report(
         suite=cfg.suite,
         config=cfg.to_dict(),
         config_hash=_config_hash(cfg),
-        checks=checks,
+        checks=records,
         timings=timings,
     )
 
@@ -600,6 +565,9 @@ def _curvature_summary(mp: cv.MetricPoint, seed: int) -> dict:
 def run_sweep(axis: str, start: float, stop: float, steps: int, cfg: SuiteConfig, out: Path) -> None:
     if steps < 1:
         raise ValueError("steps must be at least 1")
+    for flag, value in (("--from", start), ("--to", stop)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be a finite number, got {value}")
     if stop < start:
         raise ValueError("empty range: --to is below --from")
     values = [start] if steps == 1 else list(np.linspace(start, stop, steps))

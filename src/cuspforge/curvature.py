@@ -52,14 +52,12 @@ __all__ = [
     "bisectional",
     "ricci",
     "ricci_coefficients",
-    "ricci_trace",
     "rz_plane_curvature",
     "bianchi_check",
     "poly_P",
     "discriminant_inequality",
     "CurvatureOracle",
     "oracle_for",
-    "oracle_curvature",
     "hbc_certificate",
     "random_frame_vector",
 ]
@@ -504,18 +502,6 @@ def _require_point(mp: MetricPoint) -> None:
 @lru_cache(maxsize=1)
 def oracle_for(mp: MetricPoint) -> CurvatureOracle:
     return CurvatureOracle(mp)
-
-
-def oracle_curvature(
-    Y: FrameVector, Z: FrameVector, W: FrameVector, V: FrameVector, mp: MetricPoint
-) -> float:
-    """R(Y, Z, W, V) computed independently of the closed forms."""
-    return oracle_for(mp).evaluate(Y, Z, W, V)
-
-
-def ricci_trace(Xi: FrameVector, mp: MetricPoint) -> float:
-    """Oracle Ricci, for cross-checking the closed-form ricci."""
-    return oracle_for(mp).ricci(Xi)
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,42 @@ class TestRunSuite:
             assert set(check) == {"name", "passed", "margin", "witness"}
 
 
+ALL_CHECKS = [check for _, checks in cli._SUITES.values() for check in checks]
+
+
+class TestCheckTable:
+    def test_check_names_are_unique(self):
+        names = [c.name for c in ALL_CHECKS]
+        assert len(set(names)) == len(names) == 19
+
+    @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda c: c.name)
+    def test_two_routes_or_a_reason_for_one(self, check):
+        assert all(isinstance(r, str) and r for r in check.routes)
+        if len(check.routes) == 1:
+            assert check.why_one_route
+        else:
+            assert len(check.routes) == 2 and not check.why_one_route
+
+    def test_report_names_follow_the_table(self):
+        report = run_suite(SuiteConfig(samples=30))
+        assert [c.name for c in report.checks] == [c.name for c in ALL_CHECKS]
+        assert list(report.timings) == list(SUITES[:-1])
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_result_count_mismatch_is_a_program_error(self, monkeypatch, extra):
+        check_fn, checks = cli._SUITES["bundle"]
+
+        def miscounted(cfg):
+            results = list(check_fn(cfg))
+            return results[:-1] if extra < 0 else [*results, results[-1]]
+
+        monkeypatch.setitem(cli._SUITES, "bundle", (miscounted, checks))
+        with pytest.raises(RuntimeError, match="bundle suite gave"):
+            run_suite(SuiteConfig(suite="bundle", samples=10))
+        with pytest.raises(RuntimeError):
+            main(["verify", "bundle", "--samples", "10"])
+
+
 class TestMainVerify:
     def test_exit_zero_and_pass_lines(self, capsys):
         rc = main(["verify", "bundle", "--samples", "50"])
@@ -430,6 +466,20 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "t", "--to", "1", "--steps", "3"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("axis", ["t", "A", "n", "l"])
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    @pytest.mark.parametrize("flag", ["--from", "--to"])
+    def test_non_finite_bound_names_its_flag(self, tmp_path, capsys, axis, bad, flag):
+        bounds = {"--from": "2", "--to": "2", flag: bad}
+        out = tmp_path / "s.csv"
+        argv = ["sweep", axis, *(x for kv in bounds.items() for x in kv), "--steps", "2"]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert lines[0].startswith("error: ") and flag in lines[0]
+        assert not out.exists()
 
     def test_main_sweep_writes_file(self, tmp_path, capsys):
         out = tmp_path / "s.csv"

@@ -18,13 +18,11 @@ from cuspforge.curvature import (
     discriminant_inequality,
     hbc_certificate,
     hs_blocks,
-    oracle_curvature,
     oracle_for,
     poly_P,
     random_frame_vector,
     ricci,
     ricci_coefficients,
-    ricci_trace,
     rz_plane_curvature,
 )
 
@@ -167,7 +165,7 @@ class TestRicci:
         for mp in sample_points():
             for _ in range(15):
                 Xi = random_frame_vector(rng, mp.n)
-                assert ricci(Xi, mp) == pytest.approx(ricci_trace(Xi, mp), rel=1e-9, abs=1e-10)
+                assert ricci(Xi, mp) == pytest.approx(oracle_for(mp).ricci(Xi), rel=1e-9, abs=1e-10)
 
     def test_einstein_at_exp(self, rng):
         for n in (2, 3, 4):
@@ -271,11 +269,6 @@ class TestOracle:
             return
         k = orc.sectional(X, Y)
         assert -4.0 - 1e-8 <= k <= -1.0 + 1e-8
-
-    def test_oracle_curvature_wrapper(self, rng):
-        mp = MetricPoint.exp_model(0.2, 3)
-        X, Y = random_frame_vector(rng, 3), random_frame_vector(rng, 3)
-        assert oracle_curvature(X, Y, X, Y, mp) == oracle_for(mp)(X, Y, X, Y)
 
 
 def per_sample_certificate(p, samples, n, seed, strict_ratio=1e-10):
@@ -570,16 +563,10 @@ class TestOracleBuild:
         with pytest.raises(ValueError, match=r"one metric point.*\(3, 4\)"):
             CurvatureOracle(mp)
 
-    def test_cached_routes_reject_a_batched_metric_point(self, default_profile, rng):
+    def test_cached_routes_reject_a_batched_metric_point(self, default_profile):
         # oracle_for hashes its argument before building, so the point check
         # must run there too, not only in CurvatureOracle
         ts = np.array([0.5, 2.0, 5.5])
         mp = MetricPoint.from_jet(ts, default_profile.jet_at(ts), 3)
-        X = random_frame_vector(rng, 3)
-        for call in (
-            lambda: oracle_for(mp),
-            lambda: oracle_curvature(X, X, X, X, mp),
-            lambda: ricci_trace(X, mp),
-        ):
-            with pytest.raises(ValueError, match=r"one metric point.*\(3, 4\)"):
-                call()
+        with pytest.raises(ValueError, match=r"one metric point.*\(3, 4\)"):
+            oracle_for(mp)
