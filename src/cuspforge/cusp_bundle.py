@@ -52,7 +52,7 @@ class CuspParams:
     n: int
 
     def __post_init__(self) -> None:
-        if self.l <= 0.0:
+        if not self.l > 0.0:
             raise ValueError("center period l must be positive")
         if self.n < 2:
             raise ValueError("dimension n must be at least 2")

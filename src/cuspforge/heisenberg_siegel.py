@@ -156,7 +156,7 @@ def quotient_to_omega(p: SiegelPoint, l: float) -> tuple[complex, np.ndarray]:
     The map (a, v) -> (exp(2 pi a / l), v) is invariant under the center and
     sends the Siegel domain onto { 0 < |first| < exp(-pi |v|^2 / l) }.
     """
-    if l <= 0.0:
+    if not l > 0.0:
         raise ValueError("central translation length l must be positive")
     if not p.in_domain():
         raise ValueError("point outside the Siegel domain")
@@ -166,7 +166,7 @@ def quotient_to_omega(p: SiegelPoint, l: float) -> tuple[complex, np.ndarray]:
 
 def lambda_const(t0: float, l: float) -> float:
     """lambda(t0) = exp(-2 pi e^(-2 t0) / l), the horoball radius constant."""
-    if l <= 0.0:
+    if not l > 0.0:
         raise ValueError("central translation length l must be positive")
     return math.exp(-2.0 * math.pi * math.exp(-2.0 * t0) / l)
 
@@ -177,7 +177,7 @@ def rescale(g: HeisenbergElement, l: float) -> HeisenbergElement:
     Normalizes the central period from l to 2 pi; the horizontal scaling
     by sqrt(2 pi / l) is what keeps the commutator twist consistent.
     """
-    if l <= 0.0:
+    if not l > 0.0:
         raise ValueError("central translation length l must be positive")
     c = 2.0 * math.pi / l
     return HeisenbergElement(c * g.s, math.sqrt(c) * g.v)

@@ -6,7 +6,9 @@ the scalar API.  Matrices over the field support exact inverse,
 determinant, and Hermitian-form identities with zero tolerance.  A matrix
 is stored only as (X + Y sqrt(-d))/D with integer arrays X, Y and the
 least common denominator D, reduced by one gcd per result; its QuadElem
-entries are a read-only view.  Sums and products are integer array
+entries are a read-only view.  Exact input, whether matrix entries,
+vectors or scalars, is checked and converted to that form in one place,
+_checked.  Sums and products are integer array
 operations, the unitarity test compares the pulled-back form with H, and
 inverse, determinant and the kernel behind fixed vectors share one
 fraction-free Gauss-Jordan reduction over Z[sqrt(-d)] (Bareiss).  The
@@ -189,23 +191,23 @@ def _quads(X: np.ndarray, Y: np.ndarray, D: int, d: int) -> np.ndarray:
     return np.array(quads, dtype=object).reshape(X.shape)
 
 
+def _checked(arr: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Integer form (X, Y, D) of an object array, checked in row-major order
+    to hold only QuadElem over the field d.  The one check of exact input."""
+    for idx, e in np.ndenumerate(arr):
+        if not isinstance(e, QuadElem):
+            where = idx if arr.ndim > 1 else idx[0]
+            raise TypeError(f"entry {e!r} at {where} is not a QuadElem")
+        if e.d != d:
+            raise ValueError(f"mixed fields: d = {d} vs {e.d}")
+    return _ints(arr)
+
+
 def _vector(vec: Sequence[QuadElem], m: int, d: int) -> tuple:
     """Integer form (x, y, D) of vec, checked to hold m QuadElem over the field d."""
     if len(vec) != m:
         raise ValueError("vector length mismatch")
-    for i, e in enumerate(vec):
-        if not isinstance(e, QuadElem):
-            raise TypeError(f"entry {e!r} at {i} is not a QuadElem")
-        if e.d != d:
-            raise ValueError(f"mixed fields: d = {d} vs {e.d}")
-    return _ints(np.array(vec, dtype=object))
-
-
-def _diagonal_grid(diag: Sequence[RationalLike], d: int) -> np.ndarray:
-    """Writable object array of QuadElem with diag on the diagonal, zero elsewhere."""
-    grid = np.full((len(diag), len(diag)), qzero(d), dtype=object)
-    np.fill_diagonal(grid, [QuadElem(_frac(v), Fraction(0), d) for v in diag])
-    return grid
+    return _checked(np.fromiter(vec, dtype=object, count=m), d)
 
 
 def _wmul(X1, Y1, X2, Y2, d: int) -> tuple:
@@ -300,14 +302,10 @@ class QuadMatrix:
         m = len(arr)
         if m == 0 or arr.shape != (m, m):
             raise ValueError("square nonempty entry grid required")
-        for (i, j), e in np.ndenumerate(arr):
-            if not isinstance(e, QuadElem):
-                raise TypeError(f"entry {e!r} at ({i}, {j}) is not a QuadElem")
-        d = arr[0, 0].d
-        if any(e.d != d for e in arr.flat):
-            raise ValueError("all entries must share d")
+        # a non-QuadElem first entry has no d and fails the check at (0, 0)
+        d = getattr(arr[0, 0], "d", None)
         # the least common denominator of reduced fractions leaves gcd 1
-        self.X, self.Y, self.D = _ints(arr)
+        self.X, self.Y, self.D = _checked(arr, d)
         self.m, self.d = m, d
 
     @classmethod
@@ -329,7 +327,9 @@ class QuadMatrix:
 
     @classmethod
     def diagonal(cls, diag: Sequence[RationalLike], d: int) -> "QuadMatrix":
-        return cls(_diagonal_grid(diag, d))
+        grid = np.full((len(diag), len(diag)), qzero(d), dtype=object)
+        np.fill_diagonal(grid, [QuadElem(_frac(v), Fraction(0), d) for v in diag])
+        return cls(grid)
 
     @property
     def entries(self) -> np.ndarray:
@@ -362,7 +362,7 @@ class QuadMatrix:
 
     def scale(self, c: QuadElem | RationalLike) -> "QuadMatrix":
         cc = c if isinstance(c, QuadElem) else QuadElem(_frac(c), Fraction(0), self.d)
-        (cx,), (cy,), cD = _vector([cc], 1, self.d)
+        (cx,), (cy,), cD = _checked(np.array([cc]), self.d)
         X, Y = cx * self.X - self.d * cy * self.Y, cx * self.Y + cy * self.X
         return QuadMatrix._reduced(X, Y, cD * self.D, self.d)
 
@@ -421,7 +421,11 @@ class QuadMatrix:
         d, rows = int(data["d"]), data["entries"]
         if len(rows) != int(data["m"]):
             raise ValueError(f"m = {data['m']} disagrees with {len(rows)} entry rows")
-        return cls([[QuadElem(Fraction(x), Fraction(y), d) for x, y in row] for row in rows])
+        try:
+            grid = [[QuadElem(Fraction(x), Fraction(y), d) for x, y in row] for row in rows]
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in entries: {exc}") from exc
+        return cls(grid)
 
     @classmethod
     def from_json(cls, text: str) -> "QuadMatrix":
@@ -523,10 +527,15 @@ def constraint_fill(
 
     Free data: x_upper and y_upper on positions j > i, plus y_upper on the
     diagonal.  The identity forces x_ji = -(b_ii/b_jj) x_ij,
-    y_ji = (b_ii/b_jj) y_ij, and x_ii = 0.
+    y_ji = (b_ii/b_jj) y_ij, and x_ii = 0, so a key anywhere else raises.
     """
     m = B.m
-    S = _diagonal_grid([0] * m, d)
+    for name, data, lo in (("x_upper", x_upper, 1), ("y_upper", y_upper, 0)):
+        for i, j in data:
+            if not (0 <= i and i + lo <= j < m):
+                need = "i < j" if lo else "i <= j"
+                raise ValueError(f"{name} key {(i, j)} is not free: need 0 <= {need} < {m}")
+    S = np.full((m, m), qzero(d), dtype=object)
     for i in range(m):
         S[i, i] = QuadElem(Fraction(0), _frac(y_upper.get((i, i), 0)), d)
         for j in range(i + 1, m):
@@ -560,9 +569,11 @@ def approximate_in_Ul(
     construction and is re-verified; the eps bound is checked numerically
     and the rationalization is tightened until it holds.
     """
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     M = np.asarray(M, dtype=complex)
-    m = M.shape[0]
-    if M.shape != (m, m) or m != B.m:
+    m = B.m
+    if M.shape != (m, m):
         raise ValueError("matrix and form sizes disagree")
     if not np.isfinite(M).all():
         raise ValueError("matrix entries must be finite")
@@ -665,10 +676,8 @@ def unipotent_fixed_vector(
     kernel = _rref_kernel(M - QuadMatrix.identity(M.m, M.d))
     if not kernel:
         raise ValueError("no fixed vectors: kernel of M - I is trivial")
-    basis = [list(v) for v in kernel]
     ortho: list[tuple[list[QuadElem], QuadElem]] = []
-    for vec in basis:
-        w = list(vec)
+    for w in kernel:
         for prev, prev_sq in ortho:
             coef = form_value(H, w, prev) * prev_sq.inv()
             w = [w[i] - coef * prev[i] for i in range(len(w))]
@@ -718,7 +727,7 @@ def polarized_form_matrix(n: int, d: int) -> QuadMatrix:
     """Matrix of 2 Re(a conj(b)) + |v|^2 in the basis with two null vectors."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    H = _diagonal_grid([0, 0] + [1] * (n - 1), d)
+    H = QuadMatrix.diagonal([0, 0] + [1] * (n - 1), d).entries.copy()
     H[0, 1] = H[1, 0] = qone(d)
     return QuadMatrix(H)
 
@@ -733,8 +742,9 @@ def heisenberg_matrix_exact(
     """
     qf = _frac(q)
     v = list(v)
+    _vector(v, len(v), d)  # type and field of v, before e.norm() below
     n = len(v) + 1
-    M = _diagonal_grid([1] * (n + 1), d)
+    M = QuadMatrix.identity(n + 1, d).entries.copy()
     nrm = sum((e.norm() for e in v), Fraction(0))
     M[0, 1] = QuadElem(-nrm / 2, -qf, d)
     for j, e in enumerate(v):

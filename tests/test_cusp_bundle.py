@@ -114,8 +114,9 @@ class TestBundleCurvature:
             assert w[0] == pytest.approx(-2.0 * math.pi / l, rel=1e-14)
 
     def test_params_validation(self):
-        with pytest.raises(ValueError, match="period"):
-            CuspParams(l=0.0, t0=0.0, n=3)
+        for l in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="period"):
+                CuspParams(l=l, t0=0.0, n=3)
         with pytest.raises(ValueError, match="dimension"):
             CuspParams(l=1.0, t0=0.0, n=1)
 

@@ -199,8 +199,16 @@ class TestSiegelDomain:
     def test_lambda_const_range(self):
         assert 0.0 < lambda_const(0.0, 2.0 * math.pi) < 1.0
         assert lambda_const(50.0, 2.0 * math.pi) == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            lambda_const(1.0, 0.0)
+        for l in (0.0, math.nan):
+            with pytest.raises(ValueError, match="must be positive"):
+                lambda_const(1.0, l)
+
+    def test_nan_period_rejected(self):
+        p = orbit_coords(0.0, np.zeros(2), 0.5)
+        g = HeisenbergElement(1.0, np.array([0.5 + 0.5j]))
+        for call in (lambda: quotient_to_omega(p, math.nan), lambda: rescale(g, math.nan)):
+            with pytest.raises(ValueError, match="must be positive"):
+                call()
 
 
 class TestRescale:

@@ -1,5 +1,6 @@
 """Tests for exact arithmetic over Q(sqrt(-d)) and the Cayley density route."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -182,6 +183,28 @@ class TestQuadMatrix:
         with pytest.raises(ValueError, match="mixed fields"):
             A.apply([qone(1), qone(3)])
 
+    def test_one_check_for_every_entry_point(self):
+        # constructor, scale, apply, form_value and heisenberg_matrix_exact
+        # share one check: the first bad entry in row-major order is named
+        with pytest.raises(ValueError, match=r"mixed fields: d = 1 vs 3"):
+            QuadMatrix([[qone(1), qone(3)], [0, qone(1)]])
+        with pytest.raises(TypeError, match=r"entry 0 at \(1, 0\)"):
+            QuadMatrix([[qone(1), qone(1)], [0, qone(3)]])
+        A = QuadMatrix.identity(2, 1)
+        with pytest.raises(ValueError, match=r"mixed fields: d = 1 vs 3"):
+            A.scale(qone(3))
+        with pytest.raises(TypeError, match="entry 0.5 at 1 is not a QuadElem"):
+            form_value(A, [qone(1), qone(1)], [qone(1), 0.5])
+        with pytest.raises(TypeError, match="entry 1 at 0 is not a QuadElem"):
+            heisenberg_matrix_exact(Fraction(1, 2), [1], 1)
+        with pytest.raises(ValueError, match=r"mixed fields: d = 1 vs 7"):
+            heisenberg_matrix_exact(Fraction(1, 2), [qone(1), qomega(7)], 1)
+
+    def test_invalid_field_rejected(self):
+        for build in (lambda: QuadMatrix.identity(2, 4), lambda: polarized_form_matrix(2, 8)):
+            with pytest.raises(ValueError, match="squarefree"):
+                build()
+
     def test_singular_matrix_raises(self):
         with pytest.raises(ZeroDivisionError, match="singular"):
             QuadMatrix.zero(2, 1).inverse()
@@ -223,6 +246,11 @@ class TestQuadMatrix:
             QuadMatrix.from_json_dict({"d": 1, "m": 2, "entries": [[["1", "0"]]]})
         with pytest.raises(ValueError):
             QuadMatrix.from_json_dict({"d": 1, "m": 1, "entries": [[["1", "0"], ["0", "0"]]]})
+
+    def test_json_zero_denominator_is_value_error(self):
+        for pair in (["1/0", "0"], ["0", "3/0"]):
+            with pytest.raises(ValueError, match="zero denominator"):
+                QuadMatrix.from_json(json.dumps({"d": 1, "m": 1, "entries": [[pair]]}))
 
     def test_to_complex_matches_entries(self):
         A = with_entries(QuadMatrix.identity(2, 1), {(1, 0): qe(0, 2, 1)})
@@ -612,6 +640,20 @@ class TestConstraintFill:
         S = constraint_fill({}, {(0, 0): Fraction(1, 2)}, B, 3)
         assert S[(0, 0)] == QuadElem(Fraction(0), Fraction(1, 2), 3)
 
+    def test_data_off_the_free_positions_rejected(self):
+        # x is free only above the diagonal, y on and above it; both within m
+        B = HermitianDiagForm((1, 2))
+        for x, y, key in (
+            ({(1, 0): 1}, {}, r"x_upper key \(1, 0\)"),
+            ({(0, 5): 1}, {}, r"x_upper key \(0, 5\)"),
+            ({(0, 0): 1}, {}, r"x_upper key \(0, 0\)"),
+            ({(-1, 1): 1}, {}, r"x_upper key \(-1, 1\)"),
+            ({}, {(1, 0): 1}, r"y_upper key \(1, 0\)"),
+            ({}, {(2, 2): 1}, r"y_upper key \(2, 2\)"),
+        ):
+            with pytest.raises(ValueError, match=key):
+                constraint_fill(x, y, B, 1)
+
 
 class TestApproximateInUl:
     def test_random_unitaries_approximated_exactly(self, rng):
@@ -666,6 +708,15 @@ class TestApproximateInUl:
         B = HermitianDiagForm((1, 1, 1))
         with pytest.raises(ValueError, match="sizes"):
             approximate_in_Ul(np.eye(2, dtype=complex), B, 1, 1e-6)
+        for M in (np.complex128(1.0), np.eye(3, dtype=complex)[:, :2], np.ones((3, 3, 1))):
+            with pytest.raises(ValueError, match="sizes"):
+                approximate_in_Ul(M, B, 1, 1e-6)
+
+    def test_bad_eps_rejected(self):
+        B = HermitianDiagForm((1, 1))
+        for eps in (0.0, -1e-6, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="eps must be positive and finite"):
+                approximate_in_Ul(np.eye(2, dtype=complex), B, 1, eps)
 
 
 class TestIntegerRoute:
