@@ -98,12 +98,7 @@ class SuiteConfig:
             raise ValueError("window must sit strictly inside (0, A)")
         if self.l <= 0:
             raise ValueError("l must be positive")
-        try:
-            lam = lambda_const(self.t0, self.l)
-        except OverflowError:  # e^(-2 t0) overflows, so lambda(t0) is 0
-            lam = 0.0
-        if not lam > 0.0:  # lambda(t0) <= 1 for l > 0
-            raise ValueError(f"t0 = {self.t0} and l = {self.l} give lambda(t0) = {lam}, not > 0")
+        self.cusp_params()  # rejects a t0 with lambda(t0) = 0
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -570,7 +565,7 @@ def run_sweep(axis: str, start: float, stop: float, steps: int, cfg: SuiteConfig
             raise ValueError(f"{flag} must be a finite number, got {value}")
     if stop < start:
         raise ValueError("empty range: --to is below --from")
-    values = [start] if steps == 1 else list(np.linspace(start, stop, steps))
+    values = list(np.linspace(start, stop, steps))
     rows: list[dict] = []
     if axis == "t":
         p = build_cutoff(cfg.A, cfg.window)
@@ -694,7 +689,7 @@ def main(argv: list[str] | None = None) -> int:
         run_sweep(args.axis, args.sweep_from, args.sweep_to, args.steps, cfg, out)
         print(f"sweep written to {out}")
         return 0
-    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,7 +45,12 @@ class BundlePoint:
 
 @dataclass(frozen=True)
 class CuspParams:
-    """Center period l > 0, horoball depth t0, ambient dimension n."""
+    """Center period l > 0, horoball depth t0, ambient dimension n.
+
+    The depth t0 must be finite with lambda(t0) = exp(-2 pi e^(-2 t0) / l)
+    > 0, since h_norm divides by it; a t0 so negative that e^(-2 t0)
+    overflows counts as lambda(t0) = 0.
+    """
 
     l: float
     t0: float
@@ -56,6 +61,14 @@ class CuspParams:
             raise ValueError("center period l must be positive")
         if self.n < 2:
             raise ValueError("dimension n must be at least 2")
+        if not math.isfinite(self.t0):
+            raise ValueError(f"horoball depth t0 must be finite, got {self.t0}")
+        try:
+            lam = lambda_const(self.t0, self.l)
+        except OverflowError:
+            lam = 0.0
+        if not lam > 0.0:  # lambda(t0) <= 1 for l > 0
+            raise ValueError(f"t0 = {self.t0} and l = {self.l} give lambda(t0) = {lam}, not > 0")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ exact and nondecreasing slopes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -112,20 +111,19 @@ class ChiFunction:
         if self.breakpoints and self.breakpoints[0] <= self.radius:
             raise ValueError("first breakpoint inside smoothing radius of 0")
 
-    def __call__(self, t):
+    def _hinge_sum(self, t, hinge: Callable[[np.ndarray], np.ndarray]):
         t = np.asarray(t, dtype=float)
         out = self.slopes[0] * t
         for bp, s_lo, s_hi in zip(self.breakpoints, self.slopes, self.slopes[1:]):
-            out = out + (s_hi - s_lo) * _smoothed_hinge(t - bp, self.radius)
+            out = out + (s_hi - s_lo) * hinge(t - bp)
         return float(out) if out.ndim == 0 else out
+
+    def __call__(self, t):
+        return self._hinge_sum(t, lambda x: _smoothed_hinge(x, self.radius))
 
     def piecewise_core(self, t):
         """The unsmoothed piecewise-linear minorant."""
-        t = np.asarray(t, dtype=float)
-        out = self.slopes[0] * t
-        for bp, s_lo, s_hi in zip(self.breakpoints, self.slopes, self.slopes[1:]):
-            out = out + (s_hi - s_lo) * np.maximum(t - bp, 0.0)
-        return float(out) if out.ndim == 0 else out
+        return self._hinge_sum(t, lambda x: np.maximum(x, 0.0))
 
 
 _SAFETY = 0.5  # how far chi's knot targets clear the phi levels they cover
@@ -145,53 +143,44 @@ def build_chi(
     gives a staircase majorant; greedy nondecreasing slopes make it
     convex and hinge smoothing at radius m/4 keeps chi(0) = 0 exact.
 
-    Raises ValueError when min psi <= 0 (the gluing construction needs
-    m > 0) or phi samples are not positive.
+    Raises ValueError when a sample is not finite, min psi <= 0 (the
+    gluing construction needs m > 0) or phi samples are not positive.
     """
     if len(phi_samples) != len(psi_samples) or not phi_samples:
         raise ValueError("need matching nonempty sample lists")
     phis = np.array([v for _, v in phi_samples], dtype=float)
     psis = np.array([v for _, v in psi_samples], dtype=float)
+    for name, vals in (("phi", phis), ("psi", psis)):
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"{name} samples must be finite")
     m = float(psis.min())
     if m <= 0:
         raise ValueError(f"inf psi = {m:.6g} is not positive")
     if phis.min() <= 0:
         raise ValueError("phi samples must be positive")
 
-    levels = np.floor(phis).astype(int) + 1
-    level_ids = sorted(set(levels.tolist()))
-    minima = [float(psis[levels == p].min()) for p in level_ids]
-    n_lvl = len(level_ids)
+    # minima[k]: the psi-minimum of level level_ids[k]; tail_min[k]: the
+    # minimum of minima[k:], which never decreases in k
+    level_ids, level_of = np.unique(np.floor(phis).astype(int) + 1, return_inverse=True)
+    minima = np.full(level_ids.size, np.inf)
+    np.minimum.at(minima, level_of, psis)
+    tail_min = np.minimum.accumulate(minima[::-1])[::-1]
 
-    # suffix minima: tail_min[k] = min(minima[k:]), +inf past the end
-    tail_min = [math.inf] * (n_lvl + 1)
-    for k in range(n_lvl - 1, -1, -1):
-        tail_min[k] = min(minima[k], tail_min[k + 1])
-
-    def first_covered(threshold: float) -> int:
-        # smallest k with all minima[j] >= threshold for j >= k
-        k = n_lvl
-        while k > 0 and tail_min[k - 1] >= threshold:
-            k -= 1
-        return k
-
-    cap_target = level_ids[-1] + 1 + _SAFETY
-    knots: list[float] = []
-    targets: list[float] = []
-    n = 1
-    while True:
-        k_next = first_covered((n + 1) * m)
-        target = cap_target if k_next >= n_lvl else level_ids[k_next] + _SAFETY
-        knots.append(n * m)
-        targets.append(target if not targets else max(target, targets[-1]))
-        if k_next >= n_lvl:
-            break
-        n += 1
+    # knots t_n = n m for n = 1..N, N the least n >= 1 with (n + 1) m past
+    # the last minimum: N <= q + 1 for the floor quotient q, and the
+    # candidate q + 2 absorbs rounding in q
+    last = tail_min[-1]
+    ns = np.arange(1, int(last // m) + 3)
+    ns = ns[: np.argmax((ns + 1) * m > last) + 1]
+    # the first level covered below t_{n+1}; the last knot covers them all
+    first_covered = np.searchsorted(tail_min, (ns + 1) * m)
+    targets = np.append(level_ids, level_ids[-1] + 1)[first_covered] + _SAFETY
+    knots = ns * m
 
     slopes: list[float] = []
     value = 0.0
     prev_t = 0.0
-    for t, v in zip(knots, targets):
+    for t, v in zip(knots.tolist(), np.maximum.accumulate(targets).tolist()):
         need = (v - value) / (t - prev_t)
         s = max(slopes[-1] if slopes else 0.0, need)
         value += s * (t - prev_t)
@@ -199,13 +188,9 @@ def build_chi(
         prev_t = t
 
     # collapse equal-slope segments; breakpoints are where the slope grows
-    breakpoints: list[float] = []
-    kept: list[float] = [slopes[0]]
-    for t, s in zip(knots, slopes[1:]):
-        if s > kept[-1]:
-            breakpoints.append(t)
-            kept.append(s)
-    return ChiFunction(tuple(breakpoints), tuple(kept), radius=m / 4.0)
+    grows = np.diff(slopes) > 0
+    kept = np.array(slopes)[np.append(True, grows)]
+    return ChiFunction(tuple(knots[:-1][grows].tolist()), tuple(kept.tolist()), radius=m / 4.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Tests for the command-line verification driver."""
 
+import builtins
 import csv
+import importlib
 import json
 import math
+import pkgutil
 import re
 import tempfile
 from pathlib import Path
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cuspforge
 from cuspforge import cli
 from cuspforge.cli import (
     AXES,
@@ -113,6 +117,7 @@ class TestMergeConfig:
 
 
 class TestConfigUsageErrors:
+    # a dict is written as JSON, a string as it stands
     CASES = [
         ({"bogus": 1}, []),
         ({"window": 5}, []),
@@ -136,6 +141,7 @@ class TestConfigUsageErrors:
         (None, ["--t0", "-400"]),
         (None, ["--l", "0.05"]),
         (None, ["--l", "1e-3"]),
+        ("{not json", []),
     ]
 
     @pytest.mark.parametrize("config,flags", CASES)
@@ -143,7 +149,7 @@ class TestConfigUsageErrors:
         argv = ["verify", "bundle", *flags]
         if config is not None:
             cfg_file = tmp_path / "cfg.json"
-            cfg_file.write_text(json.dumps(config))
+            cfg_file.write_text(config if isinstance(config, str) else json.dumps(config))
             argv += ["--config", str(cfg_file)]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -274,6 +280,10 @@ class TestRunSuite:
 
 
 ALL_CHECKS = [check for _, checks in cli._SUITES.values() for check in checks]
+CUSPFORGE_MODULES = [
+    importlib.import_module(f"cuspforge.{info.name}")
+    for info in pkgutil.iter_modules(cuspforge.__path__)
+]
 
 
 class TestCheckTable:
@@ -288,6 +298,24 @@ class TestCheckTable:
             assert check.why_one_route
         else:
             assert len(check.routes) == 2 and not check.why_one_route
+
+    @pytest.mark.parametrize(
+        "route", sorted({r for c in ALL_CHECKS for r in c.routes})
+    )
+    def test_route_names_an_existing_function(self, route):
+        # a cuspforge function or Class.method, or a builtin or math function
+        head, _, attr = route.partition(".")
+        if head == "math":
+            target = getattr(math, attr, None)
+        else:
+            owners = [getattr(mod, head) for mod in CUSPFORGE_MODULES if hasattr(mod, head)]
+            owners = [o for o in owners if getattr(o, "__module__", "").startswith("cuspforge.")]
+            if not owners and not attr:
+                owners = [getattr(builtins, head, None)]
+            target = owners[0] if owners else None
+            if attr:
+                target = getattr(target, attr, None) if isinstance(target, type) else None
+        assert callable(target), route
 
     def test_report_names_follow_the_table(self):
         report = run_suite(SuiteConfig(samples=30))

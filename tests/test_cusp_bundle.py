@@ -1,6 +1,7 @@
 """Tests for the punctured-disk-bundle coordinates of a cusp quotient."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,15 @@ class TestBundleCurvature:
                 CuspParams(l=l, t0=0.0, n=3)
         with pytest.raises(ValueError, match="dimension"):
             CuspParams(l=1.0, t0=0.0, n=1)
+        for t0 in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="t0 must be finite"):
+                CuspParams(l=1.0, t0=t0, n=3)
+        # lambda(t0) underflows to 0 at t0 = -5 and e^(-2 t0) overflows at -400;
+        # h_norm, which divides by lambda(t0), never sees either
+        for t0 in (-5.0, -400.0):
+            msg = f"t0 = {t0} and l = {2.0 * math.pi} give lambda(t0) = 0.0, not > 0"
+            with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+                CuspParams(l=2.0 * math.pi, t0=t0, n=3)
 
 
 class TestPowerCover:

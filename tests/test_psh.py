@@ -27,6 +27,98 @@ vals = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 CP = CuspParams(l=2.0 * math.pi, t0=0.0, n=3)
 
 
+def greedy_build_chi(phi_samples, psi_samples):
+    """build_chi as first written, with hand-written loops: the reference
+    the numpy version must match bit for bit."""
+    phis = np.array([v for _, v in phi_samples], dtype=float)
+    psis = np.array([v for _, v in psi_samples], dtype=float)
+    m = float(psis.min())
+    levels = np.floor(phis).astype(int) + 1
+    level_ids = sorted(set(levels.tolist()))
+    minima = [float(psis[levels == p].min()) for p in level_ids]
+    n_lvl = len(level_ids)
+
+    tail_min = [math.inf] * (n_lvl + 1)
+    for k in range(n_lvl - 1, -1, -1):
+        tail_min[k] = min(minima[k], tail_min[k + 1])
+
+    def first_covered(threshold):
+        k = n_lvl
+        while k > 0 and tail_min[k - 1] >= threshold:
+            k -= 1
+        return k
+
+    cap_target = level_ids[-1] + 1 + 0.5
+    knots, targets = [], []
+    n = 1
+    while True:
+        k_next = first_covered((n + 1) * m)
+        target = cap_target if k_next >= n_lvl else level_ids[k_next] + 0.5
+        knots.append(n * m)
+        targets.append(target if not targets else max(target, targets[-1]))
+        if k_next >= n_lvl:
+            break
+        n += 1
+
+    slopes = []
+    value = 0.0
+    prev_t = 0.0
+    for t, v in zip(knots, targets):
+        need = (v - value) / (t - prev_t)
+        s = max(slopes[-1] if slopes else 0.0, need)
+        value += s * (t - prev_t)
+        slopes.append(s)
+        prev_t = t
+
+    breakpoints = []
+    kept = [slopes[0]]
+    for t, s in zip(knots, slopes[1:]):
+        if s > kept[-1]:
+            breakpoints.append(t)
+            kept.append(s)
+    return tuple(breakpoints), tuple(kept), m / 4.0
+
+
+def chi_sample_set(rng, kind):
+    """One seeded (phi, psi) sample set of the given kind."""
+    count = int(rng.integers(1, 60))
+    if kind == "single_level":
+        phis = rng.uniform(3.0, 4.0, count)
+        psis = rng.uniform(0.1, 5.0, count)
+    elif kind == "tied_minima":
+        # psi from a few values, so several levels share one minimum
+        phis = rng.uniform(0.1, 25.0, count)
+        psis = rng.choice([0.3, 0.7, 1.1, 2.9], count)
+    elif kind == "multiple_of_m":
+        # every psi an exact multiple k m of its least value m, phi rising
+        # with k: level minima sit exactly on the thresholds (n + 1) m
+        m = float(rng.uniform(0.05, 2.0))
+        ks = rng.integers(1, 12, count)
+        psis = ks * m
+        phis = ks ** rng.uniform(1.0, 2.5) * rng.uniform(0.9, 1.1, count)
+    elif kind == "cap_target":
+        # all psi below 2 m: a single knot, aimed at the cap target
+        phis = rng.uniform(0.1, 30.0, count)
+        psis = rng.uniform(1.0, 1.99, count)
+    elif kind == "radial":
+        rs = rng.uniform(0.05, 1.0, count)
+        phis = 1.0 / rs
+        psis = float(rng.uniform(0.3, 0.7)) / rs + 0.2
+    elif kind == "convex":
+        # phi grows like a power of psi, so the slopes keep growing
+        psis = rng.uniform(0.2, 6.0, count)
+        phis = psis ** rng.uniform(1.2, 3.0) * rng.uniform(0.8, 1.2, count)
+    else:
+        phis = np.exp(rng.uniform(-3.0, 4.0, count))
+        psis = np.exp(rng.uniform(-2.0, 2.0, count))
+    return list(enumerate(phis.tolist())), list(enumerate(psis.tolist()))
+
+
+CHI_KINDS = (
+    "single_level", "tied_minima", "multiple_of_m", "cap_target", "radial", "convex", "generic",
+)
+
+
 class TestRegMaxParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -183,6 +275,44 @@ class TestBuildChi:
     def test_mismatched_samples_rejected(self):
         with pytest.raises(ValueError, match="matching"):
             build_chi([(0, 1.0)], [])
+
+    @pytest.mark.parametrize(
+        "phi,psi,bad",
+        [
+            # psi = inf on the top phi level: the knot count never stopped growing
+            (2.0, math.inf, "psi"),
+            (math.nan, 1.0, "phi"),
+            (math.inf, 1.0, "phi"),
+            (2.0, math.nan, "psi"),
+        ],
+    )
+    def test_non_finite_samples_rejected(self, phi, psi, bad):
+        phis = [(0, 1.0), (1, phi)]
+        psis = [(0, 1.0), (1, psi)]
+        with pytest.raises(ValueError, match=f"^{bad} samples must be finite$"):
+            build_chi(phis, psis)
+
+    def test_matches_greedy_reference(self):
+        # 1,400 seeded sample sets, 200 of each kind; == on Python floats
+        for seed in range(200):
+            for kind in CHI_KINDS:
+                rng = np.random.default_rng([seed, CHI_KINDS.index(kind)])
+                phi, psi = chi_sample_set(rng, kind)
+                chi = build_chi(phi, psi)
+                got = (chi.breakpoints, chi.slopes, chi.radius)
+                assert got == greedy_build_chi(phi, psi), (seed, kind)
+                assert all(type(x) is float for x in (*got[0], *got[1]))
+                if kind == "cap_target":
+                    assert chi.breakpoints == ()
+
+    def test_cli_sample_sets_match_greedy_reference(self):
+        # the radial sets the psh suite builds, at the CLI's largest count
+        for seed in (0, 9):
+            radii = np.random.default_rng(seed + 43).uniform(0.05, 1.0, 2000)
+            phi = [(float(r), 1.0 / float(r)) for r in radii]
+            psi = [(float(r), 0.5 / float(r) + 0.2) for r in radii]
+            chi = build_chi(phi, psi)
+            assert (chi.breakpoints, chi.slopes, chi.radius) == greedy_build_chi(phi, psi)
 
 
 class TestComplexHessian:
