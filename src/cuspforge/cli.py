@@ -541,20 +541,36 @@ def run_suite(cfg: SuiteConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _curvature_summary(mp: cv.MetricPoint, seed: int) -> dict:
+def _curvature_summary(mp: cv.MetricPoint, seed: int) -> list[dict]:
+    """Summary rows of mp: one for a single point, one per t of (T,) jets.
+    Every point sees the same 120 frame pairs, drawn from seed; the closed
+    forms run once over (T, 1) jets against the pairs, and one oracle per t
+    is built and dropped in turn."""
     F = cv.random_frame_vector(np.random.default_rng(seed), mp.n, (120, 2))
     Y, Xi = F[:, 0], F[:, 1]
-    hbc = cv.bisectional(Y, Xi, mp) / (Y.norm_sq(mp) * Xi.norm_sq(mp))
-    sec = cv.CurvatureOracle(mp).sectional(Y, Xi)
-    coef_h, coef_z = cv.ricci_coefficients(mp)
-    ric_lo = min(-coef_h / mp.f**2, -coef_z / mp.g**2)
-    return {
-        "min_hbc": float(hbc.min()),
-        "max_hbc": float(hbc.max()),
-        "min_ricci_eigenvalue": ric_lo,
-        "sectional_min": float(sec.min()),
-        "sectional_max": float(sec.max()),
-    }
+    ts = np.atleast_1d(mp.t)
+    jets = np.stack(np.broadcast_arrays(mp.f, mp.fp, mp.fpp, mp.fppp), axis=-1).reshape(-1, 4)
+    grid = cv.MetricPoint.from_jet(ts[:, None], jets[:, None], mp.n)
+    norms = Y.norm_sq(grid) * Xi.norm_sq(grid)
+    hbc = cv.bisectional(Y, Xi, grid) / norms
+    xy = Y.inner(Xi, grid)
+    area_sq = norms - xy * xy
+    coef_h, coef_z = cv.ricci_coefficients(grid)
+    ric_lo = np.minimum(-coef_h / grid.f**2, -coef_z / grid.g**2)[:, 0]
+    rows = []
+    for k, (t, jet) in enumerate(zip(ts, jets)):
+        oracle = cv.CurvatureOracle(cv.MetricPoint.from_jet(t, jet, mp.n))
+        sec = oracle.evaluate(Y, Xi, Y, Xi) / area_sq[k]
+        rows.append(
+            {
+                "min_hbc": float(hbc[k].min()),
+                "max_hbc": float(hbc[k].max()),
+                "min_ricci_eigenvalue": float(ric_lo[k]),
+                "sectional_min": float(sec.min()),
+                "sectional_max": float(sec.max()),
+            }
+        )
+    return rows
 
 
 def run_sweep(axis: str, start: float, stop: float, steps: int, cfg: SuiteConfig, out: Path) -> None:
@@ -568,12 +584,13 @@ def run_sweep(axis: str, start: float, stop: float, steps: int, cfg: SuiteConfig
     values = list(np.linspace(start, stop, steps))
     rows: list[dict] = []
     if axis == "t":
-        p = build_cutoff(cfg.A, cfg.window)
+        ts = np.array(values)
         for t in values:
             if not (0.0 < t <= cfg.A):
                 raise ValueError(f"t = {t} outside (0, A]")
-            mp = cv.MetricPoint.from_profile(p, float(t), cfg.n)
-            rows.append({"t": float(t), **_curvature_summary(mp, cfg.seed)})
+        p = build_cutoff(cfg.A, cfg.window)
+        mp = cv.MetricPoint.from_jet(ts, p.jet_at(ts), cfg.n)
+        rows = [{"t": float(t), **row} for t, row in zip(ts, _curvature_summary(mp, cfg.seed))]
     elif axis == "A":
         for A in values:
             if A <= 0:
@@ -594,11 +611,11 @@ def run_sweep(axis: str, start: float, stop: float, steps: int, cfg: SuiteConfig
             if p is None:
                 raise ValueError(f"no admissible profile at A = {A}: {err}")
             mp = cv.MetricPoint.from_profile(p, A / 2.0, cfg.n)
-            rows.append({"A": A, **_curvature_summary(mp, cfg.seed)})
+            rows.append({"A": A, **_curvature_summary(mp, cfg.seed)[0]})
     elif axis == "l":
         p = build_cutoff(cfg.A, cfg.window)
         mp = cv.MetricPoint.from_profile(p, cfg.A / 2.0, cfg.n)
-        base = _curvature_summary(mp, cfg.seed)
+        [base] = _curvature_summary(mp, cfg.seed)
         for l in values:
             # SuiteConfig's own checks reject l <= 0 and lambda(t0) = 0
             swept = replace(cfg, l=float(l))
@@ -610,7 +627,7 @@ def run_sweep(axis: str, start: float, stop: float, steps: int, cfg: SuiteConfig
             if n < 2:
                 raise ValueError("n must be at least 2")
             mp = cv.MetricPoint.from_profile(p, cfg.A / 2.0, n)
-            rows.append({"n": n, **_curvature_summary(mp, cfg.seed)})
+            rows.append({"n": n, **_curvature_summary(mp, cfg.seed)[0]})
     else:
         raise ValueError(f"unknown axis {axis!r}")
 

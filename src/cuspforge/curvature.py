@@ -378,10 +378,16 @@ def _koszul(c: np.ndarray, M: np.ndarray, Mp: np.ndarray) -> np.ndarray:
     return K
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rows of a (x) b flattened to (..., m^2), broadcast over the leading axes."""
-    ab = a[..., :, None] * b[..., None, :]
-    return ab.reshape(ab.shape[:-2] + (a.shape[-1] * b.shape[-1],))
+@lru_cache(maxsize=8)
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(I, J) with the pairs i < j of range(m) in row-major order, and the
+    gathers IJ = (I, J) and JI = (J, I), so that x[IJ] * y[JI] holds both
+    products of every wedge.  Read-only, because every oracle shares them."""
+    I, J = np.triu_indices(m, 1)
+    arrays = (I, J, np.concatenate([I, J]), np.concatenate([J, I]))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _quadratic_form(p: np.ndarray, A: np.ndarray, q: np.ndarray):
@@ -395,7 +401,7 @@ def _quadratic_form(p: np.ndarray, A: np.ndarray, q: np.ndarray):
 
 
 class CurvatureOracle:
-    """Full curvature tensor of mu_{f,g} from the Koszul formula.
+    """Curvature operator of mu_{f,g} on 2-vectors, from the Koszul formula.
 
     Frame B = (d/dt, X_1, JX_1, ..., X_{n-1}, JX_{n-1}, Z), metric
     diag(1, f^2, ..., f^2, g^2), brackets [X_k, JX_k] = 2 Z and Z central.
@@ -405,9 +411,15 @@ class CurvatureOracle:
 
         R(B_i, B_j) B_k = nabla_[B_i,B_j] B_k - [nabla_i, nabla_j] B_k
 
-    are exact up to rounding.  The tensor R_{ijkl} is assembled once per
-    metric point and kept as the (m^2, m^2) matrix R2 with rows ij and
-    columns kl, so that R(Y, Z, W, V) = (y (x) z)^T R2 (w (x) v).  Each
+    are exact up to rounding.  Each term is antisymmetric in (i, j) as
+    built (the bracket c, the commutator of G0 and the G1 rows), so
+    R_jikl = -R_ijkl holds exactly and only the p = m(m-1)/2 rows i < j are
+    formed.  The oracle keeps the (p, p) operator on pairs,
+
+        RL[ij, kl] = (R_ijkl - R_ijlk) / 2    for i < j and k < l,
+
+    so that R(Y, Z, W, V) = (y ^ z)^T RL (w ^ v) with
+    (y ^ z)_ij = y_i z_j - y_j z_i, and the Ricci matrix Ric.  Each
     evaluation runs one matrix-vector product per row, which keeps a batch
     row bitwise equal to the same row evaluated alone.
     """
@@ -437,16 +449,27 @@ class CurvatureOracle:
         G0 = _koszul(c, M, Mp) / (2.0 * M)
         G1 = (_koszul(c, Mp, Mpp) - 2.0 * Mp * G0) / (2.0 * M)
 
-        # P[i, j, k, l] = sum_m G0[i, k, m] G0[j, m, l]
-        P = G0[:, None] @ G0[None, :]
-        R_up = (c.reshape(m * m, m) @ G0.reshape(m, m * m)).reshape(m, m, m, m)
-        R_up += P - P.transpose(1, 0, 2, 3)
-        R_up[0] -= G1
-        R_up[:, 0] += G1
-        self.R = R_up * M
-        self.R2 = self.R.reshape(m * m, m * m)
-        # the trace over j of R_up is sum_j R_ijkj / |b_j|^2
-        self.Ric = np.einsum("ijkj->ik", R_up)
+        # R_up[r, k, l] = R_ijk^l for the r-th pair i < j; only b_0 = d/dt
+        # differentiates, so G1 enters the rows with i = 0.  The steps run
+        # in place: at n = 16 each (p, m, m) temporary is 4 MiB.
+        I, J, IJ, JI = _pairs(m)
+        p = I.size
+        A, B = G0[I], G0[J]
+        R_up = A @ B
+        R_up -= B @ A
+        del A, B
+        R_up += (c[I, J] @ G0.reshape(m, m * m)).reshape(p, m, m)
+        R_up[: m - 1] -= G1[1:]  # the pairs (0, j) come first
+        # Ric[i, k] = sum_j R_ijkj / |b_j|^2, where the row (j, i) is -(i, j)
+        rows = np.arange(p)
+        trace = np.zeros((m, m, m))
+        trace[I, J] = R_up[rows, :, J]
+        trace[J, I] = -R_up[rows, :, I]
+        self.Ric = trace.sum(axis=1)
+        R_up *= M
+        # columns kl, then lk, of every row
+        R = np.take(R_up.reshape(p, m * m), IJ * m + JI, axis=1)
+        self.RL = 0.5 * (R[:, :p] - R[:, p:])
 
     def frame_coords(self, fv: FrameVector) -> np.ndarray:
         """Coordinates in the frame B, of shape (..., 2n) for a batch (...)."""
@@ -461,7 +484,14 @@ class CurvatureOracle:
     def evaluate(self, Y: FrameVector, Z: FrameVector, W: FrameVector, V: FrameVector):
         """R(Y, Z, W, V), broadcast over the leading axes of the frames."""
         y, z, w, v = (self.frame_coords(fv) for fv in (Y, Z, W, V))
-        return _quadratic_form(_outer(y, z), self.R2, _outer(w, v))
+        return _quadratic_form(self._wedge(y, z), self.RL, self._wedge(w, v))
+
+    def _wedge(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(a ^ b)_ij = a_i b_j - a_j b_i over the pairs i < j, shape (..., p)."""
+        _, _, IJ, JI = _pairs(self.m)
+        ab = a[..., IJ] * b[..., JI]
+        p = ab.shape[-1] // 2
+        return ab[..., :p] - ab[..., p:]
 
     def __call__(self, Y, Z, W, V):
         return self.evaluate(Y, Z, W, V)
@@ -498,7 +528,7 @@ def _require_point(mp: MetricPoint) -> None:
 
 
 # callers reuse only the oracle of the point they just asked for, and at
-# n = 16 each oracle holds an 8 MiB tensor
+# n = 16 each oracle holds a 2 MiB operator
 @lru_cache(maxsize=1)
 def oracle_for(mp: MetricPoint) -> CurvatureOracle:
     return CurvatureOracle(mp)

@@ -144,7 +144,8 @@ def build_chi(
     convex and hinge smoothing at radius m/4 keeps chi(0) = 0 exact.
 
     Raises ValueError when a sample is not finite, min psi <= 0 (the
-    gluing construction needs m > 0) or phi samples are not positive.
+    gluing construction needs m > 0) or phi samples are not in (0, 2^53),
+    where the levels floor(phi) + 1 are exact.
     """
     if len(phi_samples) != len(psi_samples) or not phi_samples:
         raise ValueError("need matching nonempty sample lists")
@@ -158,6 +159,8 @@ def build_chi(
         raise ValueError(f"inf psi = {m:.6g} is not positive")
     if phis.min() <= 0:
         raise ValueError("phi samples must be positive")
+    if phis.max() >= 2.0**53:
+        raise ValueError("phi samples must be below 2^53, where their levels are exact")
 
     # minima[k]: the psi-minimum of level level_ids[k]; tail_min[k]: the
     # minimum of minima[k:], which never decreases in k

@@ -30,7 +30,8 @@ from cuspforge.cli import (
     run_suite,
     run_sweep,
 )
-from cuspforge.profile import GRID_POINTS, CutoffProfile
+from cuspforge import curvature as cv
+from cuspforge.profile import GRID_POINTS, CutoffProfile, build_cutoff
 
 
 class TestSuiteConfig:
@@ -410,7 +411,62 @@ class TestMainVerify:
         assert rc == 2
 
 
+def per_point_summary(mp: cv.MetricPoint, seed: int) -> dict:
+    """The sweep summary of one metric point, with its own frame draw, its
+    own closed-form calls and oracle.sectional, as a reference for the batch
+    in which run_sweep summarises every t."""
+    F = cv.random_frame_vector(np.random.default_rng(seed), mp.n, (120, 2))
+    Y, Xi = F[:, 0], F[:, 1]
+    hbc = cv.bisectional(Y, Xi, mp) / (Y.norm_sq(mp) * Xi.norm_sq(mp))
+    sec = cv.CurvatureOracle(mp).sectional(Y, Xi)
+    coef_h, coef_z = cv.ricci_coefficients(mp)
+    return {
+        "min_hbc": float(hbc.min()),
+        "max_hbc": float(hbc.max()),
+        "min_ricci_eigenvalue": float(min(-coef_h / mp.f**2, -coef_z / mp.g**2)),
+        "sectional_min": float(sec.min()),
+        "sectional_max": float(sec.max()),
+    }
+
+
 class TestSweep:
+    @pytest.mark.parametrize(
+        "lo,hi,steps,n,seed",
+        [(0.05, 5.5, 60, 8, 1), (0.01, 6.0, 25, 2, 4), (0.5, 5.5, 3, 9, 0), (3.0, 3.0, 1, 3, 0)],
+    )
+    def test_t_axis_matches_per_point_reference(self, tmp_path, lo, hi, steps, n, seed):
+        cfg = SuiteConfig(n=n, seed=seed)
+        out = tmp_path / "sweep.csv"
+        run_sweep("t", lo, hi, steps, cfg, out)
+        p = build_cutoff(cfg.A, cfg.window)
+        rows = [
+            {"t": float(t), **per_point_summary(cv.MetricPoint.from_profile(p, float(t), n), seed)}
+            for t in np.linspace(lo, hi, steps)
+        ]
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_t_outside_domain_exits_two_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("sweep work started before the range check")
+
+        monkeypatch.setattr(cli, "build_cutoff", no_work)
+        monkeypatch.setattr(CutoffProfile, "jet_at", no_work)
+        monkeypatch.setattr(cv, "CurvatureOracle", no_work)
+        for lo, hi in (("0.5", "7"), ("0", "2"), ("-1", "3")):
+            out = tmp_path / "s.csv"
+            argv = ["sweep", "t", "--from", lo, "--to", hi, "--steps", "3", "--out", str(out)]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert captured.out == "" and len(lines) == 1
+            assert lines[0].startswith("error: t = ") and "outside (0, A]" in lines[0]
+            assert not out.exists()
+
     def test_t_axis_columns(self, tmp_path):
         out = tmp_path / "sweep.csv"
         run_sweep("t", 0.5, 5.5, 4, SuiteConfig(samples=50), out)

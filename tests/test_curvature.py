@@ -455,9 +455,9 @@ class TestBatchedEvaluation:
 
 
 class TestOracleContraction:
-    """The (y (x) z)^T R2 (w (x) v) contraction against a direct sum over
-    the four indices of R, within a rounding bound of 64 eps times the sum
-    of the absolute terms."""
+    """The (y ^ z)^T RL (w ^ v) contraction against a direct sum over the
+    four indices of the reference builder's R, within a rounding bound of
+    64 eps times the sum of the absolute terms."""
 
     ROWS = 200
 
@@ -466,13 +466,15 @@ class TestOracleContraction:
         rng = np.random.default_rng(90 + n)
         eps = np.finfo(float).eps
         for t in rng.uniform(0.05, default_profile.A, 3):
-            orc = CurvatureOracle(MetricPoint.from_profile(default_profile, t, n))
+            mp = MetricPoint.from_profile(default_profile, t, n)
+            orc = CurvatureOracle(mp)
+            R = reference_oracle_tensor(mp)[0]
             F = random_frame_vector(rng, n, (self.ROWS, 4))
             got = orc.evaluate(F[:, 0], F[:, 1], F[:, 2], F[:, 3])
             for k in range(self.ROWS):
                 y, z, w, v = (orc.frame_coords(F[k, j]) for j in range(4))
-                ref = np.einsum("ijkl,i,j,k,l->", orc.R, y, z, w, v)
-                mass = np.einsum("ijkl,i,j,k,l->", np.abs(orc.R), *map(np.abs, (y, z, w, v)))
+                ref = np.einsum("ijkl,i,j,k,l->", R, y, z, w, v)
+                mass = np.einsum("ijkl,i,j,k,l->", np.abs(R), *map(np.abs, (y, z, w, v)))
                 assert abs(got[k] - ref) <= 64.0 * eps * mass
 
 
@@ -534,10 +536,10 @@ def reference_oracle_tensor(mp):
 
 
 class TestOracleBuild:
-    """The oracle's tensor against the jet-and-einsum reference builder,
-    within 64 eps of the largest entry of R with its last index raised;
-    that entry, not R's, sets the size of the terms that cancel near the
-    divisor, where g^2 is small."""
+    """The oracle's operator on pairs against the jet-and-einsum reference
+    builder restricted to pairs, within 64 eps of the largest entry of R
+    with its last index raised; that entry, not R's, sets the size of the
+    terms that cancel near the divisor, where g^2 is small."""
 
     @pytest.mark.parametrize("n", [2, 3, 5, 9])
     def test_matches_reference_builder(self, default_profile, n):
@@ -547,15 +549,25 @@ class TestOracleBuild:
         points = [MetricPoint.from_profile(default_profile, t, n) for t in ts]
         points += [MetricPoint.exp_model(0.0, n), MetricPoint.exp_model(1.3, n)]
         points += [MetricPoint.cosh_model(0.2, n), MetricPoint.cosh_model(1.6, n)]
+        I, J = np.triu_indices(2 * n, 1)
+        K, L = I[None, :], J[None, :]
         for mp in points:
             orc = CurvatureOracle(mp)
             R, Ric = reference_oracle_tensor(mp)
             norms = np.array([1.0] + [mp.f * mp.f] * (2 * n - 2) + [mp.g * mp.g])
             bound = 64.0 * eps * np.abs(R / norms).max()
-            assert orc.R.shape == R.shape
-            assert np.all(np.abs(orc.R - R) <= bound * norms)
+            RL = 0.5 * (R[I[:, None], J[:, None], K, L] - R[I[:, None], J[:, None], L, K])
+            assert orc.RL.shape == RL.shape == (I.size, I.size)
+            assert np.all(np.abs(orc.RL - RL) <= bound * 0.5 * (norms[K] + norms[L]))
             assert np.all(np.abs(orc.Ric - Ric) <= bound)
-            assert np.shares_memory(orc.R2, orc.R)
+
+    def test_holds_the_operator_on_pairs_only(self, default_profile):
+        # at n = 16 the dense R would be 32^4 entries and the operator on
+        # pairs is (496, 496)
+        orc = CurvatureOracle(MetricPoint.from_profile(default_profile, 2.5, 16))
+        assert orc.RL.shape == (496, 496)
+        held = [v for v in vars(orc).values() if isinstance(v, np.ndarray)]
+        assert held and max(a.size for a in held) <= 496 * 496
 
     def test_rejects_a_batched_metric_point(self, default_profile):
         ts = np.array([0.5, 2.0, 5.5])

@@ -292,6 +292,16 @@ class TestBuildChi:
         with pytest.raises(ValueError, match=f"^{bad} samples must be finite$"):
             build_chi(phis, psis)
 
+    def test_phi_past_exact_levels_rejected(self):
+        # floor(phi) + 1 is exact only below 2^53, and from 2^63 on the
+        # int64 level index would wrap (at 1e19, chi(3.0) would be 10.5)
+        psis = [(0, 1.0), (1, 3.0)]
+        for phi in (2.0**53, 1e19, 2.0**63, 1e300):
+            with pytest.raises(ValueError, match=r"below 2\^53"):
+                build_chi([(0, 1.0), (1, phi)], psis)
+        chi = build_chi([(0, 1.0), (1, 2.0**53 - 1.0)], psis)
+        assert chi(3.0) > 2.0**53 - 1.0
+
     def test_matches_greedy_reference(self):
         # 1,400 seeded sample sets, 200 of each kind; == on Python floats
         for seed in range(200):
