@@ -559,17 +559,16 @@ class CertificateReport:
         )
 
 
+STRICT_RATIO = 1e-10
+
+
 def hbc_certificate(
-    p: CutoffProfile,
-    samples: int,
-    n: int = 3,
-    seed: int = 0,
-    strict_ratio: float = 1e-10,
+    p: CutoffProfile, samples: int, n: int = 3, seed: int = 0
 ) -> CertificateReport:
     """Sample (t, Y, Xi) triples with t in [0.05, A] and certify
     nonpositivity of the bisectional curvature, strict negativity relative
-    to |Y|^2 |Xi|^2 for unit vectors at interior t, and the Cauchy-Schwarz
-    step used to absorb the mixed terms.
+    to |Y|^2 |Xi|^2 (a ratio below -STRICT_RATIO) for unit vectors at
+    interior t, and the Cauchy-Schwarz step used to absorb the mixed terms.
     """
     rng = np.random.default_rng(seed)
     ts = rng.uniform(0.05, p.A, samples)
@@ -587,7 +586,7 @@ def hbc_certificate(
     kinds = ("nonpositivity", "strict negativity", "cauchy-schwarz")
     values = np.stack([val, ratio, slack], axis=-1)
     failed = np.stack(
-        [val > 1e-12, interior & (ratio >= -strict_ratio), slack < -1e-12], axis=-1
+        [val > 1e-12, interior & (ratio >= -STRICT_RATIO), slack < -1e-12], axis=-1
     )
     rows, cols = np.nonzero(failed)
     failures = [

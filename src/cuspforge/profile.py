@@ -30,7 +30,6 @@ this to rounding.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -45,7 +44,6 @@ __all__ = [
     "build_cutoff",
     "exp_profile",
     "solve_psi",
-    "write_profile_csv",
 ]
 
 GRID_POINTS = 10_001
@@ -204,12 +202,3 @@ def solve_psi(p: CutoffProfile, t_min: float) -> PsiSolution:
     ) / (12.0 * h)
     residuals = np.abs(d - rhs[2:-2])
     return PsiSolution(grid=ts, values=values, residuals=residuals)
-
-
-def write_profile_csv(p: CutoffProfile, path: str) -> None:
-    """Serialize the sampled jet with columns t, f, fp, fpp, fppp."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "f", "fp", "fpp", "fppp"])
-        for t, jet in zip(p.grid, p.jets):
-            writer.writerow([repr(float(t))] + [repr(float(x)) for x in jet])

@@ -207,7 +207,6 @@ class HessianReport:
     matrix: np.ndarray
     eigenvalues: np.ndarray
     min_eigenvalue: float
-    hermiticity_defect: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -217,7 +216,6 @@ class HessianReport:
             ],
             "eigenvalues": [float(v) for v in self.eigenvalues],
             "min_eigenvalue": self.min_eigenvalue,
-            "hermiticity_defect": self.hermiticity_defect,
         }
 
 
@@ -229,7 +227,7 @@ def _raw_hessian(fn: Callable[[np.ndarray], float], z0: np.ndarray, h: float) ->
         dirs[2 * j + 1, j] = 1.0j
     # one stencil table over the 2m real coordinates r_a: the centre, z0 +- h e_a
     # and z0 +- h (e_a +- e_b) for a < b, leaving out the (Re z_j, Im z_j) pairs,
-    # which only feed Im H[j, j], and Hermitian symmetrization discards that
+    # which only feed Im H[j, j]: it stays exactly 0, as for a Hermitian matrix
     a, b = np.triu_indices(2 * m, 1)
     keep = (a % 2 == 1) | (b != a + 1)
     a, b = a[keep], b[keep]
@@ -256,23 +254,22 @@ def complex_hessian(fn: Callable[[np.ndarray], float], z0: Sequence[complex]) ->
 
     Central differences in the four real directions per index pair, read
     from one stencil table per step size with each point evaluated once,
-    one Richardson halving, then Hermitian symmetrization.  The step is
-    1e-4 (1 + |z0|).
+    one Richardson halving.  The matrix is exactly Hermitian by
+    construction: the lower triangle is the conjugate of the upper one, the
+    diagonal is real, and the Richardson step commutes with conjugation.
+    The step is 1e-4 (1 + |z0|).
     """
     z0 = np.asarray(z0, dtype=complex).reshape(-1)
     h = 1e-4 * (1.0 + float(np.linalg.norm(z0)))
     coarse = _raw_hessian(fn, z0, h)
     fine = _raw_hessian(fn, z0, h / 2.0)
     H = (4.0 * fine - coarse) / 3.0
-    defect = float(np.max(np.abs(H - H.conj().T)))
-    H = 0.5 * (H + H.conj().T)
     eigs = np.linalg.eigvalsh(H)
     return HessianReport(
         point=z0.copy(),
         matrix=H,
         eigenvalues=eigs,
         min_eigenvalue=float(eigs[0]),
-        hermiticity_defect=defect,
     )
 
 

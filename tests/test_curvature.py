@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspforge import curvature
 from cuspforge.curvature import (
     CertificateReport,
     CurvatureOracle,
@@ -315,11 +316,10 @@ class TestCertificate:
     @pytest.mark.parametrize("samples", [1, 97, 98, 1000])
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_batched_matches_per_sample(self, default_profile, samples, n, seed):
+    def test_batched_matches_per_sample(self, default_profile, samples, n, seed, monkeypatch):
         for strict_ratio in (1e-10, 10.0):
-            rep = hbc_certificate(
-                default_profile, samples, n=n, seed=seed, strict_ratio=strict_ratio
-            )
+            monkeypatch.setattr(curvature, "STRICT_RATIO", strict_ratio)
+            rep = hbc_certificate(default_profile, samples, n=n, seed=seed)
             ref = per_sample_certificate(
                 default_profile, samples, n, seed, strict_ratio=strict_ratio
             )
@@ -334,10 +334,11 @@ class TestCertificate:
         assert rep.min_cs_slack >= -1e-12
         assert "pass" in rep.summary()
 
-    def test_impossible_threshold_is_reported(self, default_profile):
+    def test_impossible_threshold_is_reported(self, default_profile, monkeypatch):
         # strict negativity at ratio >= -10 cannot hold (ratios are tiny
         # and negative), so the certificate must fail loudly, not quietly
-        rep = hbc_certificate(default_profile, samples=50, n=3, seed=5, strict_ratio=10.0)
+        monkeypatch.setattr(curvature, "STRICT_RATIO", 10.0)
+        rep = hbc_certificate(default_profile, samples=50, n=3, seed=5)
         assert not rep.passed
         assert rep.failures
         assert rep.failures[0][0] == "strict negativity"

@@ -1,6 +1,5 @@
 """Tests for the cosh-to-exp cutoff profile and the model-change ODE."""
 
-import csv
 import math
 
 import numpy as np
@@ -14,7 +13,6 @@ from cuspforge.profile import (
     build_cutoff,
     exp_profile,
     solve_psi,
-    write_profile_csv,
 )
 
 
@@ -207,20 +205,3 @@ class TestPsiSolution:
         for bad in (0.0, -1.0, 6.0, 7.0):
             with pytest.raises(ValueError, match="t_min"):
                 solve_psi(default_profile, t_min=bad)
-
-
-class TestProfileCsv:
-    def test_round_trip(self, default_profile, tmp_path):
-        path = tmp_path / "profile.csv"
-        write_profile_csv(default_profile, str(path))
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "f", "fp", "fpp", "fppp"]
-        assert len(rows) == 1 + len(default_profile.grid)
-        # repr round trip preserves the sampled jet bitwise
-        k = 517
-        t = float(rows[1 + k][0])
-        assert t == default_profile.grid[k]
-        np.testing.assert_array_equal(
-            np.array([float(x) for x in rows[1 + k][1:]]), default_profile.jets[k]
-        )
