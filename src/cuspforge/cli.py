@@ -232,13 +232,10 @@ def _curvature_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
     rng = np.random.default_rng(cfg.seed + 13)
     t_nodes = np.linspace(0.05, cfg.A, 40)
     F = cv.random_frame_vector(rng, cfg.n, (40, max(2, min(cfg.samples, 400) // 40), 2))
-    errs = []
-    for t, jet, pairs in zip(t_nodes, p.jet_at(t_nodes), F):
-        mp = cv.MetricPoint.from_jet(t, jet, cfg.n)
-        Y, Xi = pairs[:, 0], pairs[:, 1]
-        ref = cv.CurvatureOracle(mp).bisectional(Y, Xi)
-        errs.append(np.abs(cv.bisectional(Y, Xi, mp) - ref) / (1.0 + np.abs(ref)))
-    worst = float(np.max(errs))
+    Y, Xi = F[:, :, 0], F[:, :, 1]
+    mp = cv.MetricPoint.from_jet(t_nodes[:, None], p.jet_at(t_nodes)[:, None], cfg.n)
+    ref = cv.CurvatureOracle(mp).bisectional(Y, Xi)
+    worst = float(np.max(np.abs(cv.bisectional(Y, Xi, mp) - ref) / (1.0 + np.abs(ref))))
     yield worst <= 1e-6, 1e-6 - worst, {"max_relative_error": worst}
 
     cert = cv.hbc_certificate(p, cfg.samples, n=cfg.n, seed=cfg.seed)
@@ -543,9 +540,10 @@ def run_suite(cfg: SuiteConfig) -> Report:
 
 def _curvature_summary(mp: cv.MetricPoint, seed: int) -> list[dict]:
     """Summary rows of mp: one for a single point, one per t of (T,) jets.
-    Every point sees the same 120 frame pairs, drawn from seed; the closed
-    forms run once over (T, 1) jets against the pairs, and one oracle per t
-    is built and dropped in turn."""
+    Every point sees the same 120 frame pairs, drawn from seed.  The closed
+    forms run once over (T, 1) jets against the pairs, and so does one
+    oracle build; its entry k evaluates the pairs at the k-th t, so that
+    evaluation temporaries stay those of one t."""
     F = cv.random_frame_vector(np.random.default_rng(seed), mp.n, (120, 2))
     Y, Xi = F[:, 0], F[:, 1]
     ts = np.atleast_1d(mp.t)
@@ -557,10 +555,10 @@ def _curvature_summary(mp: cv.MetricPoint, seed: int) -> list[dict]:
     area_sq = norms - xy * xy
     coef_h, coef_z = cv.ricci_coefficients(grid)
     ric_lo = np.minimum(-coef_h / grid.f**2, -coef_z / grid.g**2)[:, 0]
+    oracle = cv.CurvatureOracle(grid)
     rows = []
-    for k, (t, jet) in enumerate(zip(ts, jets)):
-        oracle = cv.CurvatureOracle(cv.MetricPoint.from_jet(t, jet, mp.n))
-        sec = oracle.evaluate(Y, Xi, Y, Xi) / area_sq[k]
+    for k in range(ts.size):
+        sec = oracle[k].evaluate(Y, Xi, Y, Xi) / area_sq[k]
         rows.append(
             {
                 "min_hbc": float(hbc[k].min()),

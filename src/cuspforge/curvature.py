@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,9 +93,13 @@ class MetricPoint:
             raise ValueError("metric point requires f, f', f'', f''' > 0")
 
     def __hash__(self) -> int:
-        # oracle_for caches by point: a batch raises the oracle's ValueError
-        # here instead of numpy's TypeError for an unhashable array
-        _require_point(self)
+        # only a point is hashable, and oracle_for caches by point: a batch
+        # raises this ValueError instead of numpy's TypeError for an array
+        shape = np.broadcast(self.f, self.fp, self.fpp, self.fppp).shape
+        if shape:
+            raise ValueError(
+                f"oracle_for caches one metric point, got jets of shape {shape + (4,)}"
+            )
         return hash((self.t, self.f, self.fp, self.fpp, self.fppp, self.n))
 
     @property
@@ -267,9 +272,14 @@ def bisectional(Y: FrameVector, Xi: FrameVector, mp: MetricPoint):
     W coefficient is pinned against the Koszul oracle, which also fixes the
     constant-curvature limit f = exp to the space-form values.
     """
+    return _bisectional(_pair_data(Y, Xi), mp)
+
+
+def _bisectional(pair_data: tuple, mp: MetricPoint):
+    """bisectional from the _pair_data of (Y, Xi)."""
     f2, g2 = mp.f * mp.f, mp.g * mp.g
     h1sq, h2sq, h3sq = _warp_squares(mp)
-    a_sq, alpha_sq, bc_sq, bg_sq, cross, dde = _pair_data(Y, Xi)
+    a_sq, alpha_sq, bc_sq, bg_sq, cross, dde = pair_data
     # a^2 alpha^2 |W|^2 = a^2 alpha^2 - a^2 alpha^2 (d^2 + e^2)
     horiz = dde * (f2 * f2) * h1sq + 2.0 * g2 * np.maximum(0.0, a_sq * alpha_sq - dde)
     central = h2sq * (g2 * g2) * bc_sq * bg_sq
@@ -281,7 +291,12 @@ def cauchy_schwarz_defect(Y: FrameVector, Xi: FrameVector):
     """Slack of |2 a alpha ((b beta + c gamma) x + (c beta - b gamma) y)|
     <= a^2 (beta^2 + gamma^2) + alpha^2 (b^2 + c^2); nonnegative slack
     means the inequality holds for this pair."""
-    a_sq, alpha_sq, bc_sq, bg_sq, cross, _ = _pair_data(Y, Xi)
+    return _cauchy_schwarz_defect(_pair_data(Y, Xi))
+
+
+def _cauchy_schwarz_defect(pair_data: tuple):
+    """cauchy_schwarz_defect from the _pair_data of (Y, Xi)."""
+    a_sq, alpha_sq, bc_sq, bg_sq, cross, _ = pair_data
     return a_sq * bg_sq + alpha_sq * bc_sq - np.abs(cross)
 
 
@@ -362,22 +377,6 @@ def discriminant_inequality(v: FrameVector, w: FrameVector, Rt) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _koszul(c: np.ndarray, M: np.ndarray, Mp: np.ndarray) -> np.ndarray:
-    """2 M_k Gamma_ij^k = 2 mu(nabla_{b_i} b_j, b_k) from the Koszul formula.
-
-    The frame B has the diagonal metric M, with t-derivative Mp, and the
-    brackets [b_i, b_j] = c_ij^k b_k; only b_0 = d/dt differentiates the
-    metric.  The sum is linear in (M, Mp), so _koszul(c, Mp, Mpp) is its
-    t-derivative.
-    """
-    idx = np.arange(M.size)
-    K = c * M - np.swapaxes(c, 1, 2) * M[:, None] - np.transpose(c, (2, 0, 1)) * M[:, None, None]
-    K[0, idx, idx] += Mp
-    K[idx, 0, idx] += Mp
-    K[idx, idx, 0] -= Mp
-    return K
-
-
 @lru_cache(maxsize=8)
 def _pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(I, J) with the pairs i < j of range(m) in row-major order, and the
@@ -400,6 +399,148 @@ def _quadratic_form(p: np.ndarray, A: np.ndarray, q: np.ndarray):
     return np.sum((p[..., None, :] @ A)[..., 0, :] * q, axis=-1)[()]
 
 
+class _Pattern(NamedTuple):
+    """The oracle's structural nonzeros for one frame size m; see _pattern."""
+
+    koszul: tuple  # jets slots of 2 M_k Gamma_ij^k, then of its t-derivative; coefficients
+    upper: np.ndarray  # jets index of M_k, then of M'_k, per Gamma entry
+    ab: tuple  # G slots of the two factors of G0[I] @ G0[J], per R_up entry
+    ba: tuple  # the same for G0[J] @ G0[I]
+    bracket: tuple  # G slots and coefficients of c[I, J] @ G0
+    dt: np.ndarray  # G slot of G1
+    scale: np.ndarray  # jets index of M_l
+    ric: tuple  # R slots and signs of the Ricci trace; the flat (i, k) of each Ric nonzero
+    kl: np.ndarray  # R slot of R_ijkl, per RL entry
+    lk: np.ndarray  # R slot of R_ijlk
+    rows: np.ndarray  # pair index ij
+    cols: np.ndarray  # pair index kl
+
+
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct keys.  np.unique would import numpy.ma on first
+    use, about 15 ms and 1 MiB in a process that needs nothing else of it."""
+    keys = np.sort(keys)
+    return keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+
+
+def _slots(entries: np.ndarray, keys: np.ndarray, fields: tuple, fill: tuple) -> list[np.ndarray]:
+    """Spread terms over the (w, entries.size) slots of the sorted keys
+    `entries`, w the most terms of one entry: the terms of an entry fill its
+    column in the order given, and an empty slot holds `fill`, one value per
+    field."""
+    col = np.searchsorted(entries, keys)
+    order = np.argsort(col, kind="stable")
+    col = col[order]
+    counts = np.bincount(col, minlength=entries.size)
+    row = np.arange(col.size) - (np.cumsum(counts) - counts)[col]
+    out = []
+    for field, empty in zip(fields, fill):
+        a = np.full((counts.max(initial=0), entries.size), empty, dtype=field.dtype)
+        a[row, col] = field[order]
+        out.append(a)
+    return out
+
+
+@lru_cache(maxsize=8)
+def _pattern(m: int) -> _Pattern:
+    """The oracle's structural nonzeros on the frame of size m, in
+    coordinate form, from the bracket table and the diagonal metric alone.
+
+    A term is kept unless one of its factors is structurally zero; no value
+    is ever compared with 0.  Each sum of the build (the Koszul sum, the
+    products of Christoffel symbols, the bracket term, the Ricci trace) is a
+    set of padded slots per nonzero that holds its terms in the order of the
+    summed index, the order in which a dense contraction adds them, so the
+    values equal a dense build's bit for bit.  Slots point into the value
+    vectors of CurvatureOracle.__init__: jets[3 d + q] is the d-th
+    t-derivative of the metric coefficient q (1, f^2 or g^2), G holds G0,
+    then G1, then one 0, and R the entries of R_up, then one 0.  Read-only,
+    because every oracle of this m shares them.
+    """
+    I, J, _, _ = _pairs(m)
+    p = I.size
+    pair = np.zeros((m, m), dtype=np.intp)
+    pair[I, J] = np.arange(p)
+    # brackets c_ab^d: [X_k, JX_k] = 2 Z = -[JX_k, X_k], in row-major order
+    h = np.arange(1, m - 1, 2)
+    ca, cb = np.stack([h, h + 1], axis=1).ravel(), np.stack([h + 1, h], axis=1).ravel()
+    cd, cv = np.full(ca.size, m - 1), np.tile([2.0, -2.0], h.size)
+    # metric coefficient of each frame vector; only d/dt's 1 is constant
+    kind = np.repeat([0, 1, 2], [1, m - 2, 1])
+    var = np.arange(1, m)
+    zero, one = np.zeros_like(var), np.ones(var.size)
+
+    # 2 M_k Gamma_ij^k = c_ij^k M_k - c_ik^j M_j - c_jk^i M_i
+    #                    + [i = 0, j = k] M'_j + [j = 0, i = k] M'_i - [i = j, k = 0] M'_i
+    i = np.concatenate([ca, ca, cd, zero, var, var])
+    j = np.concatenate([cb, cd, ca, var, zero, var])
+    k = np.concatenate([cd, cb, cb, var, var, zero])
+    keys = (i * m + j) * m + k
+    gamma = _unique(keys)
+    src = np.concatenate([kind[cd]] * 3 + [3 + kind[var]] * 3)
+    coef = np.concatenate([cv, -cv, -cv, one, one, -one])
+    src, coef = _slots(gamma, keys, (src, coef), (0, 0.0))
+    gi, gj, gk = np.unravel_index(gamma, (m, m, m))
+    ng, zg = gamma.size, 2 * gamma.size
+
+    # (G0[I] @ G0[J])[ij, k, l] sums Gamma_ik^s Gamma_js^l over s, and
+    # G0[J] @ G0[I] the same with i and j swapped
+    e1, e2 = np.nonzero((gk[:, None] == gj) & (gi[:, None] != gi))
+    a, b = gi[e1], gi[e2]
+    keys_ab = (pair[np.minimum(a, b), np.maximum(a, b)] * m + gj[e1]) * m + gk[e2]
+    lo = a < b
+    # c[I, J] @ G0 sums c_ij^q Gamma_qk^l over q
+    up = ca < cb
+    q, e = np.nonzero(cd[up][:, None] == gi)
+    keys_c = (pair[ca[up][q], cb[up][q]] * m + gj[e]) * m + gk[e]
+    # only b_0 = d/dt differentiates, so G1[j] enters the row of the pair (0, j)
+    d = np.flatnonzero(gi > 0)
+    keys_dt = (pair[0, gi[d]] * m + gj[d]) * m + gk[d]
+    entries = _unique(np.concatenate([keys_ab, keys_c, keys_dt]))
+    dt = np.full(entries.size, zg)
+    dt[np.searchsorted(entries, keys_dt)] = ng + d
+
+    # Ric[i, k] sums R_ijk^j over j in order, where the row (j, i) is -(i, j)
+    r, k, l = np.unravel_index(entries, (p, m, m))
+    zr = entries.size
+    top, bottom = np.flatnonzero(l == J[r]), np.flatnonzero(l == I[r])
+    dst = np.concatenate([I[r[top]] * m + k[top], J[r[bottom]] * m + k[bottom]])
+    order = np.lexsort((np.concatenate([J[r[top]], I[r[bottom]]]), dst))
+    sign = np.repeat([1.0, -1.0], [top.size, bottom.size])
+    ric_entries = _unique(dst)
+    ric = _slots(
+        ric_entries, dst[order], (np.concatenate([top, bottom])[order], sign[order]), (zr, 1.0)
+    )
+
+    # RL[ij, kl] = (R_ijkl - R_ijlk) / 2 over the pairs k < l
+    off = np.flatnonzero(k != l)
+    keys_rl = r[off] * p + pair[np.minimum(k, l)[off], np.maximum(k, l)[off]]
+    rl = _unique(keys_rl)
+    kl, lk = np.full(rl.size, zr), np.full(rl.size, zr)
+    ahead = k[off] < l[off]
+    kl[np.searchsorted(rl, keys_rl[ahead])] = off[ahead]
+    lk[np.searchsorted(rl, keys_rl[~ahead])] = off[~ahead]
+
+    pattern = _Pattern(
+        koszul=(np.stack([src, src + 3]), coef),  # the t-derivative reads one order up
+        upper=np.stack([kind[gk], 3 + kind[gk]]),
+        ab=tuple(_slots(entries, keys_ab[lo], (e1[lo], e2[lo]), (zg, zg))),
+        ba=tuple(_slots(entries, keys_ab[~lo], (e1[~lo], e2[~lo]), (zg, zg))),
+        bracket=tuple(_slots(entries, keys_c, (e, cv[up][q]), (zg, 0.0))),
+        dt=dt,
+        scale=kind[l],
+        ric=(*ric, ric_entries),
+        kl=kl,
+        lk=lk,
+        rows=rl // p,
+        cols=rl % p,
+    )
+    for field in pattern:
+        for array in field if isinstance(field, tuple) else (field,):
+            array.flags.writeable = False
+    return pattern
+
+
 class CurvatureOracle:
     """Curvature operator of mu_{f,g} on 2-vectors, from the Koszul formula.
 
@@ -414,68 +555,92 @@ class CurvatureOracle:
     are exact up to rounding.  Each term is antisymmetric in (i, j) as
     built (the bracket c, the commutator of G0 and the G1 rows), so
     R_jikl = -R_ijkl holds exactly and only the p = m(m-1)/2 rows i < j are
-    formed.  The oracle keeps the (p, p) operator on pairs,
+    formed.  The oracle keeps the operator on pairs,
 
         RL[ij, kl] = (R_ijkl - R_ijlk) / 2    for i < j and k < l,
 
     so that R(Y, Z, W, V) = (y ^ z)^T RL (w ^ v) with
-    (y ^ z)_ij = y_i z_j - y_j z_i, and the Ricci matrix Ric.  Each
-    evaluation runs one matrix-vector product per row, which keeps a batch
-    row bitwise equal to the same row evaluated alone.
+    (y ^ z)_ij = y_i z_j - y_j z_i, and the Ricci matrix Ric.
+
+    RL is held in coordinate form: RL[..., e] is the entry (rows[e],
+    cols[e]), over the structural nonzeros that _pattern derives once per m
+    (1,216 of the 246,016 entries at n = 16).  The values are computed only
+    there, and equal those of a dense build bit for bit, which is exactly 0
+    off the pattern.  An evaluation gathers the nonzeros and sums each
+    row's terms on their own.
+
+    mp is one point, or jets of one batch shape such as (T,) or (T, 1).
+    RL and Ric then carry the batch axes first, evaluations broadcast them
+    against the frames' leading axes as the closed forms do, and oracle[k]
+    is the oracle at batch index k.  All work is elementwise in the batch,
+    so a batch entry and a batch row give the bits of the same point and
+    row alone.  Every gather is a take, whose result is C-ordered:
+    x[..., idx] on a batch returns a transposed layout, over which numpy
+    sums the last axis in another order than for one row.
     """
 
     def __init__(self, mp: MetricPoint) -> None:
-        _require_point(mp)
         self.mp = mp
-        n = mp.n
-        m = 2 * n
-        self.m = m
+        m = self.m = 2 * mp.n
+        pat = _pattern(m)
         f, fp, fpp = mp.f, mp.fp, mp.fpp
         g, gp, gpp = mp.g, mp.gp, mp.gpp
+        # 1, f^2 and g^2, then their first and their second t-derivatives
+        jets = np.stack(
+            np.broadcast_arrays(
+                1.0, f * f, g * g,
+                0.0, 2.0 * f * fp, 2.0 * g * gp,
+                0.0, 2.0 * fp * fp + 2.0 * f * fpp, 2.0 * gp * gp + 2.0 * g * gpp,
+            ),
+            axis=-1,
+        )
+        batch = jets.shape[:-1]
 
-        # 1, f^2 and g^2 with their first and second t-derivatives
-        coef = [
-            (1.0, 0.0, 0.0),
-            (f * f, 2.0 * f * fp, 2.0 * fp * fp + 2.0 * f * fpp),
-            (g * g, 2.0 * g * gp, 2.0 * gp * gp + 2.0 * g * gpp),
-        ]
-        M, Mp, Mpp = np.repeat(coef, [1, m - 2, 1], axis=0).T
+        # 2 M_k Gamma_ij^k and its t-derivative, then 2 M_k and 2 M'_k
+        src, coef = pat.koszul
+        K = (coef * jets.take(src, axis=-1)).sum(axis=-2)
+        two_m = 2.0 * jets.take(pat.upper, axis=-1)
+        ng = K.shape[-1]
+        G = np.zeros(batch + (2 * ng + 1,))
+        G0 = np.divide(K[..., 0, :], two_m[..., 0, :], out=G[..., :ng])
+        np.divide(K[..., 1, :] - two_m[..., 1, :] * G0, two_m[..., 0, :], out=G[..., ng:-1])
 
-        c = np.zeros((m, m, m))
-        h = np.arange(1, m - 1, 2)
-        c[h, h + 1, m - 1] = 2.0
-        c[h + 1, h, m - 1] = -2.0
+        # R_up[ij, k, l] = R_ijk^l: G0[I] @ G0[J] - G0[J] @ G0[I] + c[I, J] @ G0,
+        # minus G1 on the rows (0, j)
+        R = np.zeros(batch + (pat.dt.size + 1,))
+        R_up = R[..., :-1]
+        a, b = pat.ab
+        R_up += (G.take(a, axis=-1) * G.take(b, axis=-1)).sum(axis=-2)
+        a, b = pat.ba
+        R_up -= (G.take(a, axis=-1) * G.take(b, axis=-1)).sum(axis=-2)
+        src, coef = pat.bracket
+        R_up += (coef * G.take(src, axis=-1)).sum(axis=-2)
+        R_up -= G.take(pat.dt, axis=-1)
+        # Ric[i, k] = sum_j R_ijk^j, then R_ijkl = R_ijk^l M_l
+        src, sign, dst = pat.ric
+        Ric = np.zeros(batch + (m * m,))
+        Ric[..., dst] = (sign * R.take(src, axis=-1)).sum(axis=-2)
+        self.Ric = Ric.reshape(batch + (m, m))
+        R_up *= jets.take(pat.scale, axis=-1)
+        self.RL = 0.5 * (R.take(pat.kl, axis=-1) - R.take(pat.lk, axis=-1))
+        self.rows, self.cols = pat.rows, pat.cols
 
-        G0 = _koszul(c, M, Mp) / (2.0 * M)
-        G1 = (_koszul(c, Mp, Mpp) - 2.0 * Mp * G0) / (2.0 * M)
-
-        # R_up[r, k, l] = R_ijk^l for the r-th pair i < j; only b_0 = d/dt
-        # differentiates, so G1 enters the rows with i = 0.  The steps run
-        # in place: at n = 16 each (p, m, m) temporary is 4 MiB.
-        I, J, IJ, JI = _pairs(m)
-        p = I.size
-        A, B = G0[I], G0[J]
-        R_up = A @ B
-        R_up -= B @ A
-        del A, B
-        R_up += (c[I, J] @ G0.reshape(m, m * m)).reshape(p, m, m)
-        R_up[: m - 1] -= G1[1:]  # the pairs (0, j) come first
-        # Ric[i, k] = sum_j R_ijkj / |b_j|^2, where the row (j, i) is -(i, j)
-        rows = np.arange(p)
-        trace = np.zeros((m, m, m))
-        trace[I, J] = R_up[rows, :, J]
-        trace[J, I] = -R_up[rows, :, I]
-        self.Ric = trace.sum(axis=1)
-        R_up *= M
-        # columns kl, then lk, of every row
-        R = np.take(R_up.reshape(p, m * m), IJ * m + JI, axis=1)
-        self.RL = 0.5 * (R[:, :p] - R[:, p:])
+    def __getitem__(self, k) -> "CurvatureOracle":
+        """The oracle at index k of the batch axes, a view of this one's
+        arrays: nothing is rebuilt."""
+        mp = self.mp
+        fields = (x[k] for x in np.broadcast_arrays(mp.t, mp.f, mp.fp, mp.fpp, mp.fppp))
+        sub = object.__new__(CurvatureOracle)
+        sub.__dict__.update(vars(self), mp=MetricPoint(*fields, mp.n))
+        sub.RL, sub.Ric = self.RL[k], self.Ric[k]
+        return sub
 
     def frame_coords(self, fv: FrameVector) -> np.ndarray:
         """Coordinates in the frame B, of shape (..., 2n) for a batch (...)."""
         m = self.m
-        x = np.zeros(fv.u.shape[:-1] + (m,))
-        x[..., 0] = fv.gamma * self.mp.g
+        gamma = fv.gamma * self.mp.g
+        x = np.zeros(np.broadcast(fv.u[..., 0], gamma).shape + (m,))
+        x[..., 0] = gamma
         x[..., 1 : m - 1 : 2] = fv.u.real
         x[..., 2 : m - 1 : 2] = fv.u.imag
         x[..., m - 1] = fv.beta
@@ -483,13 +648,17 @@ class CurvatureOracle:
 
     def evaluate(self, Y: FrameVector, Z: FrameVector, W: FrameVector, V: FrameVector):
         """R(Y, Z, W, V), broadcast over the leading axes of the frames."""
-        y, z, w, v = (self.frame_coords(fv) for fv in (Y, Z, W, V))
-        return _quadratic_form(self._wedge(y, z), self.RL, self._wedge(w, v))
+        yz = self._wedge(Y, Z)
+        wv = yz if W is Y and V is Z else self._wedge(W, V)  # R(X, Y, X, Y) needs one
+        terms = yz.take(self.rows, axis=-1) * self.RL * wv.take(self.cols, axis=-1)
+        return terms.sum(axis=-1)[()]
 
-    def _wedge(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(a ^ b)_ij = a_i b_j - a_j b_i over the pairs i < j, shape (..., p)."""
+    def _wedge(self, A: FrameVector, B: FrameVector) -> np.ndarray:
+        """(a ^ b)_ij = a_i b_j - a_j b_i over the pairs i < j of the frame
+        coordinates a, b of A and B, shape (..., p)."""
         _, _, IJ, JI = _pairs(self.m)
-        ab = a[..., IJ] * b[..., JI]
+        a, b = self.frame_coords(A), self.frame_coords(B)
+        ab = a.take(IJ, axis=-1) * b.take(JI, axis=-1)
         p = ab.shape[-1] // 2
         return ab[..., :p] - ab[..., p:]
 
@@ -513,7 +682,8 @@ class CurvatureOracle:
         nsq = X.norm_sq(self.mp)
         if np.any(nsq <= 0.0):
             raise ValueError("zero vector")
-        return self.evaluate(X, X.J(), X, X.J()) / (nsq * nsq)
+        JX = X.J()
+        return self.evaluate(X, JX, X, JX) / (nsq * nsq)
 
     def ricci(self, Xi: FrameVector):
         """Sum of R(Xi, b, Xi, b) over the 2n orthonormal frame directions."""
@@ -521,14 +691,8 @@ class CurvatureOracle:
         return _quadratic_form(x, self.Ric, x)
 
 
-def _require_point(mp: MetricPoint) -> None:
-    shape = np.broadcast(mp.f, mp.fp, mp.fpp, mp.fppp).shape
-    if shape:
-        raise ValueError(f"the oracle takes one metric point, got jets of shape {shape + (4,)}")
-
-
-# callers reuse only the oracle of the point they just asked for, and at
-# n = 16 each oracle holds a 2 MiB operator
+# callers reuse only the oracle of the point they just asked for; each
+# holds O(nnz) values, 1,216 at n = 16
 @lru_cache(maxsize=1)
 def oracle_for(mp: MetricPoint) -> CurvatureOracle:
     return CurvatureOracle(mp)
@@ -578,11 +742,12 @@ def hbc_certificate(
     Y.u[::97], Y.beta[::97], Y.gamma[::97] = 0.0, 1.0, 0.0
     mp = MetricPoint.from_jet(ts, p.jet_at(ts), n)
 
-    val = bisectional(Y, Xi, mp)
+    pair_data = _pair_data(Y, Xi)
+    val = _bisectional(pair_data, mp)
     denom = Y.norm_sq(mp) * Xi.norm_sq(mp)
     interior = denom > 0.0
     ratio = np.where(interior, val / np.where(interior, denom, 1.0), -math.inf)
-    slack = cauchy_schwarz_defect(Y, Xi)
+    slack = _cauchy_schwarz_defect(pair_data)
     kinds = ("nonpositivity", "strict negativity", "cauchy-schwarz")
     values = np.stack([val, ratio, slack], axis=-1)
     failed = np.stack(

@@ -1,6 +1,7 @@
 """Tests for the warped-metric curvature formulas against the Koszul oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -536,6 +537,25 @@ def reference_oracle_tensor(mp):
     return R, np.einsum("ijkj->ik", R / M[:, 0])
 
 
+def reference_points(profile, n):
+    """The 12 points of the builder tests: cosh region (t <= 0.3 near the
+    divisor), window (1, 5), exp region, and both models."""
+    ts = (0.05, 0.3, 0.7, 1.5, 3.0, 4.8, 5.5, 6.0)
+    points = [MetricPoint.from_profile(profile, t, n) for t in ts]
+    points += [MetricPoint.exp_model(0.0, n), MetricPoint.exp_model(1.3, n)]
+    points += [MetricPoint.cosh_model(0.2, n), MetricPoint.cosh_model(1.6, n)]
+    return points
+
+
+def reference_on_pairs(mp):
+    """The reference builder's R restricted to pairs and antisymmetrized,
+    shape (p, p), and its Ric."""
+    R, Ric = reference_oracle_tensor(mp)
+    I, J = np.triu_indices(2 * mp.n, 1)
+    K, L = I[None, :], J[None, :]
+    return 0.5 * (R[I[:, None], J[:, None], K, L] - R[I[:, None], J[:, None], L, K]), R, Ric
+
+
 class TestOracleBuild:
     """The oracle's operator on pairs against the jet-and-einsum reference
     builder restricted to pairs, within 64 eps of the largest entry of R
@@ -545,40 +565,95 @@ class TestOracleBuild:
     @pytest.mark.parametrize("n", [2, 3, 5, 9])
     def test_matches_reference_builder(self, default_profile, n):
         eps = np.finfo(float).eps
-        # cosh region (t <= 0.3 near the divisor), window (1, 5), exp region
-        ts = (0.05, 0.3, 0.7, 1.5, 3.0, 4.8, 5.5, 6.0)
-        points = [MetricPoint.from_profile(default_profile, t, n) for t in ts]
-        points += [MetricPoint.exp_model(0.0, n), MetricPoint.exp_model(1.3, n)]
-        points += [MetricPoint.cosh_model(0.2, n), MetricPoint.cosh_model(1.6, n)]
         I, J = np.triu_indices(2 * n, 1)
         K, L = I[None, :], J[None, :]
-        for mp in points:
+        for mp in reference_points(default_profile, n):
             orc = CurvatureOracle(mp)
-            R, Ric = reference_oracle_tensor(mp)
+            RL, R, Ric = reference_on_pairs(mp)
+            # the coordinate form scattered into the dense (p, p) operator
+            dense = np.zeros((I.size, I.size))
+            dense[orc.rows, orc.cols] = orc.RL
             norms = np.array([1.0] + [mp.f * mp.f] * (2 * n - 2) + [mp.g * mp.g])
             bound = 64.0 * eps * np.abs(R / norms).max()
-            RL = 0.5 * (R[I[:, None], J[:, None], K, L] - R[I[:, None], J[:, None], L, K])
-            assert orc.RL.shape == RL.shape == (I.size, I.size)
-            assert np.all(np.abs(orc.RL - RL) <= bound * 0.5 * (norms[K] + norms[L]))
+            assert np.all(np.abs(dense - RL) <= bound * 0.5 * (norms[K] + norms[L]))
             assert np.all(np.abs(orc.Ric - Ric) <= bound)
 
-    def test_holds_the_operator_on_pairs_only(self, default_profile):
-        # at n = 16 the dense R would be 32^4 entries and the operator on
-        # pairs is (496, 496)
-        orc = CurvatureOracle(MetricPoint.from_profile(default_profile, 2.5, 16))
-        assert orc.RL.shape == (496, 496)
-        held = [v for v in vars(orc).values() if isinstance(v, np.ndarray)]
-        assert held and max(a.size for a in held) <= 496 * 496
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_reference_vanishes_off_the_pattern(self, default_profile, n):
+        # the pattern comes from the brackets and the metric's shape alone;
+        # the independent builder must be exactly 0 everywhere else
+        for mp in reference_points(default_profile, n):
+            orc = CurvatureOracle(mp)
+            RL = reference_on_pairs(mp)[0]
+            off = np.ones(RL.shape, dtype=bool)
+            off[orc.rows, orc.cols] = False
+            assert np.all(RL[off] == 0.0)
 
-    def test_rejects_a_batched_metric_point(self, default_profile):
-        ts = np.array([0.5, 2.0, 5.5])
-        mp = MetricPoint.from_jet(ts, default_profile.jet_at(ts), 3)
-        with pytest.raises(ValueError, match=r"one metric point.*\(3, 4\)"):
-            CurvatureOracle(mp)
+    def test_holds_the_operator_on_pairs_only(self, default_profile):
+        # at n = 16 the dense operator on pairs would be 496 x 496; the
+        # coordinate form holds its 1,216 structural nonzeros and Ric
+        orc = CurvatureOracle(MetricPoint.from_profile(default_profile, 2.5, 16))
+        assert orc.RL.shape == orc.rows.shape == orc.cols.shape == (1216,)
+        held = [v for v in vars(orc).values() if isinstance(v, np.ndarray)]
+        assert held and max(a.size for a in held) <= 2 * 1216 + 32 * 32
+
+    def test_large_n_agrees_with_closed_form_without_dense_arrays(self, default_profile):
+        # at n = 32 (p = 2,016) a dense operator on pairs is 32 MiB and each
+        # (p, m, m) build temporary 66 MiB; the build traces far less, the
+        # pattern's first call included
+        mp = MetricPoint.from_profile(default_profile, 2.5, 32)
+        tracemalloc.start()
+        try:
+            orc = CurvatureOracle(mp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+        p = 64 * 63 // 2
+        held = [v for v in vars(orc).values() if isinstance(v, np.ndarray)]
+        assert held and max(a.size for a in held) < p * p // 100
+        F = random_frame_vector(np.random.default_rng(32), 32, (20, 2))
+        Y, Xi = F[:, 0], F[:, 1]
+        ref = orc.bisectional(Y, Xi)
+        assert np.all(np.abs(bisectional(Y, Xi, mp) - ref) / (1.0 + np.abs(ref)) <= 1e-6)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_batch_matches_points(self, default_profile, n):
+        # a (T,) oracle, its entries, and a (T, 1) oracle against a batch of
+        # rows per t: every value bitwise that of the oracle built at t alone
+        ts = np.array([0.05, 0.3, 1.5, 3.0, 4.8, 6.0])
+        jets = default_profile.jet_at(ts)
+        batch = CurvatureOracle(MetricPoint.from_jet(ts, jets, n))
+        column = CurvatureOracle(MetricPoint.from_jet(ts[:, None], jets[:, None], n))
+        F = random_frame_vector(np.random.default_rng(40 + n), n, (ts.size, 8, 4))
+        first = F[:, 0]
+        for k, (t, jet) in enumerate(zip(ts, jets)):
+            alone = CurvatureOracle(MetricPoint.from_jet(t, jet, n))
+            assert np.array_equal(batch[k].RL, alone.RL)
+            assert np.array_equal(batch[k].Ric, alone.Ric)
+            Y, Z, W, V = (first[k, j] for j in range(4))
+            rows = F[k]
+            for orc in (batch[k], column[k]):
+                assert np.array_equal(
+                    orc.evaluate(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]),
+                    alone.evaluate(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]),
+                )
+            checks = [
+                (batch.evaluate(first[:, 0], first[:, 1], first[:, 2], first[:, 3])[k],
+                 alone.evaluate(Y, Z, W, V)),
+                (batch.sectional(first[:, 0], first[:, 1])[k], alone.sectional(Y, Z)),
+                (batch.bisectional(first[:, 0], first[:, 1])[k], alone.bisectional(Y, Z)),
+                (batch.ricci(first[:, 0])[k], alone.ricci(Y)),
+                (column.sectional(F[:, :, 0], F[:, :, 1])[k],
+                 alone.sectional(rows[:, 0], rows[:, 1])),
+                (column.ricci(F[:, :, 2])[k], alone.ricci(rows[:, 2])),
+            ]
+            for got, want in checks:
+                assert np.array_equal(got, want)
 
     def test_cached_routes_reject_a_batched_metric_point(self, default_profile):
         # oracle_for hashes its argument before building, so the point check
-        # must run there too, not only in CurvatureOracle
+        # must run there
         ts = np.array([0.5, 2.0, 5.5])
         mp = MetricPoint.from_jet(ts, default_profile.jet_at(ts), 3)
         with pytest.raises(ValueError, match=r"one metric point.*\(3, 4\)"):
