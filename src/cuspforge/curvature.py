@@ -53,7 +53,6 @@ __all__ = [
     "bisectional",
     "ricci",
     "ricci_coefficients",
-    "rz_plane_curvature",
     "bianchi_check",
     "poly_P",
     "discriminant_inequality",
@@ -287,15 +286,10 @@ def _bisectional(pair_data: tuple, mp: MetricPoint):
     return -(horiz + central + mixed)
 
 
-def cauchy_schwarz_defect(Y: FrameVector, Xi: FrameVector):
-    """Slack of |2 a alpha ((b beta + c gamma) x + (c beta - b gamma) y)|
-    <= a^2 (beta^2 + gamma^2) + alpha^2 (b^2 + c^2); nonnegative slack
-    means the inequality holds for this pair."""
-    return _cauchy_schwarz_defect(_pair_data(Y, Xi))
-
-
 def _cauchy_schwarz_defect(pair_data: tuple):
-    """cauchy_schwarz_defect from the _pair_data of (Y, Xi)."""
+    """Slack of |2 a alpha ((b beta + c gamma) x + (c beta - b gamma) y)|
+    <= a^2 (beta^2 + gamma^2) + alpha^2 (b^2 + c^2), from the _pair_data
+    of (Y, Xi); nonnegative slack means the inequality holds for the pair."""
     a_sq, alpha_sq, bc_sq, bg_sq, cross, _ = pair_data
     return a_sq * bg_sq + alpha_sq * bc_sq - np.abs(cross)
 
@@ -324,12 +318,6 @@ def ricci_coefficients(mp: MetricPoint):
     coef_h = 2.0 * mp.f * mp.fpp + 4.0 * fp_sq + 2.0 * (n - 2) * fp_sq
     coef_z = (2 * n + 1) * mp.f * fp_sq * mp.fpp + mp.f * mp.f * mp.fp * mp.fppp
     return coef_h, coef_z
-
-
-def rz_plane_curvature(U: np.ndarray, Ut: np.ndarray, mp: MetricPoint):
-    """R(U ^ Z, Ut ^ Z) = -f^2 g^2 (f''/f) mu(U, Ut) for horizontal U, Ut."""
-    mu = _hdot(np.asarray(U, dtype=complex), np.asarray(Ut, dtype=complex))[0]
-    return -mp.f * (mp.g * mp.g) * mp.fpp * mu
 
 
 # ---------------------------------------------------------------------------
@@ -389,16 +377,6 @@ def _pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return arrays
 
 
-def _quadratic_form(p: np.ndarray, A: np.ndarray, q: np.ndarray):
-    """p^T A q per row of the broadcast leading axes of p and q.
-
-    The stacked product p[..., None, :] @ A is one BLAS matrix-vector
-    product per row; a flat 2-D p @ A (one GEMM) or an optimized einsum
-    would round a batch row differently from the same row alone.
-    """
-    return np.sum((p[..., None, :] @ A)[..., 0, :] * q, axis=-1)[()]
-
-
 class _Pattern(NamedTuple):
     """The oracle's structural nonzeros for one frame size m; see _pattern."""
 
@@ -409,7 +387,7 @@ class _Pattern(NamedTuple):
     bracket: tuple  # G slots and coefficients of c[I, J] @ G0
     dt: np.ndarray  # G slot of G1
     scale: np.ndarray  # jets index of M_l
-    ric: tuple  # R slots and signs of the Ricci trace; the flat (i, k) of each Ric nonzero
+    ric: tuple  # R slots and signs of the Ricci trace, per diagonal entry of Ric
     kl: np.ndarray  # R slot of R_ijkl, per RL entry
     lk: np.ndarray  # R slot of R_ijlk
     rows: np.ndarray  # pair index ij
@@ -500,16 +478,17 @@ def _pattern(m: int) -> _Pattern:
     dt = np.full(entries.size, zg)
     dt[np.searchsorted(entries, keys_dt)] = ng + d
 
-    # Ric[i, k] sums R_ijk^j over j in order, where the row (j, i) is -(i, j)
+    # Ric[i, i] sums R_iji^j over j in order, where the row (j, i) is -(i, j);
+    # only the diagonal is kept, where every term of the trace lands
     r, k, l = np.unravel_index(entries, (p, m, m))
     zr = entries.size
-    top, bottom = np.flatnonzero(l == J[r]), np.flatnonzero(l == I[r])
-    dst = np.concatenate([I[r[top]] * m + k[top], J[r[bottom]] * m + k[bottom]])
+    top = np.flatnonzero((l == J[r]) & (k == I[r]))
+    bottom = np.flatnonzero((l == I[r]) & (k == J[r]))
+    dst = np.concatenate([I[r[top]], J[r[bottom]]])
     order = np.lexsort((np.concatenate([J[r[top]], I[r[bottom]]]), dst))
     sign = np.repeat([1.0, -1.0], [top.size, bottom.size])
-    ric_entries = _unique(dst)
     ric = _slots(
-        ric_entries, dst[order], (np.concatenate([top, bottom])[order], sign[order]), (zr, 1.0)
+        np.arange(m), dst[order], (np.concatenate([top, bottom])[order], sign[order]), (zr, 1.0)
     )
 
     # RL[ij, kl] = (R_ijkl - R_ijlk) / 2 over the pairs k < l
@@ -529,7 +508,7 @@ def _pattern(m: int) -> _Pattern:
         bracket=tuple(_slots(entries, keys_c, (e, cv[up][q]), (zg, 0.0))),
         dt=dt,
         scale=kind[l],
-        ric=(*ric, ric_entries),
+        ric=tuple(ric),
         kl=kl,
         lk=lk,
         rows=rl // p,
@@ -560,7 +539,9 @@ class CurvatureOracle:
         RL[ij, kl] = (R_ijkl - R_ijlk) / 2    for i < j and k < l,
 
     so that R(Y, Z, W, V) = (y ^ z)^T RL (w ^ v) with
-    (y ^ z)_ij = y_i z_j - y_j z_i, and the Ricci matrix Ric.
+    (y ^ z)_ij = y_i z_j - y_j z_i, and Ric, the diagonal of the Ricci
+    matrix in the frame B, which is all of it: the trace puts no term off
+    the diagonal.
 
     RL is held in coordinate form: RL[..., e] is the entry (rows[e],
     cols[e]), over the structural nonzeros that _pattern derives once per m
@@ -581,8 +562,8 @@ class CurvatureOracle:
 
     def __init__(self, mp: MetricPoint) -> None:
         self.mp = mp
-        m = self.m = 2 * mp.n
-        pat = _pattern(m)
+        self.m = 2 * mp.n
+        pat = _pattern(self.m)
         f, fp, fpp = mp.f, mp.fp, mp.fpp
         g, gp, gpp = mp.g, mp.gp, mp.gpp
         # 1, f^2 and g^2, then their first and their second t-derivatives
@@ -616,11 +597,9 @@ class CurvatureOracle:
         src, coef = pat.bracket
         R_up += (coef * G.take(src, axis=-1)).sum(axis=-2)
         R_up -= G.take(pat.dt, axis=-1)
-        # Ric[i, k] = sum_j R_ijk^j, then R_ijkl = R_ijk^l M_l
-        src, sign, dst = pat.ric
-        Ric = np.zeros(batch + (m * m,))
-        Ric[..., dst] = (sign * R.take(src, axis=-1)).sum(axis=-2)
-        self.Ric = Ric.reshape(batch + (m, m))
+        # Ric[i, i] = sum_j R_iji^j, then R_ijkl = R_ijk^l M_l
+        src, sign = pat.ric
+        self.Ric = (sign * R.take(src, axis=-1)).sum(axis=-2)
         R_up *= jets.take(pat.scale, axis=-1)
         self.RL = 0.5 * (R.take(pat.kl, axis=-1) - R.take(pat.lk, axis=-1))
         self.rows, self.cols = pat.rows, pat.cols
@@ -688,7 +667,7 @@ class CurvatureOracle:
     def ricci(self, Xi: FrameVector):
         """Sum of R(Xi, b, Xi, b) over the 2n orthonormal frame directions."""
         x = self.frame_coords(Xi)
-        return _quadratic_form(x, self.Ric, x)
+        return (x * self.Ric * x).sum(axis=-1)[()]
 
 
 # callers reuse only the oracle of the point they just asked for; each

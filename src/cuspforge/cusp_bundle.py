@@ -6,8 +6,8 @@ of a holomorphic punctured disk bundle over an abelian torus.  This module
 implements the induced lattice action on the bundle coordinates (a, v),
 the Hermitian bundle metric whose unit-disk sublevel recovers the horoball,
 its Chern curvature (negative definite, which is the negativity of the
-normal bundle of the compactifying torus), the d-fold fiber covers, and the
-polar identification of the cusp with a punctured disk times C^(n-1).
+normal bundle of the compactifying torus), and the polar identification of
+the cusp with a punctured disk times C^(n-1).
 """
 
 from __future__ import annotations
@@ -22,12 +22,9 @@ from .heisenberg_siegel import HeisenbergElement, hermitian_product, lambda_cons
 __all__ = [
     "BundlePoint",
     "CuspParams",
-    "CoverDegree",
     "lattice_act",
     "h_norm",
-    "in_punctured_disk_bundle",
     "bundle_curvature",
-    "power_cover",
     "cusp_to_disk",
 ]
 
@@ -71,15 +68,6 @@ class CuspParams:
             raise ValueError(f"t0 = {self.t0} and l = {self.l} give lambda(t0) = {lam}, not > 0")
 
 
-@dataclass(frozen=True)
-class CoverDegree:
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError("cover degree must be a positive integer")
-
-
 def lattice_act(g: HeisenbergElement, p: BundlePoint, cp: CuspParams) -> BundlePoint:
     """Action of n_(s,v) on the quotient coordinates.
 
@@ -109,12 +97,6 @@ def h_norm(p: BundlePoint, cp: CuspParams) -> float:
     return weight * float(abs(p.a)) / lam
 
 
-def in_punctured_disk_bundle(p: BundlePoint, cp: CuspParams) -> bool:
-    """True iff 0 < h_norm(p) < 1, the image of the open horoball."""
-    r = h_norm(p, cp)
-    return 0.0 < r < 1.0
-
-
 def bundle_curvature(cp: CuspParams) -> np.ndarray:
     """Chern curvature coefficients of the bundle metric: -(2 pi / l) Id.
 
@@ -124,21 +106,13 @@ def bundle_curvature(cp: CuspParams) -> np.ndarray:
     return -(2.0 * math.pi / cp.l) * np.eye(cp.n - 1)
 
 
-def power_cover(p: BundlePoint, deg: CoverDegree) -> BundlePoint:
-    """Fiberwise d-th power (a, v) -> (a^d, v).
-
-    Maps the disk bundle of the l/d-periodic quotient into the l-periodic
-    one: |a| < exp(-pi |v|^2 / (d l)) implies |a^d| < exp(-pi |v|^2 / l).
-    """
-    return BundlePoint(complex(p.a) ** deg.d, p.v.copy())
-
-
 def cusp_to_disk(t: float, g: HeisenbergElement, A: float) -> tuple[complex, np.ndarray]:
     """Polar identification of (0, A) x N / center with D*(0, A) x C^(n-1).
 
-    The central period is assumed normalized to 2 pi (apply rescale first
-    otherwise); the pair (t, n_(s,v)) goes to (t e^(i s), v), so the radius
-    is the transverse coordinate and the angle is the central one.
+    The central period is assumed to be 2 pi, so that the central element
+    n_(2 pi, 0) acts trivially on the angle; the pair (t, n_(s,v)) goes to
+    (t e^(i s), v), so the radius is the transverse coordinate and the angle
+    is the central one.
     """
     if not 0.0 < t < A:
         raise ValueError("transverse coordinate t must lie in (0, A)")

@@ -7,10 +7,9 @@ s real and v a complex (n-1)-vector.  It acts on the Siegel model
 
 the unbounded realization of complex hyperbolic n-space, as the unipotent
 stabilizer of the boundary point at infinity.  This module implements the
-group law, the matrix model acting on C^(n+1), the ambient Hermitian form
-of signature (n,1), horoballs centred at infinity, and the quotient of a
-horoball by the center of N, which produces the punctured-disk coordinates
-used by the cusp bundle module.
+group law, the matrix model acting on C^(n+1), the orbit coordinates, and
+the quotient of a horoball by the center of N, which produces the
+punctured-disk coordinates used by the cusp bundle module.
 
 Conventions.  The Hermitian product on C^k is linear in the first argument
 and conjugate-linear in the second.  All operations are pure; elements are
@@ -28,16 +27,11 @@ __all__ = [
     "HeisenbergElement",
     "SiegelPoint",
     "hermitian_product",
-    "identity_element",
     "compose",
-    "inverse",
     "to_matrix",
-    "hermitian_form",
     "orbit_coords",
-    "horoball_contains",
     "quotient_to_omega",
     "lambda_const",
-    "rescale",
 ]
 
 
@@ -85,20 +79,12 @@ class SiegelPoint:
         return self.defect() < 0.0
 
 
-def identity_element(n: int) -> HeisenbergElement:
-    return HeisenbergElement(0.0, np.zeros(n - 1, dtype=complex))
-
-
 def compose(g: HeisenbergElement, h: HeisenbergElement) -> HeisenbergElement:
     """Group law n_(s,v) n_(s',v') = n_(s + s' + Im<v',v>, v + v')."""
     if g.v.shape != h.v.shape:
         raise ValueError("dimension mismatch in Heisenberg composition")
     twist = hermitian_product(h.v, g.v).imag
     return HeisenbergElement(g.s + h.s + twist, g.v + h.v)
-
-
-def inverse(g: HeisenbergElement) -> HeisenbergElement:
-    return HeisenbergElement(-g.s, -g.v)
 
 
 def to_matrix(g: HeisenbergElement) -> np.ndarray:
@@ -118,20 +104,6 @@ def to_matrix(g: HeisenbergElement) -> np.ndarray:
     return m
 
 
-def hermitian_form(u: np.ndarray, w: np.ndarray) -> complex:
-    """Ambient form of signature (n,1), H(u,u) = 2 Re(u1 conj(u2)) + |rest|^2.
-
-    Polarized version, linear in u: H(u,w) = u1 conj(w2) + u2 conj(w1)
-    plus the standard product of the remaining coordinates.
-    """
-    u = np.asarray(u, dtype=complex).reshape(-1)
-    w = np.asarray(w, dtype=complex).reshape(-1)
-    if u.shape != w.shape:
-        raise ValueError("dimension mismatch in hermitian_form")
-    head = u[0] * np.conj(w[1]) + u[1] * np.conj(w[0])
-    return complex(head + hermitian_product(u[2:], w[2:]))
-
-
 def orbit_coords(s: float, v: np.ndarray, t: float) -> SiegelPoint:
     """Coordinates of n_(s,v) a_t applied to the base point.
 
@@ -142,12 +114,6 @@ def orbit_coords(s: float, v: np.ndarray, t: float) -> SiegelPoint:
     nv2 = float(np.vdot(v, v).real)
     a = -0.5 * nv2 - 1j * s - math.exp(-2.0 * t)
     return SiegelPoint(a, v)
-
-
-def horoball_contains(p: SiegelPoint, t0: float) -> bool:
-    """Membership in the horoball of depth t0: Re(a) < -|v|^2/2 - e^(-2 t0)."""
-    nv2 = float(np.vdot(p.v, p.v).real)
-    return p.a.real < -0.5 * nv2 - math.exp(-2.0 * t0)
 
 
 def quotient_to_omega(p: SiegelPoint, l: float) -> tuple[complex, np.ndarray]:
@@ -169,15 +135,3 @@ def lambda_const(t0: float, l: float) -> float:
     if not l > 0.0:
         raise ValueError("central translation length l must be positive")
     return math.exp(-2.0 * math.pi * math.exp(-2.0 * t0) / l)
-
-
-def rescale(g: HeisenbergElement, l: float) -> HeisenbergElement:
-    """Automorphism n_(s,v) -> n_(2 pi s / l, sqrt(2 pi / l) v).
-
-    Normalizes the central period from l to 2 pi; the horizontal scaling
-    by sqrt(2 pi / l) is what keeps the commutator twist consistent.
-    """
-    if not l > 0.0:
-        raise ValueError("central translation length l must be positive")
-    c = 2.0 * math.pi / l
-    return HeisenbergElement(c * g.s, math.sqrt(c) * g.v)

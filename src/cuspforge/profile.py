@@ -42,7 +42,6 @@ __all__ = [
     "CutoffProfile",
     "PsiSolution",
     "build_cutoff",
-    "exp_profile",
     "solve_psi",
 ]
 
@@ -99,18 +98,6 @@ class CutoffProfile:
         """Min over the grid restricted to t > 0 of each of f, f', f'', f'''."""
         interior = self.grid > 0.0
         return self.jets[interior].min(axis=0)
-
-
-def exp_profile(A: float) -> CutoffProfile:
-    """Degenerate profile with f = exp on all of [0, A] (window collapsed).
-
-    Used for the constant-curvature model; positivity is immediate.
-    """
-    grid = np.linspace(0.0, A, GRID_POINTS)
-    e = np.exp(grid)
-    jets = np.stack([e, e, e, e], axis=-1)
-    prof = CutoffProfile(A=A, window=(-2.0, -1.0), grid=grid, jets=jets)
-    return prof
 
 
 def build_cutoff(A: float, window: tuple[float, float]) -> CutoffProfile:

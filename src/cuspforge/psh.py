@@ -111,19 +111,12 @@ class ChiFunction:
         if self.breakpoints and self.breakpoints[0] <= self.radius:
             raise ValueError("first breakpoint inside smoothing radius of 0")
 
-    def _hinge_sum(self, t, hinge: Callable[[np.ndarray], np.ndarray]):
+    def __call__(self, t):
         t = np.asarray(t, dtype=float)
         out = self.slopes[0] * t
         for bp, s_lo, s_hi in zip(self.breakpoints, self.slopes, self.slopes[1:]):
-            out = out + (s_hi - s_lo) * hinge(t - bp)
+            out = out + (s_hi - s_lo) * _smoothed_hinge(t - bp, self.radius)
         return float(out) if out.ndim == 0 else out
-
-    def __call__(self, t):
-        return self._hinge_sum(t, lambda x: _smoothed_hinge(x, self.radius))
-
-    def piecewise_core(self, t):
-        """The unsmoothed piecewise-linear minorant."""
-        return self._hinge_sum(t, lambda x: np.maximum(x, 0.0))
 
 
 _SAFETY = 0.5  # how far chi's knot targets clear the phi levels they cover
@@ -203,20 +196,9 @@ def build_chi(
 
 @dataclass
 class HessianReport:
-    point: np.ndarray
     matrix: np.ndarray
     eigenvalues: np.ndarray
     min_eigenvalue: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "point": [[z.real, z.imag] for z in self.point],
-            "matrix": [
-                [[z.real, z.imag] for z in row] for row in self.matrix
-            ],
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "min_eigenvalue": self.min_eigenvalue,
-        }
 
 
 def _raw_hessian(fn: Callable[[np.ndarray], float], z0: np.ndarray, h: float) -> np.ndarray:
@@ -265,12 +247,7 @@ def complex_hessian(fn: Callable[[np.ndarray], float], z0: Sequence[complex]) ->
     fine = _raw_hessian(fn, z0, h / 2.0)
     H = (4.0 * fine - coarse) / 3.0
     eigs = np.linalg.eigvalsh(H)
-    return HessianReport(
-        point=z0.copy(),
-        matrix=H,
-        eigenvalues=eigs,
-        min_eigenvalue=float(eigs[0]),
-    )
+    return HessianReport(matrix=H, eigenvalues=eigs, min_eigenvalue=float(eigs[0]))
 
 
 # ---------------------------------------------------------------------------

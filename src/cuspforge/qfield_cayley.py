@@ -322,10 +322,6 @@ class QuadMatrix:
         return cls.diagonal([1] * m, d)
 
     @classmethod
-    def zero(cls, m: int, d: int) -> "QuadMatrix":
-        return cls.diagonal([0] * m, d)
-
-    @classmethod
     def diagonal(cls, diag: Sequence[RationalLike], d: int) -> "QuadMatrix":
         grid = np.full((len(diag), len(diag)), qzero(d), dtype=object)
         np.fill_diagonal(grid, [QuadElem(_frac(v), Fraction(0), d) for v in diag])
@@ -377,9 +373,6 @@ class QuadMatrix:
     def conj(self) -> "QuadMatrix":
         return QuadMatrix._reduced(self.X, -self.Y, self.D, self.d)
 
-    def conj_transpose(self) -> "QuadMatrix":
-        return self.transpose().conj()
-
     def is_zero(self) -> bool:
         return not (self.X.any() or self.Y.any())
 
@@ -405,31 +398,16 @@ class QuadMatrix:
         re, im = self.X / self.D, self.Y / self.D
         return (re + 1j * im * math.sqrt(self.d)).astype(complex)
 
-    def to_json_dict(self) -> dict:
+    def to_json(self) -> str:
+        """{"d", "m", "entries"}, each entry a [real, sqrt(-d)] pair of
+        fraction strings "p/q"."""
+
         def s(x: int) -> str:
             f = Fraction(x, self.D)
             return f"{f.numerator}/{f.denominator}"
 
         rows = [[[s(x), s(y)] for x, y in zip(*xy)] for xy in zip(self.X, self.Y)]
-        return {"d": self.d, "m": self.m, "entries": rows}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "QuadMatrix":
-        d, rows = int(data["d"]), data["entries"]
-        if len(rows) != int(data["m"]):
-            raise ValueError(f"m = {data['m']} disagrees with {len(rows)} entry rows")
-        try:
-            grid = [[QuadElem(Fraction(x), Fraction(y), d) for x, y in row] for row in rows]
-        except ZeroDivisionError as exc:
-            raise ValueError(f"zero denominator in entries: {exc}") from exc
-        return cls(grid)
-
-    @classmethod
-    def from_json(cls, text: str) -> "QuadMatrix":
-        return cls.from_json_dict(json.loads(text))
+        return json.dumps({"d": self.d, "m": self.m, "entries": rows})
 
     def __repr__(self) -> str:
         return f"QuadMatrix(m={self.m}, d={self.d})"
@@ -467,11 +445,6 @@ def _pullback(M: QuadMatrix, H: QuadMatrix) -> QuadMatrix:
     M._check(H)
     P = _wmul(*_wmul(M.X.T, M.Y.T, H.X, H.Y, M.d), M.X, -M.Y, M.d)
     return QuadMatrix._reduced(*P, M.D * M.D * H.D, M.d)
-
-
-def unitary_defect(M: QuadMatrix, H: QuadMatrix) -> QuadMatrix:
-    """tM H conj(M) - H; zero iff M preserves the form H."""
-    return _pullback(M, H) - H
 
 
 def in_unitary_group(M: QuadMatrix, H: QuadMatrix) -> bool:

@@ -16,7 +16,6 @@ from cuspforge.curvature import (
     MetricPoint,
     bianchi_check,
     bisectional,
-    cauchy_schwarz_defect,
     discriminant_inequality,
     hbc_certificate,
     hs_blocks,
@@ -25,8 +24,8 @@ from cuspforge.curvature import (
     random_frame_vector,
     ricci,
     ricci_coefficients,
-    rz_plane_curvature,
 )
+from cuspforge.curvature import _cauchy_schwarz_defect, _pair_data
 
 small = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -159,7 +158,7 @@ class TestBisectional:
     def test_cauchy_schwarz_slack_nonnegative(self, a1, b1, c1, d1, a2, b2, c2, d2):
         Y = FrameVector(np.array([a1 + 1j * b1]), c1, d1)
         Xi = FrameVector(np.array([a2 + 1j * b2]), c2, d2)
-        assert cauchy_schwarz_defect(Y, Xi) >= -1e-12
+        assert _cauchy_schwarz_defect(_pair_data(Y, Xi)) >= -1e-12
 
 
 class TestRicci:
@@ -200,14 +199,15 @@ class TestRicci:
 
 class TestAuxiliaryIdentities:
     def test_rz_plane_matches_oracle(self, rng):
+        # R(U ^ Z, U ^ Z) = F[0, 0] f^2 g^2 |U|^2 for any horizontal U, not
+        # only the unit X of the block test
         for mp in (MetricPoint.cosh_model(0.6, 3), MetricPoint.exp_model(1.0, 3)):
             orc = oracle_for(mp)
             U = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             Z = FrameVector(np.zeros(2), 1.0, 0.0)
             X = FrameVector(U, 0.0, 0.0)
-            assert rz_plane_curvature(U, U, mp) == pytest.approx(
-                orc(X, Z, X, Z), rel=1e-10
-            )
+            expected = hs_blocks(mp).F[0, 0] * mp.f**2 * mp.g**2 * np.vdot(U, U).real
+            assert expected == pytest.approx(orc(X, Z, X, Z), rel=1e-10)
 
     def test_bianchi_defect_small(self, rng):
         mp = MetricPoint.cosh_model(1.2, 3)
@@ -298,7 +298,7 @@ def per_sample_certificate(p, samples, n, seed, strict_ratio=1e-10):
             worst_ratio = max(worst_ratio, ratio)
             if ratio >= -strict_ratio:
                 failures.append(("strict negativity", t, ratio))
-        slack = cauchy_schwarz_defect(Y, Xi)
+        slack = _cauchy_schwarz_defect(_pair_data(Y, Xi))
         min_slack = min(min_slack, slack)
         if slack < -1e-12:
             failures.append(("cauchy-schwarz", t, slack))
@@ -398,7 +398,8 @@ class TestBatchedEvaluation:
             (ricci(Xi, mp), lambda y, xi, m: ricci(xi, m)),
             (Y.norm_sq(mp), lambda y, xi, m: y.norm_sq(m)),
             (Y.inner(Xi, mp), lambda y, xi, m: y.inner(xi, m)),
-            (cauchy_schwarz_defect(Y, Xi), lambda y, xi, m: cauchy_schwarz_defect(y, xi)),
+            (_cauchy_schwarz_defect(_pair_data(Y, Xi)),
+             lambda y, xi, m: _cauchy_schwarz_defect(_pair_data(y, xi))),
         ]
         for batched, per_row in cases:
             assert batched.shape == (self.ROWS,)
@@ -576,7 +577,7 @@ class TestOracleBuild:
             norms = np.array([1.0] + [mp.f * mp.f] * (2 * n - 2) + [mp.g * mp.g])
             bound = 64.0 * eps * np.abs(R / norms).max()
             assert np.all(np.abs(dense - RL) <= bound * 0.5 * (norms[K] + norms[L]))
-            assert np.all(np.abs(orc.Ric - Ric) <= bound)
+            assert np.all(np.abs(orc.Ric - np.diagonal(Ric)) <= bound)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 9])
     def test_reference_vanishes_off_the_pattern(self, default_profile, n):
@@ -589,13 +590,24 @@ class TestOracleBuild:
             off[orc.rows, orc.cols] = False
             assert np.all(RL[off] == 0.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_reference_ricci_is_diagonal(self, default_profile, n):
+        # the oracle keeps only the diagonal of Ric; the independent builder
+        # must be exactly 0 off it
+        off = ~np.eye(2 * n, dtype=bool)
+        for mp in reference_points(default_profile, n):
+            Ric = reference_oracle_tensor(mp)[1]
+            assert np.all(Ric[off] == 0.0)
+
     def test_holds_the_operator_on_pairs_only(self, default_profile):
         # at n = 16 the dense operator on pairs would be 496 x 496; the
-        # coordinate form holds its 1,216 structural nonzeros and Ric
+        # coordinate form holds its 1,216 structural nonzeros and the 32
+        # diagonal entries of Ric
         orc = CurvatureOracle(MetricPoint.from_profile(default_profile, 2.5, 16))
         assert orc.RL.shape == orc.rows.shape == orc.cols.shape == (1216,)
+        assert orc.Ric.shape == (32,)
         held = [v for v in vars(orc).values() if isinstance(v, np.ndarray)]
-        assert held and max(a.size for a in held) <= 2 * 1216 + 32 * 32
+        assert held and max(a.size for a in held) <= 2 * 1216 + 32
 
     def test_large_n_agrees_with_closed_form_without_dense_arrays(self, default_profile):
         # at n = 32 (p = 2,016) a dense operator on pairs is 32 MiB and each

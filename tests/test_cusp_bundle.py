@@ -8,14 +8,11 @@ import pytest
 
 from cuspforge.cusp_bundle import (
     BundlePoint,
-    CoverDegree,
     CuspParams,
     bundle_curvature,
     cusp_to_disk,
     h_norm,
-    in_punctured_disk_bundle,
     lattice_act,
-    power_cover,
 )
 from cuspforge.heisenberg_siegel import (
     HeisenbergElement,
@@ -95,11 +92,12 @@ class TestBundleMetric:
         for t in (-0.5, -1.0, -3.0):
             a, v = quotient_to_omega(orbit_coords(0.3, np.array([0.2 + 0.1j, 0.0]), t), CP.l)
             p = BundlePoint(a, v)
-            assert in_punctured_disk_bundle(p, CP)
+            assert 0.0 < h_norm(p, CP) < 1.0
             assert h_norm(p, CP) == pytest.approx(math.exp(1.0 - math.exp(-2.0 * t)), rel=1e-10)
 
     def test_puncture_excluded(self):
-        assert not in_punctured_disk_bundle(BundlePoint(0.0, np.zeros(2)), CP)
+        # the zero section a = 0 has norm 0, outside the punctured disk bundle
+        assert h_norm(BundlePoint(0.0, np.zeros(2)), CP) == 0.0
 
 
 class TestBundleCurvature:
@@ -132,27 +130,17 @@ class TestBundleCurvature:
 
 
 class TestPowerCover:
-    def test_fiber_power(self, rng):
-        p = random_point(rng)
-        q = power_cover(p, CoverDegree(3))
-        assert q.a == pytest.approx(p.a**3, rel=1e-13)
-        np.testing.assert_array_equal(q.v, p.v)
-
     def test_cover_maps_small_bundle_into_big(self, rng):
-        # a point of the l/d-periodic bundle lands inside the l-periodic one
+        # the fiberwise d-th power takes the disk bundle of the l/d-periodic
+        # quotient into that of the l-periodic one
         d = 4
         small = CuspParams(l=CP.l / d, t0=CP.t0, n=3)
         for _ in range(20):
             v = 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
             t = float(rng.uniform(-2.0, -0.1))
             a, _ = quotient_to_omega(orbit_coords(0.0, v, t), small.l)
-            p = BundlePoint(a, v)
-            assert in_punctured_disk_bundle(p, small)
-            assert in_punctured_disk_bundle(power_cover(p, CoverDegree(d)), CP)
-
-    def test_degree_validation(self):
-        with pytest.raises(ValueError):
-            CoverDegree(0)
+            assert 0.0 < h_norm(BundlePoint(a, v), small) < 1.0
+            assert 0.0 < h_norm(BundlePoint(a**d, v), CP) < 1.0
 
 
 class TestPolarChart:

@@ -7,21 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspforge.cusp_bundle import cusp_to_disk
 from cuspforge.heisenberg_siegel import (
     HeisenbergElement,
     SiegelPoint,
     compose,
-    hermitian_form,
     hermitian_product,
-    horoball_contains,
-    identity_element,
-    inverse,
     lambda_const,
     orbit_coords,
     quotient_to_omega,
-    rescale,
     to_matrix,
 )
+from cuspforge.qfield_cayley import polarized_form_matrix
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -31,10 +28,21 @@ def random_element(rng, n=3, scale=1.0):
     return HeisenbergElement(scale * rng.standard_normal(), v)
 
 
+def inverse(g):
+    """n_(-s,-v), the inverse of n_(s,v) under the group law."""
+    return HeisenbergElement(-g.s, -g.v)
+
+
+def dilate(g, c):
+    """The dilation n_(s,v) -> n_(c s, sqrt(c) v); c = 2 pi / l takes the
+    central period l to 2 pi."""
+    return HeisenbergElement(c * g.s, math.sqrt(c) * g.v)
+
+
 class TestGroupLaw:
     def test_identity_is_neutral(self, rng):
         g = random_element(rng)
-        e = identity_element(3)
+        e = HeisenbergElement(0.0, np.zeros(2))
         for h in (compose(e, g), compose(g, e)):
             assert h.s == pytest.approx(g.s, abs=0.0)
             assert np.array_equal(h.v, g.v)
@@ -89,7 +97,7 @@ class TestMatrixModel:
     """The matrix model must be a faithful homomorphism into the unitary group of H."""
 
     def test_matrix_of_identity(self):
-        np.testing.assert_array_equal(to_matrix(identity_element(3)), np.eye(4))
+        np.testing.assert_array_equal(to_matrix(HeisenbergElement(0.0, np.zeros(2))), np.eye(4))
 
     def test_homomorphism(self, rng):
         for _ in range(30):
@@ -99,14 +107,16 @@ class TestMatrixModel:
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_preserves_hermitian_form(self, rng):
-        # t(M) H conj(M) = H, checked on random vector pairs
+        # t(M) H conj(M) = H, checked on random vector pairs, with H the
+        # polarized form H(u, w) = u^T H conj(w) of signature (3, 1)
+        H = polarized_form_matrix(3, 1).to_complex()
         for _ in range(30):
             g = random_element(rng, scale=2.0)
             m = to_matrix(g)
             u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            assert hermitian_form(m @ u, m @ w) == pytest.approx(
-                hermitian_form(u, w), rel=1e-11, abs=1e-11
+            assert (m @ u) @ H @ np.conj(m @ w) == pytest.approx(
+                u @ H @ np.conj(w), rel=1e-11, abs=1e-11
             )
 
     def test_unipotent(self, rng):
@@ -137,12 +147,10 @@ class TestHermitianForm:
 
     def test_form_signature_on_flag_basis(self):
         # f1, f2 isotropic with H(f1, f2) = 1; the rest orthonormal positive
-        e = np.eye(4, dtype=complex)
-        assert hermitian_form(e[0], e[0]) == 0.0
-        assert hermitian_form(e[1], e[1]) == 0.0
-        assert hermitian_form(e[0], e[1]) == 1.0
-        assert hermitian_form(e[2], e[2]) == 1.0
-        assert hermitian_form(e[3], e[3]) == 1.0
+        H = polarized_form_matrix(3, 1).to_complex()
+        assert H[0, 0] == H[1, 1] == 0.0
+        assert H[0, 1] == H[1, 0] == 1.0
+        assert H[2, 2] == H[3, 3] == 1.0
 
 
 class TestSiegelDomain:
@@ -158,10 +166,14 @@ class TestSiegelDomain:
 
     def test_horoball_membership_monotone_in_t(self):
         # deeper means smaller t here: Re(a) = -|v|^2/2 - e^(-2t) drops as
-        # t decreases, so the horoball of depth t0 is exactly { t < t0 }
+        # t decreases, so the horoball of depth t0 is exactly { t < t0 }, and
+        # its quotient is |first| exp(pi |v|^2 / l) < lambda(t0)
+        l, t0 = 3.0, 1.0
         v = np.array([0.2 + 0.1j, -0.3j])
-        assert horoball_contains(orbit_coords(0.5, v, 0.5), 1.0)
-        assert not horoball_contains(orbit_coords(0.5, v, 2.0), 1.0)
+        weight = math.exp(math.pi * float(np.vdot(v, v).real) / l)
+        for t in (0.5, 2.0):
+            a, _ = quotient_to_omega(orbit_coords(0.5, v, t), l)
+            assert (abs(a) * weight < lambda_const(t0, l)) == (t < t0)
 
     def test_quotient_invariant_under_center(self, rng):
         l = 2.0 * math.pi
@@ -205,28 +217,34 @@ class TestSiegelDomain:
 
     def test_nan_period_rejected(self):
         p = orbit_coords(0.0, np.zeros(2), 0.5)
-        g = HeisenbergElement(1.0, np.array([0.5 + 0.5j]))
-        for call in (lambda: quotient_to_omega(p, math.nan), lambda: rescale(g, math.nan)):
-            with pytest.raises(ValueError, match="must be positive"):
-                call()
+        with pytest.raises(ValueError, match="must be positive"):
+            quotient_to_omega(p, math.nan)
 
 
 class TestRescale:
+    """The dilation that normalizes the central period to 2 pi, the period
+    cusp_to_disk assumes."""
+
     @settings(max_examples=40)
     @given(st.floats(min_value=0.1, max_value=50.0), finite, finite, finite, finite, finite, finite)
     def test_rescale_is_homomorphism(self, l, s1, x1, y1, s2, x2, y2):
+        # the twist Im<v', v> scales like s, so dilations respect the group law
         g = HeisenbergElement(s1, np.array([x1 + 1j * y1]))
         h = HeisenbergElement(s2, np.array([x2 + 1j * y2]))
-        lhs = rescale(compose(g, h), l)
-        rhs = compose(rescale(g, l), rescale(h, l))
+        c = 2.0 * math.pi / l
+        lhs = dilate(compose(g, h), c)
+        rhs = compose(dilate(g, c), dilate(h, c))
         assert lhs.s == pytest.approx(rhs.s, rel=1e-9, abs=1e-9)
         np.testing.assert_allclose(lhs.v, rhs.v, atol=1e-12)
 
     def test_rescale_normalizes_period(self):
-        l = 5.0
-        z = rescale(HeisenbergElement(l, np.zeros(2)), l)
+        # after dilation by 2 pi / l the central element n_(l, 0) moves no
+        # point of the polar chart
+        l, t, A = 5.0, 0.7, 6.0
+        g = HeisenbergElement(0.3, np.array([0.4 - 0.2j, 1.1j]))
+        z = dilate(HeisenbergElement(l, np.zeros(2)), 2.0 * math.pi / l)
         assert z.s == pytest.approx(2.0 * math.pi, rel=1e-15)
-
-    def test_rescale_rejects_bad_period(self):
-        with pytest.raises(ValueError):
-            rescale(identity_element(3), -1.0)
+        w0, v0 = cusp_to_disk(t, g, A)
+        w1, v1 = cusp_to_disk(t, compose(z, g), A)
+        assert w1 == pytest.approx(w0, rel=1e-14)
+        np.testing.assert_array_equal(v1, v0)

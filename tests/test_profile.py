@@ -11,7 +11,6 @@ from cuspforge.profile import (
     CutoffProfile,
     ProfileError,
     build_cutoff,
-    exp_profile,
     solve_psi,
 )
 
@@ -108,15 +107,22 @@ class TestJets:
             assert np.all(jet > 0.0)
 
 
+# the largest A in use: g'' = 4 e^(2t) overflows past t = 354.2, but g and
+# e^(2A) stay finite up to A = 354.89
+LARGE_A = 354.8
+
+
 class TestExpProfile:
+    """The exp region of a profile built at LARGE_A."""
+
     def test_exp_jets(self):
-        p = exp_profile(3.0)
-        jet = p.jet_at(1.3)
+        p = build_cutoff(LARGE_A, (1.0, 5.0))
+        jet = p.jet_at(354.0)
         assert jet[0] == jet[1] == jet[2] == jet[3]
-        assert jet[0] == pytest.approx(math.exp(1.3), rel=1e-12)
+        assert jet[0] == pytest.approx(math.exp(354.0), rel=1e-12)
 
     def test_margins_positive(self):
-        assert np.all(exp_profile(2.0).positivity_margins() > 0.0)
+        assert np.all(build_cutoff(LARGE_A, (1.0, 5.0)).positivity_margins() > 0.0)
 
 
 def reference_psi(p, ts):
@@ -173,15 +179,15 @@ class TestPsiSolution:
     def test_monotone_increasing(self, default_psi):
         assert np.all(np.diff(default_psi.values) > 0.0)
 
-    def test_exact_identity_for_pure_exp(self):
-        sol = solve_psi(exp_profile(3.0), t_min=0.5)
+    def test_exact_identity_for_pure_exp(self, default_profile):
+        # from t_min in the exp region [5, 6] the solve sees only f = exp
+        sol = solve_psi(default_profile, t_min=5.2)
         assert sol.identity_defect(0.5) <= 1e-12
         assert sol.max_residual() <= 1e-8
 
     def test_solves_where_only_the_g_jet_overflows(self):
-        # g'' = 4 e^(2t) overflows past t = 354.2, but g and e^(2A) stay
-        # finite up to A = 354.89; a RuntimeWarning fails the test
-        sol = solve_psi(exp_profile(354.8), t_min=354.0)
+        # the solve needs no g''; a RuntimeWarning fails the test
+        sol = solve_psi(build_cutoff(LARGE_A, (1.0, 5.0)), t_min=354.0)
         assert sol.identity_defect(354.0) <= 1e-10
         assert sol.max_residual() <= 1e-8
 
