@@ -55,6 +55,11 @@ def _is_squarefree(d: int) -> bool:
     return ok and (m == 1 or math.isqrt(m) ** 2 != m)
 
 
+def _check_field(d: int) -> None:
+    if not _is_squarefree(d):
+        raise ValueError(f"d = {d} is not a squarefree positive integer")
+
+
 @dataclass(frozen=True)
 class QuadElem:
     """a + b*sqrt(-d) with exact rational a, b and squarefree d >= 1."""
@@ -66,8 +71,7 @@ class QuadElem:
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", _frac(self.a))
         object.__setattr__(self, "b", _frac(self.b))
-        if not _is_squarefree(self.d):
-            raise ValueError(f"d = {self.d} is not a squarefree positive integer")
+        _check_field(self.d)
 
     def _coerce(self, other) -> "QuadElem":
         if isinstance(other, QuadElem):
@@ -508,16 +512,22 @@ def constraint_fill(
             if not (0 <= i and i + lo <= j < m):
                 need = "i < j" if lo else "i <= j"
                 raise ValueError(f"{name} key {(i, j)} is not free: need 0 <= {need} < {m}")
-    S = np.full((m, m), qzero(d), dtype=object)
+    _check_field(d)
+    Xf = np.full((m, m), Fraction(0), dtype=object)
+    Yf = np.full((m, m), Fraction(0), dtype=object)
     for i in range(m):
-        S[i, i] = QuadElem(Fraction(0), _frac(y_upper.get((i, i), 0)), d)
+        Yf[i, i] = _frac(y_upper.get((i, i), 0))
         for j in range(i + 1, m):
             x = _frac(x_upper.get((i, j), 0))
             y = _frac(y_upper.get((i, j), 0))
             ratio = B.diag[i] / B.diag[j]
-            S[i, j] = QuadElem(x, y, d)
-            S[j, i] = QuadElem(-ratio * x, ratio * y, d)
-    return QuadMatrix(S)
+            Xf[i, j], Yf[i, j] = x, y
+            Xf[j, i], Yf[j, i] = -ratio * x, ratio * y
+    fracs = [*Xf.flat, *Yf.flat]
+    D = math.lcm(*(f.denominator for f in fracs))
+    ints = np.array([f.numerator * (D // f.denominator) for f in fracs], dtype=object)
+    X, Y = ints.reshape(2, m, m)
+    return QuadMatrix._reduced(X, Y, D, d)
 
 
 class ApproximationError(RuntimeError):
@@ -536,11 +546,13 @@ def approximate_in_Ul(
 
     M must be finite and preserve B within 1e-10.  Route: rotate M off
     the singular set of the Cayley transform if needed (scalar rotations
-    stay in U(B)), pass to S = cayley(M), rationalize the free entries of
-    Re S and Im S by continued fractions, rebuild an exact constraint
-    solution, and map back.  Exactness of tM'B conj(M') = B holds by
-    construction and is re-verified; the eps bound is checked numerically
-    and the rationalization is tightened until it holds.
+    stay in U(B)), pass to S = cayley(M), round the free entries of Re S
+    and Im S / sqrt(d) to the dyadic grid 2^-k with the least k >= 0 such
+    that 2^-k <= eps/(10 m^2), rebuild an exact constraint solution, and
+    map back.  Every free denominator divides 2^k, so the integers stay
+    small.  Exactness of tM'B conj(M') = B holds by construction and is
+    re-verified; the eps bound is checked numerically and the grid is
+    refined (k += 4) until it holds.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
@@ -569,30 +581,31 @@ def approximate_in_Ul(
     Mw = cmath.exp(1j * theta) * M if theta else M
     S = cayley(Mw)
     sqd = math.sqrt(d)
+    # the free coordinates: Re S_ij for i < j, Im S_ij / sqrt(d) for i <= j
+    free_x = {(i, j): S[i, j].real for i in range(m) for j in range(i + 1, m)}
+    free_y = {(i, j): S[i, j].imag / sqd for i in range(m) for j in range(i, m)}
 
-    delta = eps / (10.0 * m * m)
+    # least k >= 0 with 2^-k <= eps/(10 m^2), in integers from eps = p/q:
+    # 2^k >= 10 m^2 q/p, so nothing divides by an underflowed tolerance
+    e = Fraction(eps)
+    k = ((10 * m * m * e.denominator - 1) // e.numerator).bit_length()
     achieved = math.inf
     for _ in range(6):
-        cap = max(10, math.ceil(1.0 / delta) + 1)
-        x_upper: dict[tuple[int, int], Fraction] = {}
-        y_upper: dict[tuple[int, int], Fraction] = {}
-        for i in range(m):
-            y_upper[(i, i)] = Fraction(S[i, i].imag / sqd).limit_denominator(cap)
-            for j in range(i + 1, m):
-                x_upper[(i, j)] = Fraction(S[i, j].real).limit_denominator(cap)
-                y_upper[(i, j)] = Fraction(S[i, j].imag / sqd).limit_denominator(cap)
+        grid = 2**k
+        x_upper = {ij: Fraction(round(Fraction(v) * grid), grid) for ij, v in free_x.items()}
+        y_upper = {ij: Fraction(round(Fraction(v) * grid), grid) for ij, v in free_y.items()}
         S_exact = constraint_fill(x_upper, y_upper, B, d)
         try:
             M_exact = cayley(S_exact)
         except ZeroDivisionError:
-            delta /= 10.0
+            k += 4
             continue
         if not in_unitary_group(M_exact, B.matrix(d)):
             raise AssertionError("constraint solution lost exact unitarity")
         achieved = float(np.max(np.abs(M_exact.to_complex() - M)))
         if achieved <= eps:
             return M_exact
-        delta /= 10.0
+        k += 4
     raise ApproximationError(
         f"could not reach eps = {eps:.3e} (achieved {achieved:.3e}, "
         f"rotation theta = {theta:.3e})",

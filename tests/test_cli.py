@@ -372,6 +372,20 @@ class TestMainVerify:
         )
         assert check["witness"]["runs"] == len(calls) == 10
 
+    def test_cayley_entry_error_is_measured(self, tmp_path):
+        # the inputs have small non-dyadic denominators, which the dyadic
+        # grid does not reproduce, so the eps half of the check is exercised
+        out_file = tmp_path / "report.json"
+        assert main(["verify", "cayley", "--out", str(out_file)]) == 0
+        check = next(
+            c for c in json.loads(out_file.read_text())["checks"]
+            if c["name"] == "cayley.exact_unitarity"
+        )
+        eps = check["witness"]["eps"]
+        assert eps == SuiteConfig().eps
+        assert 0.0 < check["witness"]["max_entry_error"] <= eps
+        assert check["margin"] == eps - check["witness"]["max_entry_error"]
+
     @pytest.mark.parametrize("A", ["10", "20", "100"])
     def test_profile_suite_passes_at_large_A(self, capsys, A):
         # the psi grid step stays at or below 3e-4, so the five-point

@@ -707,6 +707,40 @@ class TestApproximateInUl:
             with pytest.raises(ValueError, match="eps must be positive and finite"):
                 approximate_in_Ul(np.eye(2, dtype=complex), B, 1, eps)
 
+    @pytest.mark.parametrize("eps", [1e-310, 5e-324])
+    def test_subnormal_eps_is_unreachable(self, eps):
+        # eps/(10 m^2) underflows to 0.0 here; the grid exponent must still
+        # be finite and the answer the documented ApproximationError
+        B = HermitianDiagForm((1, 2))
+        generic = cayley(np.sqrt(2.0) * random_skew(np.random.default_rng(3), B, 2).to_complex())
+        # eigenvalue -1: the rotated Cayley coordinates are of order 1/theta
+        flipped = np.diag([-1.0, np.exp(0.3j)])
+        for M in (generic, flipped):
+            with pytest.raises(ApproximationError) as exc:
+                approximate_in_Ul(M, B, 2, eps)
+            assert exc.value.achieved > eps
+
+    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9])
+    def test_free_cayley_coordinates_are_dyadic(self, m, eps):
+        rng = np.random.default_rng(40 + m)
+        for d in (1, 2, 3, 7):
+            A, B = generic_approximant(rng, m, d, eps)
+            assert in_unitary_group(A, B.matrix(d))
+            S = cayley(A)
+            free = [S[i, j].a for i in range(m) for j in range(i + 1, m)]
+            free += [S[i, j].b for i in range(m) for j in range(i, m)]
+            dens = [c.denominator for c in free]
+            assert all(q & (q - 1) == 0 for q in dens), (d, dens)
+            # the grid is no finer than needed: 2^-k > eps/(20 m^2) on the first attempt
+            assert max(dens) < 20 * m * m / eps
+
+    def test_approximant_integers_stay_small(self):
+        rng = np.random.default_rng(44)
+        for d in (1, 2, 3, 7):
+            A, _ = generic_approximant(rng, 4, d, 1e-9)
+            assert len(str(A.D)) < 150, (d, len(str(A.D)))
+
 
 class TestIntegerRoute:
     def test_one_step_off_breaks_unitarity(self):
