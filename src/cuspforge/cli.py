@@ -46,6 +46,7 @@ from .heisenberg_siegel import (
     orbit_coords,
     quotient_to_omega,
 )
+from . import profile
 from .profile import ProfileError, build_cutoff, solve_psi
 
 AXES = ("t", "A", "l", "n")
@@ -540,34 +541,40 @@ def run_suite(cfg: SuiteConfig) -> Report:
 
 def _curvature_summary(mp: cv.MetricPoint, seed: int) -> list[dict]:
     """Summary rows of mp: one for a single point, one per t of (T,) jets.
-    Every point sees the same 120 frame pairs, drawn from seed.  The closed
-    forms run once over (T, 1) jets against the pairs, and so does one
-    oracle build; its entry k evaluates the pairs at the k-th t, so that
-    evaluation temporaries stay those of one t."""
-    F = cv.random_frame_vector(np.random.default_rng(seed), mp.n, (120, 2))
+    Every point sees the same 120 frame pairs, drawn from seed.  The t go
+    through in contiguous blocks of BLOCK_ELEMENTS // 120, since a row of
+    the closed forms holds one value per pair: per block, the closed forms
+    run once over (B, 1) jets against the pairs, and so does one oracle
+    build; its entry k evaluates the pairs at the k-th t, so that
+    evaluation temporaries stay those of one t.  All of it is elementwise
+    in t, so a block gives each t the bits of one batch over all t."""
+    pairs = 120
+    F = cv.random_frame_vector(np.random.default_rng(seed), mp.n, (pairs, 2))
     Y, Xi = F[:, 0], F[:, 1]
     ts = np.atleast_1d(mp.t)
     jets = np.stack(np.broadcast_arrays(mp.f, mp.fp, mp.fpp, mp.fppp), axis=-1).reshape(-1, 4)
-    grid = cv.MetricPoint.from_jet(ts[:, None], jets[:, None], mp.n)
-    norms = Y.norm_sq(grid) * Xi.norm_sq(grid)
-    hbc = cv.bisectional(Y, Xi, grid) / norms
-    xy = Y.inner(Xi, grid)
-    area_sq = norms - xy * xy
-    coef_h, coef_z = cv.ricci_coefficients(grid)
-    ric_lo = np.minimum(-coef_h / grid.f**2, -coef_z / grid.g**2)[:, 0]
-    oracle = cv.CurvatureOracle(grid)
+    step = max(1, profile.BLOCK_ELEMENTS // pairs)
     rows = []
-    for k in range(ts.size):
-        sec = oracle[k].evaluate(Y, Xi, Y, Xi) / area_sq[k]
-        rows.append(
-            {
-                "min_hbc": float(hbc[k].min()),
-                "max_hbc": float(hbc[k].max()),
-                "min_ricci_eigenvalue": float(ric_lo[k]),
-                "sectional_min": float(sec.min()),
-                "sectional_max": float(sec.max()),
-            }
-        )
+    for lo in range(0, ts.size, step):
+        grid = cv.MetricPoint.from_jet(ts[lo : lo + step, None], jets[lo : lo + step, None], mp.n)
+        norms = Y.norm_sq(grid) * Xi.norm_sq(grid)
+        hbc = cv.bisectional(Y, Xi, grid) / norms
+        xy = Y.inner(Xi, grid)
+        area_sq = norms - xy * xy
+        coef_h, coef_z = cv.ricci_coefficients(grid)
+        ric_lo = np.minimum(-coef_h / grid.f**2, -coef_z / grid.g**2)[:, 0]
+        oracle = cv.CurvatureOracle(grid)
+        for k in range(ric_lo.size):
+            sec = oracle[k].evaluate(Y, Xi, Y, Xi) / area_sq[k]
+            rows.append(
+                {
+                    "min_hbc": float(hbc[k].min()),
+                    "max_hbc": float(hbc[k].max()),
+                    "min_ricci_eigenvalue": float(ric_lo[k]),
+                    "sectional_min": float(sec.min()),
+                    "sectional_max": float(sec.max()),
+                }
+            )
     return rows
 
 

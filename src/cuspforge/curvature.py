@@ -42,6 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import profile
 from .profile import CutoffProfile
 
 __all__ = [
@@ -712,36 +713,58 @@ def hbc_certificate(
     nonpositivity of the bisectional curvature, strict negativity relative
     to |Y|^2 |Xi|^2 (a ratio below -STRICT_RATIO) for unit vectors at
     interior t, and the Cauchy-Schwarz step used to absorb the mixed terms.
+
+    All t are drawn first; the samples then go through in contiguous blocks
+    of BLOCK_ELEMENTS // 4n rows (a sample draws two frame vectors of 2n
+    normals), each drawing its own frames, and the extremes and the first
+    ten failures run on from block to block in sample order.  Consecutive
+    draws fill the stream of one draw, every operation is elementwise per
+    sample and each sum runs along a sample's own row, so the report has
+    the bits of one batch over all samples, with temporaries of one block.
     """
     rng = np.random.default_rng(seed)
     ts = rng.uniform(0.05, p.A, samples)
-    F = random_frame_vector(rng, n, (samples, 2))
-    Y, Xi = F[:, 0], F[:, 1]
-    # degenerate corners: pure central and pure horizontal vectors
-    Y.u[::97], Y.beta[::97], Y.gamma[::97] = 0.0, 1.0, 0.0
-    mp = MetricPoint.from_jet(ts, p.jet_at(ts), n)
-
-    pair_data = _pair_data(Y, Xi)
-    val = _bisectional(pair_data, mp)
-    denom = Y.norm_sq(mp) * Xi.norm_sq(mp)
-    interior = denom > 0.0
-    ratio = np.where(interior, val / np.where(interior, denom, 1.0), -math.inf)
-    slack = _cauchy_schwarz_defect(pair_data)
     kinds = ("nonpositivity", "strict negativity", "cauchy-schwarz")
-    values = np.stack([val, ratio, slack], axis=-1)
-    failed = np.stack(
-        [val > 1e-12, interior & (ratio >= -STRICT_RATIO), slack < -1e-12], axis=-1
-    )
-    rows, cols = np.nonzero(failed)
-    failures = [
-        (kinds[j], float(ts[k]), float(values[k, j])) for k, j in zip(rows[:10], cols[:10])
-    ]
+    max_value = worst_ratio = -math.inf
+    min_value = min_slack = math.inf
+    failures, passed = [], True
+    rows = max(1, profile.BLOCK_ELEMENTS // (4 * n))
+    for lo in range(0, samples, rows):
+        t = ts[lo : lo + rows]
+        F = random_frame_vector(rng, n, (t.size, 2))
+        Y, Xi = F[:, 0], F[:, 1]
+        # degenerate corners at every 97th sample: pure central and pure
+        # horizontal vectors
+        corner = slice(-lo % 97, None, 97)
+        Y.u[corner], Y.beta[corner], Y.gamma[corner] = 0.0, 1.0, 0.0
+        mp = MetricPoint.from_jet(t, p.jet_at(t), n)
+
+        pair_data = _pair_data(Y, Xi)
+        val = _bisectional(pair_data, mp)
+        denom = Y.norm_sq(mp) * Xi.norm_sq(mp)
+        interior = denom > 0.0
+        ratio = np.where(interior, val / np.where(interior, denom, 1.0), -math.inf)
+        slack = _cauchy_schwarz_defect(pair_data)
+        # np.maximum and np.minimum keep a nan, as one max over all samples does
+        max_value = np.maximum(max_value, val.max())
+        min_value = np.minimum(min_value, val.min())
+        worst_ratio = np.maximum(worst_ratio, ratio.max())
+        min_slack = np.minimum(min_slack, slack.min())
+        failed = np.stack(
+            [val > 1e-12, interior & (ratio >= -STRICT_RATIO), slack < -1e-12], axis=-1
+        )
+        k, j = np.nonzero(failed)
+        passed = passed and not k.size
+        columns = (val, ratio, slack)
+        failures += [
+            (kinds[c], float(t[r]), float(columns[c][r])) for r, c in zip(k[: 10 - len(failures)], j)
+        ]
     return CertificateReport(
-        passed=not rows.size,
+        passed=passed,
         samples=samples,
-        max_value=float(val.max(initial=-math.inf)),
-        min_value=float(val.min(initial=math.inf)),
-        worst_interior_ratio=float(ratio.max(initial=-math.inf)),
-        min_cs_slack=float(slack.min(initial=math.inf)),
+        max_value=float(max_value),
+        min_value=float(min_value),
+        worst_interior_ratio=float(worst_ratio),
+        min_cs_slack=float(min_slack),
         failures=failures,
     )

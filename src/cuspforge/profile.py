@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 GRID_POINTS = 10_001
+# float64 elements per block of a batched evaluation: a loop over rows of w
+# elements each takes max(1, BLOCK_ELEMENTS // w) rows at a time
+BLOCK_ELEMENTS = 2**15
 
 
 class ProfileError(ValueError):
@@ -74,17 +77,30 @@ class CutoffProfile:
         return sm.step(x), d[..., 0] / width, d[..., 1] / width**2, d[..., 2] / width**3
 
     def jet_at(self, t: np.ndarray | float) -> np.ndarray:
-        """Jet (f, f', f'', f''') at t, shape (..., 4)."""
+        """Jet (f, f', f'', f''') at t, shape (..., 4).
+
+        The points go through in blocks of BLOCK_ELEMENTS // ORDER, since
+        the smoothstep's quadrature holds ORDER nodes per point, and each
+        block fills its rows of the output; so the temporaries stay those of
+        one block.  Every operation is elementwise and each node sum runs
+        along its own row, so a point gets the same bits in any block as it
+        does alone.
+        """
         t = np.asarray(t, dtype=float)
         if np.any(t < 0.0) or np.any(t > self.A):
             raise ValueError("profile evaluated outside [0, A]")
-        w, w1, w2, w3 = self.step_data(t)
-        ch, sh = np.cosh(t), np.sinh(t)
-        f0 = ch + w * sh
-        f1 = sh + w1 * sh + w * ch
-        f2 = ch + w2 * sh + 2.0 * w1 * ch + w * sh
-        f3 = sh + w3 * sh + 3.0 * w2 * ch + 3.0 * w1 * sh + w * ch
-        return np.stack([f0, f1, f2, f3], axis=-1)
+        flat = t.reshape(-1)
+        out = np.empty((flat.size, 4))
+        rows = max(1, BLOCK_ELEMENTS // sm.ORDER)
+        for lo in range(0, flat.size, rows):
+            x, jet = flat[lo : lo + rows], out[lo : lo + rows]
+            w, w1, w2, w3 = self.step_data(x)
+            ch, sh = np.cosh(x), np.sinh(x)
+            jet[:, 0] = ch + w * sh
+            jet[:, 1] = sh + w1 * sh + w * ch
+            jet[:, 2] = ch + w2 * sh + 2.0 * w1 * ch + w * sh
+            jet[:, 3] = sh + w3 * sh + 3.0 * w2 * ch + 3.0 * w1 * sh + w * ch
+        return out.reshape(t.shape + (4,))
 
     def g_jet_at(self, t: np.ndarray | float) -> np.ndarray:
         """Jet (g, g', g'') of g = f f', shape (..., 3)."""

@@ -595,11 +595,9 @@ def approximate_in_Ul(
         x_upper = {ij: Fraction(round(Fraction(v) * grid), grid) for ij, v in free_x.items()}
         y_upper = {ij: Fraction(round(Fraction(v) * grid), grid) for ij, v in free_y.items()}
         S_exact = constraint_fill(x_upper, y_upper, B, d)
-        try:
-            M_exact = cayley(S_exact)
-        except ZeroDivisionError:
-            k += 4
-            continue
+        # tS B = -B conj(S) with B positive diagonal makes B^(1/2) S B^(-1/2)
+        # skew-Hermitian, so S has imaginary eigenvalues and I + S is invertible
+        M_exact = cayley(S_exact)
         if not in_unitary_group(M_exact, B.matrix(d)):
             raise AssertionError("constraint solution lost exact unitarity")
         achieved = float(np.max(np.abs(M_exact.to_complex() - M)))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,3 +19,19 @@ def default_psi(default_profile):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(fn): the peak bytes tracemalloc sees while fn() runs.  numpy
+    reports its buffers to tracemalloc, so the reading repeats exactly."""
+
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -31,6 +31,7 @@ from cuspforge.cli import (
     run_sweep,
 )
 from cuspforge import curvature as cv
+from cuspforge import profile
 from cuspforge.profile import GRID_POINTS, CutoffProfile, build_cutoff
 
 
@@ -444,11 +445,23 @@ def per_point_summary(mp: cv.MetricPoint, seed: int) -> dict:
 
 
 class TestSweep:
+    # None keeps BLOCK_ELEMENTS; 1,000 elements make blocks of 8 t, the last
+    # of the 60 holding 4
     @pytest.mark.parametrize(
-        "lo,hi,steps,n,seed",
-        [(0.05, 5.5, 60, 8, 1), (0.01, 6.0, 25, 2, 4), (0.5, 5.5, 3, 9, 0), (3.0, 3.0, 1, 3, 0)],
+        "lo,hi,steps,n,seed,elements",
+        [
+            *(
+                pytest.param(*case, None, id="-".join(map(str, case)))
+                for case in [(0.05, 5.5, 60, 8, 1), (0.01, 6.0, 25, 2, 4), (0.5, 5.5, 3, 9, 0), (3.0, 3.0, 1, 3, 0)]
+            ),
+            pytest.param(0.05, 5.5, 60, 8, 1, 1000, id="0.05-5.5-60-8-1-block1000"),
+        ],
     )
-    def test_t_axis_matches_per_point_reference(self, tmp_path, lo, hi, steps, n, seed):
+    def test_t_axis_matches_per_point_reference(
+        self, tmp_path, lo, hi, steps, n, seed, elements, monkeypatch
+    ):
+        if elements is not None:
+            monkeypatch.setattr(profile, "BLOCK_ELEMENTS", elements)
         cfg = SuiteConfig(n=n, seed=seed)
         out = tmp_path / "sweep.csv"
         run_sweep("t", lo, hi, steps, cfg, out)
@@ -463,6 +476,16 @@ class TestSweep:
             writer.writeheader()
             writer.writerows(rows)
         assert out.read_bytes() == ref.read_bytes()
+
+    def test_temporaries_do_not_grow_with_steps(self, default_profile, traced_peak):
+        # 8.0 MiB measured at 5,000 steps, where one batch over all t peaks
+        # at 105 MiB; the jets of all t take 0.2 MiB
+        ts = np.linspace(0.5, 5.5, 5000)
+        jets = default_profile.jet_at(ts)
+        # the first call at n = 8 derives and caches the oracle's pattern
+        cli._curvature_summary(cv.MetricPoint.from_jet(ts[:2], jets[:2], 8), 0)
+        mp = cv.MetricPoint.from_jet(ts, jets, 8)
+        assert traced_peak(lambda: cli._curvature_summary(mp, 0)) <= 16 * 2**20
 
     def test_t_outside_domain_exits_two_before_any_work(self, tmp_path, capsys, monkeypatch):
         def no_work(*args, **kwargs):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspforge import curvature
+from cuspforge import curvature, profile
 from cuspforge.curvature import (
     CertificateReport,
     CurvatureOracle,
@@ -314,10 +314,21 @@ def per_sample_certificate(p, samples, n, seed, strict_ratio=1e-10):
 
 
 class TestCertificate:
-    @pytest.mark.parametrize("samples", [1, 97, 98, 1000])
+    # None keeps BLOCK_ELEMENTS; 100 elements make blocks of 8 samples at
+    # n = 3 and of 5 at n = 5, so corners and failures straddle seams
+    @pytest.mark.parametrize(
+        "samples,elements",
+        [
+            *(pytest.param(k, None, id=str(k)) for k in (0, 1, 97, 98, 1000)),
+            pytest.param(98, 100, id="98-block100"),
+            pytest.param(1000, 100, id="1000-block100"),
+        ],
+    )
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_batched_matches_per_sample(self, default_profile, samples, n, seed, monkeypatch):
+    def test_batched_matches_per_sample(self, default_profile, samples, elements, n, seed, monkeypatch):
+        if elements is not None:
+            monkeypatch.setattr(profile, "BLOCK_ELEMENTS", elements)
         for strict_ratio in (1e-10, 10.0):
             monkeypatch.setattr(curvature, "STRICT_RATIO", strict_ratio)
             rep = hbc_certificate(default_profile, samples, n=n, seed=seed)
@@ -334,6 +345,12 @@ class TestCertificate:
         assert rep.worst_interior_ratio < 0.0
         assert rep.min_cs_slack >= -1e-12
         assert "pass" in rep.summary()
+
+    def test_temporaries_do_not_grow_with_samples(self, default_profile, traced_peak):
+        # 3.4 MiB measured, where one batch over all samples peaks at 109 MiB;
+        # the 200,000 draws of t alone take 1.5 MiB
+        hbc_certificate(default_profile, 200, n=3, seed=1)
+        assert traced_peak(lambda: hbc_certificate(default_profile, 200_000, n=3, seed=1)) <= 8 * 2**20
 
     def test_impossible_threshold_is_reported(self, default_profile, monkeypatch):
         # strict negativity at ratio >= -10 cannot hold (ratios are tiny

@@ -608,6 +608,19 @@ class TestCayleyTransform:
         with pytest.raises(ZeroDivisionError):
             cayley(-np.eye(2, dtype=complex))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3, 4]), st.sampled_from([1, 2, 3, 7]), st.integers(0, 60), st.data())
+    def test_constraint_fill_is_never_singular(self, m, d, k, data):
+        # tS B = -B conj(S) with B positive diagonal gives S imaginary
+        # eigenvalues, so approximate_in_Ul needs no retry around cayley
+        weights = st.fractions(min_value=Fraction(1, 40), max_value=Fraction(40), max_denominator=40)
+        B = HermitianDiagForm(tuple(data.draw(weights) for _ in range(m)))
+        dyadic = st.integers(-(2**62), 2**62).map(lambda a: Fraction(a, 2**k))
+        x = {(i, j): data.draw(dyadic) for i in range(m) for j in range(i + 1, m)}
+        y = {(i, j): data.draw(dyadic) for i in range(m) for j in range(i, m)}
+        M = cayley(constraint_fill(x, y, B, d))
+        assert in_unitary_group(M, B.matrix(d))
+
 
 class TestConstraintFill:
     def test_defect_is_exactly_zero(self, rng):
