@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -234,7 +235,7 @@ def _curvature_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
     t_nodes = np.linspace(0.05, cfg.A, 40)
     F = cv.random_frame_vector(rng, cfg.n, (40, max(2, min(cfg.samples, 400) // 40), 2))
     Y, Xi = F[:, :, 0], F[:, :, 1]
-    mp = cv.MetricPoint.from_jet(t_nodes[:, None], p.jet_at(t_nodes)[:, None], cfg.n)
+    mp = cv.MetricPoint.from_profile(p, t_nodes[:, None], cfg.n)
     ref = cv.CurvatureOracle(mp).bisectional(Y, Xi)
     worst = float(np.max(np.abs(cv.bisectional(Y, Xi, mp) - ref) / (1.0 + np.abs(ref))))
     yield worst <= 1e-6, 1e-6 - worst, {"max_relative_error": worst}
@@ -257,8 +258,8 @@ def _curvature_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
     tc = rng.uniform(0.0, cfg.window[0], draws)
     F = cv.random_frame_vector(rng, cfg.n, (draws, 2))
     Xie, Xic = F[:, 0], F[:, 1]
-    mpe = cv.MetricPoint.from_jet(te, p.jet_at(te), cfg.n)
-    mpc = cv.MetricPoint.from_jet(tc, p.jet_at(tc), cfg.n)
+    mpe = cv.MetricPoint.from_profile(p, te, cfg.n)
+    mpc = cv.MetricPoint.from_profile(p, tc, cfg.n)
     nsq = Xie.norm_sq(mpe)
     einstein = float(
         np.max(np.abs(cv.ricci(Xie, mpe) + (2 * cfg.n + 2) * nsq) / np.maximum(1.0, nsq))
@@ -539,13 +540,16 @@ def run_suite(cfg: SuiteConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _curvature_summary(mp: cv.MetricPoint, seed: int) -> list[dict]:
-    """Summary rows of mp: one for a single point, one per t of (T,) jets.
-    Every point sees the same 120 frame pairs, drawn from seed.  The t go
-    through in contiguous blocks of BLOCK_ELEMENTS // 120, since a row of
-    the closed forms holds one value per pair: per block, the closed forms
-    run once over (B, 1) jets against the pairs, and so does one oracle
-    build; its entry k evaluates the pairs at the k-th t, so that
+SUMMARY = ("min_hbc", "max_hbc", "min_ricci_eigenvalue", "sectional_min", "sectional_max")
+
+
+def _curvature_summary(mp: cv.MetricPoint, seed: int) -> Iterator[tuple[float, ...]]:
+    """Yield the SUMMARY row of mp: one for a single point, one per t of
+    (T,) jets.  Every point sees the same 120 frame pairs, drawn from seed.
+    The t go through in contiguous blocks of BLOCK_ELEMENTS // 120, since a
+    row of the closed forms holds one value per pair: per block, the closed
+    forms run once over (B, 1) jets against the pairs, and so does one
+    oracle build; its entry k evaluates the pairs at the k-th t, so that
     evaluation temporaries stay those of one t.  All of it is elementwise
     in t, so a block gives each t the bits of one batch over all t."""
     pairs = 120
@@ -554,7 +558,6 @@ def _curvature_summary(mp: cv.MetricPoint, seed: int) -> list[dict]:
     ts = np.atleast_1d(mp.t)
     jets = np.stack(np.broadcast_arrays(mp.f, mp.fp, mp.fpp, mp.fppp), axis=-1).reshape(-1, 4)
     step = max(1, profile.BLOCK_ELEMENTS // pairs)
-    rows = []
     for lo in range(0, ts.size, step):
         grid = cv.MetricPoint.from_jet(ts[lo : lo + step, None], jets[lo : lo + step, None], mp.n)
         norms = Y.norm_sq(grid) * Xi.norm_sq(grid)
@@ -566,19 +569,29 @@ def _curvature_summary(mp: cv.MetricPoint, seed: int) -> list[dict]:
         oracle = cv.CurvatureOracle(grid)
         for k in range(ric_lo.size):
             sec = oracle[k].evaluate(Y, Xi, Y, Xi) / area_sq[k]
-            rows.append(
-                {
-                    "min_hbc": float(hbc[k].min()),
-                    "max_hbc": float(hbc[k].max()),
-                    "min_ricci_eigenvalue": float(ric_lo[k]),
-                    "sectional_min": float(sec.min()),
-                    "sectional_max": float(sec.max()),
-                }
-            )
-    return rows
+            yield tuple(map(float, (hbc[k].min(), hbc[k].max(), ric_lo[k], sec.min(), sec.max())))
+
+
+def _profile_for(A: float) -> profile.CutoffProfile:
+    """The profile `sweep A` uses at length A: the proportional window
+    first, then the widest sensible one, which pushes feasibility down to
+    A = 4.5."""
+    windows = [(A / 6.0, 5.0 * A / 6.0)]
+    if A > 1.0 and (0.5, A - 0.5) != windows[0]:
+        windows.append((0.5, A - 0.5))
+    for window in windows:
+        try:
+            return build_cutoff(A, window)
+        except ProfileError as exc:
+            err = exc
+    raise ValueError(f"no admissible profile at A = {A}: {err}")
 
 
 def run_sweep(axis: str, start: float, stop: float, steps: int, cfg: SuiteConfig, out: Path) -> None:
+    """Write one CSV row per value of the axis: the axis column(s), then
+    SUMMARY.  Every value is checked and the metric points are built before
+    out is opened, so a usage error leaves no file; the rows are written as
+    _curvature_summary yields them."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
     for flag, value in (("--from", start), ("--to", stop)):
@@ -586,61 +599,43 @@ def run_sweep(axis: str, start: float, stop: float, steps: int, cfg: SuiteConfig
             raise ValueError(f"{flag} must be a finite number, got {value}")
     if stop < start:
         raise ValueError("empty range: --to is below --from")
-    values = list(np.linspace(start, stop, steps))
-    rows: list[dict] = []
+    values = np.linspace(start, stop, steps)
+    keys = zip(values.tolist())
     if axis == "t":
-        ts = np.array(values)
-        for t in values:
-            if not (0.0 < t <= cfg.A):
-                raise ValueError(f"t = {t} outside (0, A]")
-        p = build_cutoff(cfg.A, cfg.window)
-        mp = cv.MetricPoint.from_jet(ts, p.jet_at(ts), cfg.n)
-        rows = [{"t": float(t), **row} for t, row in zip(ts, _curvature_summary(mp, cfg.seed))]
+        outside = ~((0.0 < values) & (values <= cfg.A))
+        if outside.any():
+            raise ValueError(f"t = {values[outside][0]} outside (0, A]")
+        mp = cv.MetricPoint.from_profile(build_cutoff(cfg.A, cfg.window), values, cfg.n)
+        summary = _curvature_summary(mp, cfg.seed)
     elif axis == "A":
-        for A in values:
-            if A <= 0:
-                raise ValueError("A must be positive")
-            A = float(A)
-            # proportional window first; fall back to the widest sensible one,
-            # which pushes feasibility down to A = 4.5
-            candidates = [(A / 6.0, 5.0 * A / 6.0)]
-            if A > 1.0 and (0.5, A - 0.5) != candidates[0]:
-                candidates.append((0.5, A - 0.5))
-            p = None
-            for window in candidates:
-                try:
-                    p = build_cutoff(A, window)
-                    break
-                except ProfileError as exc:
-                    err = exc
-            if p is None:
-                raise ValueError(f"no admissible profile at A = {A}: {err}")
-            mp = cv.MetricPoint.from_profile(p, A / 2.0, cfg.n)
-            rows.append({"A": A, **_curvature_summary(mp, cfg.seed)[0]})
+        if np.any(values <= 0):
+            raise ValueError("A must be positive")
+        jets = np.array([_profile_for(A).jet_at(A / 2.0) for A in values.tolist()])
+        summary = _curvature_summary(cv.MetricPoint.from_jet(values / 2.0, jets, cfg.n), cfg.seed)
     elif axis == "l":
-        p = build_cutoff(cfg.A, cfg.window)
-        mp = cv.MetricPoint.from_profile(p, cfg.A / 2.0, cfg.n)
-        [base] = _curvature_summary(mp, cfg.seed)
-        for l in values:
-            # SuiteConfig's own checks reject l <= 0 and lambda(t0) = 0
-            swept = replace(cfg, l=float(l))
-            rows.append({"l": swept.l, "lambda": lambda_const(swept.t0, swept.l), **base})
+        # SuiteConfig's own checks reject l <= 0 and lambda(t0) = 0
+        swept = [replace(cfg, l=l) for l in values.tolist()]
+        keys = [(c.l, lambda_const(c.t0, c.l)) for c in swept]
+        mp = cv.MetricPoint.from_profile(build_cutoff(cfg.A, cfg.window), cfg.A / 2.0, cfg.n)
+        # the summary does not depend on l
+        summary = itertools.repeat(next(_curvature_summary(mp, cfg.seed)))
     elif axis == "n":
+        ns = [int(round(v)) for v in values.tolist()]
+        if min(ns) < 2:
+            raise ValueError("n must be at least 2")
         p = build_cutoff(cfg.A, cfg.window)
-        for nval in values:
-            n = int(round(nval))
-            if n < 2:
-                raise ValueError("n must be at least 2")
-            mp = cv.MetricPoint.from_profile(p, cfg.A / 2.0, n)
-            rows.append({"n": n, **_curvature_summary(mp, cfg.seed)[0]})
+        keys = zip(ns)
+        points = [cv.MetricPoint.from_profile(p, cfg.A / 2.0, n) for n in ns]
+        summary = itertools.chain.from_iterable(_curvature_summary(mp, cfg.seed) for mp in points)
     else:
         raise ValueError(f"unknown axis {axis!r}")
 
+    header = ("l", "lambda") if axis == "l" else (axis,)
     with open(out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer = csv.writer(fh)
+        writer.writerow(header + SUMMARY)
+        for key, row in zip(keys, summary):
+            writer.writerow(key + row)
 
 
 # ---------------------------------------------------------------------------

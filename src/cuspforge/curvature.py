@@ -122,8 +122,9 @@ class MetricPoint:
         return cls(t=t, f=f0, fp=f1, fpp=f2, fppp=f3, n=n)
 
     @classmethod
-    def from_profile(cls, p: CutoffProfile, t: float, n: int) -> "MetricPoint":
-        return cls.from_jet(t, p.jet_at(float(t)), n)
+    def from_profile(cls, p: CutoffProfile, t, n: int) -> "MetricPoint":
+        """Metric point of p at a float t, or at an array of times."""
+        return cls.from_jet(t, p.jet_at(t), n)
 
     @classmethod
     def exp_model(cls, t: float, n: int) -> "MetricPoint":
@@ -737,7 +738,7 @@ def hbc_certificate(
         # horizontal vectors
         corner = slice(-lo % 97, None, 97)
         Y.u[corner], Y.beta[corner], Y.gamma[corner] = 0.0, 1.0, 0.0
-        mp = MetricPoint.from_jet(t, p.jet_at(t), n)
+        mp = MetricPoint.from_profile(p, t, n)
 
         pair_data = _pair_data(Y, Xi)
         val = _bisectional(pair_data, mp)

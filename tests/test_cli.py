@@ -444,6 +444,20 @@ def per_point_summary(mp: cv.MetricPoint, seed: int) -> dict:
     }
 
 
+def reference_csv(path: Path, rows: list[dict]) -> bytes:
+    """The bytes csv.DictWriter writes for rows, the layout of a sweep."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+def drain(rows) -> None:
+    for _ in rows:
+        pass
+
+
 class TestSweep:
     # None keeps BLOCK_ELEMENTS; 1,000 elements make blocks of 8 t, the last
     # of the 60 holding 4
@@ -470,12 +484,32 @@ class TestSweep:
             {"t": float(t), **per_point_summary(cv.MetricPoint.from_profile(p, float(t), n), seed)}
             for t in np.linspace(lo, hi, steps)
         ]
-        ref = tmp_path / "ref.csv"
-        with open(ref, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
-        assert out.read_bytes() == ref.read_bytes()
+        assert out.read_bytes() == reference_csv(tmp_path / "ref.csv", rows)
+
+    # 4.6 to 9 crosses the A = 5.5 below which sweep A falls back to the
+    # wide window; the l and n summaries are those of the point t = A/2
+    @pytest.mark.parametrize(
+        "axis,lo,hi,steps", [("A", 4.6, 9.0, 7), ("n", 2.0, 5.0, 4), ("l", 1.0, 12.0, 4)]
+    )
+    def test_axis_matches_per_point_reference(self, tmp_path, axis, lo, hi, steps):
+        from cuspforge.heisenberg_siegel import lambda_const
+
+        cfg = SuiteConfig(seed=2)
+        out = tmp_path / "sweep.csv"
+        run_sweep(axis, lo, hi, steps, cfg, out)
+        p = build_cutoff(cfg.A, cfg.window)
+        rows = []
+        for v in np.linspace(lo, hi, steps).tolist():
+            if axis == "A":
+                key, mp = {"A": v}, cv.MetricPoint.from_profile(cli._profile_for(v), v / 2.0, cfg.n)
+            elif axis == "n":
+                key = {"n": int(round(v))}
+                mp = cv.MetricPoint.from_profile(p, cfg.A / 2.0, key["n"])
+            else:
+                key = {"l": v, "lambda": lambda_const(cfg.t0, v)}
+                mp = cv.MetricPoint.from_profile(p, cfg.A / 2.0, cfg.n)
+            rows.append({**key, **per_point_summary(mp, cfg.seed)})
+        assert out.read_bytes() == reference_csv(tmp_path / "ref.csv", rows)
 
     def test_temporaries_do_not_grow_with_steps(self, default_profile, traced_peak):
         # 8.0 MiB measured at 5,000 steps, where one batch over all t peaks
@@ -483,9 +517,17 @@ class TestSweep:
         ts = np.linspace(0.5, 5.5, 5000)
         jets = default_profile.jet_at(ts)
         # the first call at n = 8 derives and caches the oracle's pattern
-        cli._curvature_summary(cv.MetricPoint.from_jet(ts[:2], jets[:2], 8), 0)
+        drain(cli._curvature_summary(cv.MetricPoint.from_jet(ts[:2], jets[:2], 8), 0))
         mp = cv.MetricPoint.from_jet(ts, jets, 8)
-        assert traced_peak(lambda: cli._curvature_summary(mp, 0)) <= 16 * 2**20
+        assert traced_peak(lambda: drain(cli._curvature_summary(mp, 0))) <= 16 * 2**20
+
+    def test_rows_do_not_accumulate(self, tmp_path, traced_peak):
+        # 8.8 MiB measured at 20,000 steps (7.3 at 5,000); holding one dict
+        # per row until the file is written peaked at 14.7 MiB
+        run_sweep("t", 0.5, 5.5, 2, SuiteConfig(n=8), tmp_path / "warm.csv")
+        out = tmp_path / "sweep.csv"
+        peak = traced_peak(lambda: run_sweep("t", 0.5, 5.5, 20000, SuiteConfig(n=8), out))
+        assert peak <= 10 * 2**20
 
     def test_t_outside_domain_exits_two_before_any_work(self, tmp_path, capsys, monkeypatch):
         def no_work(*args, **kwargs):
@@ -565,6 +607,21 @@ class TestSweep:
         assert [float(r["A"]) for r in rows] == pytest.approx([4.6, 5.3, 6.0])
         for row in rows:
             assert float(row["max_hbc"]) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "axis,lo,hi,message",
+        [("A", "3", "6", "no admissible profile at A = 3.0"), ("n", "1", "3", "n must be at least 2")],
+        ids=["A", "n"],
+    )
+    def test_a_and_n_usage_errors_leave_no_file(self, tmp_path, capsys, axis, lo, hi, message):
+        out = tmp_path / "s.csv"
+        argv = ["sweep", axis, "--from", lo, "--to", hi, "--steps", "4", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert lines[0].startswith(f"error: {message}")
+        assert not out.exists()
 
     def test_a_axis_infeasible_value_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no admissible profile"):
