@@ -385,7 +385,7 @@ def _cayley_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
         {"heisenberg_case": fixed_ok, "identity_case": ident_ok},
     )
 
-    orders = {}
+    orders, trace_orders = {}, {}
     ok = True
     cases = [("one", qc.qone(cfg.d), 1), ("minus_one", -qc.qone(cfg.d), 2)]
     if cfg.d == 3:
@@ -395,10 +395,10 @@ def _cayley_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
     if cfg.d == 1:
         cases.append(("fourth_root", qc.qomega(1), 4))
     for name, alpha, want in cases:
-        got = qc.root_of_unity_power(qc.QuadMatrix([[alpha]]), [qc.qone(cfg.d)])
-        orders[name] = got
-        ok &= got == want
-    yield ok, 0.0 if ok else -1.0, {"orders": orders}
+        orders[name] = qc.root_of_unity_power(qc.QuadMatrix([[alpha]]), [qc.qone(cfg.d)])
+        trace_orders[name] = qc.order_from_trace(alpha)
+        ok &= orders[name] == trace_orders[name] == want
+    yield ok, 0.0 if ok else -1.0, {"orders": orders, "trace_orders": trace_orders}
 
 
 def _psh_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
@@ -497,8 +497,7 @@ _SUITES = {
         Check("cayley.exact_unitarity", ("approximate_in_Ul", "in_unitary_group")),
         Check("cayley.involution_and_fill", ("constraint_fill", "in_cayley_image")),
         Check("cayley.fixed_vectors", ("unipotent_fixed_vector", "QuadMatrix.apply")),
-        Check("cayley.root_of_unity_orders", ("root_of_unity_power",),
-              "compares with orders written as literals"),
+        Check("cayley.root_of_unity_orders", ("root_of_unity_power", "order_from_trace")),
     )),
     "psh": (_psh_checks, (
         Check("psh.reg_max_properties", ("reg_max", "max")),
@@ -547,19 +546,20 @@ def _curvature_summary(mp: cv.MetricPoint, seed: int) -> Iterator[tuple[float, .
     """Yield the SUMMARY row of mp: one for a single point, one per t of
     (T,) jets.  Every point sees the same 120 frame pairs, drawn from seed.
     The t go through in contiguous blocks of BLOCK_ELEMENTS // 120, since a
-    row of the closed forms holds one value per pair: per block, the closed
-    forms run once over (B, 1) jets against the pairs, and so does one
-    oracle build; its entry k evaluates the pairs at the k-th t, so that
+    row of the closed forms holds one value per pair: per block, only that
+    block's slice of mp's jets is stacked into (B, 1) jets, the closed
+    forms run once over them against the pairs, and so does one oracle
+    build; its entry k evaluates the pairs at the k-th t, so that
     evaluation temporaries stay those of one t.  All of it is elementwise
     in t, so a block gives each t the bits of one batch over all t."""
     pairs = 120
     F = cv.random_frame_vector(np.random.default_rng(seed), mp.n, (pairs, 2))
     Y, Xi = F[:, 0], F[:, 1]
-    ts = np.atleast_1d(mp.t)
-    jets = np.stack(np.broadcast_arrays(mp.f, mp.fp, mp.fpp, mp.fppp), axis=-1).reshape(-1, 4)
+    ts, *jet = map(np.atleast_1d, (mp.t, mp.f, mp.fp, mp.fpp, mp.fppp))
     step = max(1, profile.BLOCK_ELEMENTS // pairs)
     for lo in range(0, ts.size, step):
-        grid = cv.MetricPoint.from_jet(ts[lo : lo + step, None], jets[lo : lo + step, None], mp.n)
+        block = np.stack([col[lo : lo + step, None] for col in jet], axis=-1)
+        grid = cv.MetricPoint.from_jet(ts[lo : lo + step, None], block, mp.n)
         norms = Y.norm_sq(grid) * Xi.norm_sq(grid)
         hbc = cv.bisectional(Y, Xi, grid) / norms
         xy = Y.inner(Xi, grid)
@@ -600,7 +600,7 @@ def run_sweep(axis: str, start: float, stop: float, steps: int, cfg: SuiteConfig
     if stop < start:
         raise ValueError("empty range: --to is below --from")
     values = np.linspace(start, stop, steps)
-    keys = zip(values.tolist())
+    keys = zip(map(float, values))
     if axis == "t":
         outside = ~((0.0 < values) & (values <= cfg.A))
         if outside.any():

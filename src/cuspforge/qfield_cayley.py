@@ -22,7 +22,6 @@ matrices arbitrarily close to a given one.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import json
 import math
@@ -435,9 +434,6 @@ class HermitianDiagForm:
     def matrix(self, d: int) -> QuadMatrix:
         return QuadMatrix.diagonal(self.diag, d)
 
-    def matrix_float(self) -> np.ndarray:
-        return np.diag([float(b) for b in self.diag])
-
 
 # ---------------------------------------------------------------------------
 # Group membership identities, exact and floating
@@ -467,7 +463,7 @@ def in_cayley_image(S: QuadMatrix, B: HermitianDiagForm) -> bool:
 
 
 def unitary_defect_float(M: np.ndarray, B: HermitianDiagForm) -> float:
-    Bm = B.matrix_float()
+    Bm = np.diag([float(b) for b in B.diag])
     return float(np.max(np.abs(M.T @ Bm @ M.conj() - Bm)))
 
 
@@ -531,12 +527,22 @@ def constraint_fill(
 
 
 class ApproximationError(RuntimeError):
-    """Requested tolerance not reachable; carries the rotation used."""
+    """Requested eps not reached on the grids tried; the signs keep |det(I + DM)| >= 1."""
 
-    def __init__(self, message: str, theta: float, achieved: float):
+    def __init__(self, message: str, achieved: float):
         super().__init__(message)
-        self.theta = theta
         self.achieved = achieved
+
+
+def _signature(M: np.ndarray) -> np.ndarray:
+    """Signs s = +-1 with |det(I + diag(s) M)| >= 1 up to rounding.  The
+    det is affine in each s_i, which scales row i of M, so with the later
+    s at 0 it is the mean of s_i = +-1; from det I = 1, keep the larger."""
+    eye, s = np.eye(len(M)), np.zeros(len(M), dtype=int)
+    for i in range(len(M)):
+        trials = [np.where(np.arange(len(M)) == i, v, s) for v in (1, -1)]
+        s = max(trials, key=lambda t: abs(np.linalg.det(eye + t[:, None] * M)))
+    return s
 
 
 def approximate_in_Ul(
@@ -544,15 +550,14 @@ def approximate_in_Ul(
 ) -> QuadMatrix:
     """Exactly B-unitary matrix over Q(sqrt(-d)) within eps of M.
 
-    M must be finite and preserve B within 1e-10.  Route: rotate M off
-    the singular set of the Cayley transform if needed (scalar rotations
-    stay in U(B)), pass to S = cayley(M), round the free entries of Re S
-    and Im S / sqrt(d) to the dyadic grid 2^-k with the least k >= 0 such
-    that 2^-k <= eps/(10 m^2), rebuild an exact constraint solution, and
-    map back.  Every free denominator divides 2^k, so the integers stay
-    small.  Exactness of tM'B conj(M') = B holds by construction and is
-    re-verified; the eps bound is checked numerically and the grid is
-    refined (k += 4) until it holds.
+    M must be finite and preserve B within 1e-10.  Route: the signature
+    matrix D = I, or diag(_signature(M)) where |det(I + M)| < 1e-6, keeps
+    |det(I + DM)| >= 1; round the free entries of Re S and Im S / sqrt(d),
+    S = cayley(DM), to the grid 2^-k with the least k >= 0 such that
+    2^-k <= eps/(10 m^2), rebuild an exact constraint solution A and
+    return D A.  D is exact and B-unitary with D^2 = I, so D A is exactly
+    B-unitary, as close to M as A is to DM, and re-verified; the eps bound
+    is checked numerically and the grid is refined (k += 4) until it holds.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
@@ -566,24 +571,12 @@ def approximate_in_Ul(
     if pre > 1e-10:
         raise ValueError(f"input does not preserve B: defect {pre:.3e}")
 
-    eye = np.eye(m)
-    theta = 0.0
-    if abs(np.linalg.det(eye + M)) < 1e-6:
-        for k in range(60, -1, -1):
-            cand = 2.0**-k
-            if abs(np.linalg.det(eye + cmath.exp(1j * cand) * M)) >= 1e-6:
-                theta = cand
-                break
-        else:
-            raise ApproximationError(
-                "no rotation clears det(I + M)", math.nan, math.inf
-            )
-    Mw = cmath.exp(1j * theta) * M if theta else M
-    S = cayley(Mw)
-    sqd = math.sqrt(d)
+    singular = abs(np.linalg.det(np.eye(m) + M)) < 1e-6
+    signs = _signature(M) if singular else np.ones(m, dtype=int)
+    S = cayley(signs[:, None] * M)
     # the free coordinates: Re S_ij for i < j, Im S_ij / sqrt(d) for i <= j
     free_x = {(i, j): S[i, j].real for i in range(m) for j in range(i + 1, m)}
-    free_y = {(i, j): S[i, j].imag / sqd for i in range(m) for j in range(i, m)}
+    free_y = {(i, j): S[i, j].imag / math.sqrt(d) for i in range(m) for j in range(i, m)}
 
     # least k >= 0 with 2^-k <= eps/(10 m^2), in integers from eps = p/q:
     # 2^k >= 10 m^2 q/p, so nothing divides by an underflowed tolerance
@@ -597,19 +590,16 @@ def approximate_in_Ul(
         S_exact = constraint_fill(x_upper, y_upper, B, d)
         # tS B = -B conj(S) with B positive diagonal makes B^(1/2) S B^(-1/2)
         # skew-Hermitian, so S has imaginary eigenvalues and I + S is invertible
-        M_exact = cayley(S_exact)
+        A = cayley(S_exact)
+        M_exact = QuadMatrix._reduced(signs[:, None] * A.X, signs[:, None] * A.Y, A.D, d)
         if not in_unitary_group(M_exact, B.matrix(d)):
             raise AssertionError("constraint solution lost exact unitarity")
         achieved = float(np.max(np.abs(M_exact.to_complex() - M)))
         if achieved <= eps:
             return M_exact
         k += 4
-    raise ApproximationError(
-        f"could not reach eps = {eps:.3e} (achieved {achieved:.3e}, "
-        f"rotation theta = {theta:.3e})",
-        theta,
-        achieved,
-    )
+    msg = f"could not reach eps = {eps:.3e} (achieved {achieved:.3e})"
+    raise ApproximationError(msg, achieved)
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +690,16 @@ def root_of_unity_power(M: QuadMatrix, x: Sequence[QuadElem]) -> int:
         if power == qone(M.d):
             return k
     raise ValueError(f"eigenvalue is not a root of unity of order <= {k_max}")
+
+
+def order_from_trace(alpha: QuadElem) -> int:
+    """Order of a root of unity alpha, a root of x^2 - 2a x + 1 (norm 1)
+    with integral trace 2a = 2, -2, 0, -1, 1 for the orders 1, 2, 4, 3, 6;
+    raises for any other alpha, such as 3/5 + 4/5 i of norm 1."""
+    orders = {2: 1, -2: 2, 0: 4, -1: 3, 1: 6}
+    if alpha.norm() != 1 or 2 * alpha.a not in orders:
+        raise ValueError(f"{alpha!r} is not a root of unity")
+    return orders[2 * alpha.a]
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from cuspforge.cli import (
 )
 from cuspforge import curvature as cv
 from cuspforge import profile
+from cuspforge import qfield_cayley as qc
 from cuspforge.profile import GRID_POINTS, CutoffProfile, build_cutoff
 
 
@@ -255,6 +256,20 @@ class TestRunSuite:
         check = report.checks[0]
         assert check.name == "bundle.h_norm_invariance"
         assert not check.passed and math.isnan(check.margin)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("route", ["root_of_unity_power", "order_from_trace"])
+    def test_root_of_unity_orders_fail_on_a_broken_route(self, monkeypatch, d, route):
+        # d = 1 adds the fourth root i, d = 3 the sixth root (1 + sqrt(-3))/2
+        def orders_check():
+            report = run_suite(SuiteConfig(suite="cayley", d=d, samples=10))
+            return next(c for c in report.checks if c.name == "cayley.root_of_unity_orders")
+
+        check = orders_check()
+        assert check.passed and check.witness["orders"] == check.witness["trace_orders"]
+        broken = getattr(qc, route)
+        monkeypatch.setattr(qc, route, lambda *args: broken(*args) + 1)
+        assert not orders_check().passed
 
     def test_psh_suite_passes(self):
         report = run_suite(SuiteConfig(suite="psh", samples=100))
@@ -522,12 +537,17 @@ class TestSweep:
         assert traced_peak(lambda: drain(cli._curvature_summary(mp, 0))) <= 16 * 2**20
 
     def test_rows_do_not_accumulate(self, tmp_path, traced_peak):
-        # 8.8 MiB measured at 20,000 steps (7.3 at 5,000); holding one dict
-        # per row until the file is written peaked at 14.7 MiB
-        run_sweep("t", 0.5, 5.5, 2, SuiteConfig(n=8), tmp_path / "warm.csv")
+        # growth of the tracemalloc peak per step at n = 2 from 1,000 to
+        # 5,000 steps: 42-51 B measured, the axis values and their jets; 114 B
+        # with the jets of every t stacked once more and the keys held as a
+        # list, 421 B with one dict per row held until the file was written
+        run_sweep("t", 0.5, 5.5, 2, SuiteConfig(n=2), tmp_path / "warm.csv")
         out = tmp_path / "sweep.csv"
-        peak = traced_peak(lambda: run_sweep("t", 0.5, 5.5, 20000, SuiteConfig(n=8), out))
-        assert peak <= 10 * 2**20
+        small, large = [
+            traced_peak(lambda: run_sweep("t", 0.5, 5.5, steps, SuiteConfig(n=2), out))
+            for steps in (1000, 5000)
+        ]
+        assert (large - small) / 4000 <= 80
 
     def test_t_outside_domain_exits_two_before_any_work(self, tmp_path, capsys, monkeypatch):
         def no_work(*args, **kwargs):

@@ -21,6 +21,7 @@ from cuspforge.qfield_cayley import (
     heisenberg_matrix_exact,
     in_cayley_image,
     in_unitary_group,
+    order_from_trace,
     polarized_form_matrix,
     qone,
     qomega,
@@ -30,7 +31,7 @@ from cuspforge.qfield_cayley import (
     unipotent_fixed_vector,
     unitary_defect_float,
 )
-from cuspforge.qfield_cayley import _is_squarefree, _pullback, _rref_kernel
+from cuspforge.qfield_cayley import _is_squarefree, _pullback, _rref_kernel, _signature
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
@@ -673,21 +674,44 @@ class TestApproximateInUl:
         out = approximate_in_Ul(np.eye(2, dtype=complex), B, 1, 1e-9)
         assert out == QuadMatrix.identity(2, 1)
 
-    def test_minus_identity_needs_rotation(self):
-        # I + M is singular, so a small scalar rotation is applied first;
-        # the achievable error is then of the order of the rotation angle
+    def test_minus_identity_is_reproduced(self):
+        # I + M is singular; the signs D = -I give DM = I, whose Cayley
+        # coordinates are 0, so D A is -I exactly
         B = HermitianDiagForm((1, 1))
-        out = approximate_in_Ul(-np.eye(2, dtype=complex), B, 1, 1e-2)
-        assert in_unitary_group(out, B.matrix(1))
-        err = float(np.max(np.abs(out.to_complex() + np.eye(2))))
-        assert 0.0 < err <= 1e-2
+        out = approximate_in_Ul(-np.eye(2, dtype=complex), B, 1, 1e-8)
+        assert out == QuadMatrix.identity(2, 1).scale(-1)
 
-    def test_minus_identity_tight_eps_raises(self):
-        B = HermitianDiagForm((1, 1))
-        with pytest.raises(ApproximationError) as exc:
-            approximate_in_Ul(-np.eye(2, dtype=complex), B, 1, 1e-8)
-        assert exc.value.theta > 0.0
-        assert exc.value.achieved > 1e-8
+    @pytest.mark.parametrize("eps", [1e-8, 1e-12])
+    def test_eigenvalue_minus_one_reaches_tight_eps(self, eps):
+        # I + M is singular; the signs clear it and leave no floor on the error
+        B = HermitianDiagForm((1, 2))
+        M = np.diag([-1.0, np.exp(0.3j)])
+        out = approximate_in_Ul(M, B, 2, eps)
+        assert in_unitary_group(out, B.matrix(2))
+        assert float(np.max(np.abs(out.to_complex() - M))) <= eps
+
+    def test_signs_clear_the_cayley_singular_set(self):
+        # W unitary with eigenvalues +1 and -1, so neither I + M nor I - M
+        # is invertible; M = C^-1 W C with C = B^(1/2) preserves B
+        rng = np.random.default_rng(46)
+        for trial in range(40):
+            m = 2 + trial % 4
+            b = rng.integers(1, 6, m)
+            B = HermitianDiagForm(tuple(int(v) for v in b))
+            Q, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+            phases = np.exp(1j * rng.uniform(-np.pi, np.pi, m))
+            phases[:2] = 1.0, -1.0
+            c = np.sqrt(b)
+            M = (Q * phases) @ Q.conj().T / c[:, None] * c
+            eye = np.eye(m)
+            assert abs(np.linalg.det(eye + M)) < 1e-12 and abs(np.linalg.det(eye - M)) < 1e-12
+            s = _signature(M)
+            assert set(s.tolist()) <= {1, -1}
+            assert abs(np.linalg.det(eye + s[:, None] * M)) >= 1.0 - 1e-12
+            if trial < 8:
+                out = approximate_in_Ul(M, B, 7, 1e-9)
+                assert in_unitary_group(out, B.matrix(7))
+                assert float(np.max(np.abs(out.to_complex() - M))) <= 1e-9
 
     def test_non_unitary_input_rejected(self):
         B = HermitianDiagForm((1, 1))
@@ -726,7 +750,7 @@ class TestApproximateInUl:
         # be finite and the answer the documented ApproximationError
         B = HermitianDiagForm((1, 2))
         generic = cayley(np.sqrt(2.0) * random_skew(np.random.default_rng(3), B, 2).to_complex())
-        # eigenvalue -1: the rotated Cayley coordinates are of order 1/theta
+        # eigenvalue -1: the signs clear det(I + M), and no grid reaches eps
         flipped = np.diag([-1.0, np.exp(0.3j)])
         for M in (generic, flipped):
             with pytest.raises(ApproximationError) as exc:
@@ -933,6 +957,27 @@ class TestRootOfUnityPower:
         M = self.build_diag(alpha, 1)
         with pytest.raises(ValueError, match="root of unity"):
             root_of_unity_power(M, [qone(1), qzero(1)])
+
+    def test_trace_route_gives_the_same_orders(self):
+        sixth = QuadElem(Fraction(1, 2), Fraction(1, 2), 3)
+        cube = QuadElem(Fraction(-1, 2), Fraction(1, 2), 3)
+        cases = [(qone(1), 1), (-qone(7), 2), (qomega(1), 4), (-qomega(1), 4)]
+        cases += [(cube, 3), (sixth, 6)]
+        for alpha, order in cases:
+            M = self.build_diag(alpha, alpha.d)
+            assert root_of_unity_power(M, [qone(alpha.d), qzero(alpha.d)]) == order
+            assert order_from_trace(alpha) == order
+
+    def test_infinite_order_rejected_by_both_routes(self):
+        # norm 1, trace 6/5: x^2 - (6/5) x + 1 has no root of unity as a root
+        alpha = QuadElem(Fraction(3, 5), Fraction(4, 5), 1)
+        with pytest.raises(ValueError, match="root of unity"):
+            root_of_unity_power(self.build_diag(alpha, 1), [qone(1), qzero(1)])
+        with pytest.raises(ValueError, match="not a root of unity"):
+            order_from_trace(alpha)
+        # integral trace but norm 2: 1 + i is no root of unity either
+        with pytest.raises(ValueError, match="not a root of unity"):
+            order_from_trace(qe(1, 1, 1))
 
     def test_zero_vector_rejected(self):
         M = self.build_diag(qone(1), 1)
