@@ -178,7 +178,10 @@ class Check:
 # ---------------------------------------------------------------------------
 # Check functions.  Each yields (passed, margin, witness) for the checks of
 # its suite, in the order of the table below, and must be deterministic for
-# a fixed config.
+# a fixed config.  The margin is tolerance - error, the least over the
+# check's conditions, so a check passes exactly when its margin is +0.0 or
+# more; an exact condition has tolerance 0, or reads 0.0 when it holds and
+# -1.0 when it fails.
 # ---------------------------------------------------------------------------
 
 
@@ -196,9 +199,10 @@ def _profile_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
     exact0 = tuple(j0) == (1.0, 0.0, 1.0, 0.0)
     exactA = jA[0] == jA[1] == jA[2] == jA[3]
     relA = abs(float(jA[0]) - math.exp(cfg.A)) / math.exp(cfg.A)
+    exact = bool(exact0 and exactA)
     yield (
-        bool(exact0 and exactA) and relA < 1e-10,
-        -relA,
+        exact and relA <= 1e-10,
+        1e-10 - relA if exact else -1.0,
         {"jet0": [float(v) for v in j0], "jetA": [float(v) for v in jA]},
     )
     sol = solve_psi(p, t_min=0.05)
@@ -224,10 +228,10 @@ def _curvature_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
     hsc_dev = float(np.max(np.abs(oracle.holomorphic_sectional(X) + 4.0)))
     s = oracle.sectional(X, Y)
     sec_lo, sec_hi = float(s.min()), float(s.max())
-    in_band = -4.0 - 1e-8 <= sec_lo and sec_hi <= -1.0 + 1e-8
+    band_lo, band_hi = -4.0 - 1e-8, -1.0 + 1e-8
     yield (
-        dev <= 1e-12 and hsc_dev <= 1e-8 and in_band,
-        -max(dev, hsc_dev),
+        dev <= 1e-12 and hsc_dev <= 1e-8 and band_lo <= sec_lo and sec_hi <= band_hi,
+        min(1e-12 - dev, 1e-8 - hsc_dev, sec_lo - band_lo, band_hi - sec_hi),
         {"block_deviation": dev, "hsc_deviation": hsc_dev, "sectional": [sec_lo, sec_hi]},
     )
 
@@ -261,14 +265,26 @@ def _curvature_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
     mpe = cv.MetricPoint.from_profile(p, te, cfg.n)
     mpc = cv.MetricPoint.from_profile(p, tc, cfg.n)
     nsq = Xie.norm_sq(mpe)
-    einstein = float(
-        np.max(np.abs(cv.ricci(Xie, mpe) + (2 * cfg.n + 2) * nsq) / np.maximum(1.0, nsq))
-    )
-    cosh_slack = float(np.max(cv.ricci(Xic, mpc) + 2.0 * Xic.norm_sq(mpc)))
+    ric_e, ric_c = cv.ricci(Xie, mpe), cv.ricci(Xic, mpc)
+    einstein = float(np.max(np.abs(ric_e + (2 * cfg.n + 2) * nsq) / np.maximum(1.0, nsq)))
+    cosh_slack = float(np.max(ric_c + 2.0 * Xic.norm_sq(mpc)))
+    # the oracle's Ricci trace at the same draws, over blocks of
+    # BLOCK_ELEMENTS // nnz points: the point oracle above holds nnz values
+    rows = max(1, profile.BLOCK_ELEMENTS // oracle.RL.size)
+    ref = np.concatenate([
+        cv.CurvatureOracle(cv.MetricPoint.from_profile(p, t[lo : lo + rows], cfg.n)).ricci(
+            Xi[lo : lo + rows]
+        )
+        for t, Xi in ((te, Xie), (tc, Xic))
+        for lo in range(0, draws, rows)
+    ])
+    # relative, as Ricci is negative definite: at most 1.4e-12 measured, at
+    # n = 2 for t down to 1e-8, where the oracle's terms cancel most
+    oracle_dev = float(np.max(np.abs(np.concatenate([ric_e, ric_c]) - ref) / np.abs(ref)))
     yield (
-        einstein <= 1e-8 and cosh_slack <= 1e-10,
-        -max(einstein - 1e-8, cosh_slack - 1e-10),
-        {"einstein_defect": einstein, "cosh_region_slack": cosh_slack},
+        einstein <= 1e-8 and cosh_slack <= 1e-10 and oracle_dev <= 1e-8,
+        min(1e-8 - einstein, 1e-10 - cosh_slack, 1e-8 - oracle_dev),
+        {"einstein_defect": einstein, "cosh_region_slack": cosh_slack, "oracle_deviation": oracle_dev},
     )
 
 
@@ -464,7 +480,7 @@ def _psh_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
     inner_ok = all(glued(t) >= phi2(t) for t in band.inner)
     yield (
         outer_dev == 0.0 and inner_ok,
-        -outer_dev,
+        0.0 - outer_dev if inner_ok else -1.0,
         {"outer_deviation": outer_dev, "inner_dominates": inner_ok},
     )
 
@@ -484,8 +500,7 @@ _SUITES = {
         Check("curvature.formula_vs_oracle", ("bisectional", "CurvatureOracle.bisectional")),
         Check("curvature.nonpositivity_certificate", ("hbc_certificate",),
               "samples the one closed form bisectional at random points"),
-        Check("curvature.ricci_bounds", ("ricci",),
-              "compares the closed-form Ricci with the constants -(2n+2) and -2"),
+        Check("curvature.ricci_bounds", ("ricci", "CurvatureOracle.ricci")),
     )),
     "bundle": (_bundle_checks, (
         Check("bundle.h_norm_invariance", ("h_norm", "lattice_act")),
@@ -544,19 +559,23 @@ SUMMARY = ("min_hbc", "max_hbc", "min_ricci_eigenvalue", "sectional_min", "secti
 
 def _curvature_summary(mp: cv.MetricPoint, seed: int) -> Iterator[tuple[float, ...]]:
     """Yield the SUMMARY row of mp: one for a single point, one per t of
-    (T,) jets.  Every point sees the same 120 frame pairs, drawn from seed.
-    The t go through in contiguous blocks of BLOCK_ELEMENTS // 120, since a
-    row of the closed forms holds one value per pair: per block, only that
-    block's slice of mp's jets is stacked into (B, 1) jets, the closed
-    forms run once over them against the pairs, and so does one oracle
-    build; its entry k evaluates the pairs at the k-th t, so that
+    (T,) jets.  Every point sees the same 120 frame pairs, drawn from seed,
+    and their nnz oracle pair products carry no t, so they are formed once.
+    The t go through in contiguous blocks of BLOCK_ELEMENTS // max(120, nnz),
+    since a row of the closed forms holds one value per pair and a row of
+    the oracle one per structural entry: per block, only that block's slice
+    of mp's jets is stacked into (B, 1) jets, the closed forms run once over
+    them against the pairs, and so does one oracle build; the pair products
+    are contracted with its k-th row of RLg at the k-th t, so that
     evaluation temporaries stay those of one t.  All of it is elementwise
-    in t, so a block gives each t the bits of one batch over all t."""
+    in t, so a block gives each t the bits of one batch over all t, and of
+    CurvatureOracle.sectional at that t alone."""
     pairs = 120
     F = cv.random_frame_vector(np.random.default_rng(seed), mp.n, (pairs, 2))
     Y, Xi = F[:, 0], F[:, 1]
+    products = cv.pair_products(Y, Xi, Y, Xi)
     ts, *jet = map(np.atleast_1d, (mp.t, mp.f, mp.fp, mp.fpp, mp.fppp))
-    step = max(1, profile.BLOCK_ELEMENTS // pairs)
+    step = max(1, profile.BLOCK_ELEMENTS // max(pairs, products.shape[-1]))
     for lo in range(0, ts.size, step):
         block = np.stack([col[lo : lo + step, None] for col in jet], axis=-1)
         grid = cv.MetricPoint.from_jet(ts[lo : lo + step, None], block, mp.n)
@@ -566,9 +585,9 @@ def _curvature_summary(mp: cv.MetricPoint, seed: int) -> Iterator[tuple[float, .
         area_sq = norms - xy * xy
         coef_h, coef_z = cv.ricci_coefficients(grid)
         ric_lo = np.minimum(-coef_h / grid.f**2, -coef_z / grid.g**2)[:, 0]
-        oracle = cv.CurvatureOracle(grid)
+        RLg = cv.CurvatureOracle(grid).RLg
         for k in range(ric_lo.size):
-            sec = oracle[k].evaluate(Y, Xi, Y, Xi) / area_sq[k]
+            sec = cv.contract(products, RLg[k]) / area_sq[k]
             yield tuple(map(float, (hbc[k].min(), hbc[k].max(), ric_lo[k], sec.min(), sec.max())))
 
 
@@ -613,9 +632,11 @@ def run_sweep(axis: str, start: float, stop: float, steps: int, cfg: SuiteConfig
         jets = np.array([_profile_for(A).jet_at(A / 2.0) for A in values.tolist()])
         summary = _curvature_summary(cv.MetricPoint.from_jet(values / 2.0, jets, cfg.n), cfg.seed)
     elif axis == "l":
-        # SuiteConfig's own checks reject l <= 0 and lambda(t0) = 0
-        swept = [replace(cfg, l=l) for l in values.tolist()]
-        keys = [(c.l, lambda_const(c.t0, c.l)) for c in swept]
+        # SuiteConfig's own checks reject l <= 0 and lambda(t0) = 0; the
+        # check keeps nothing, and lambda is computed as the rows are written
+        for l in map(float, values):
+            replace(cfg, l=l)
+        keys = ((l, lambda_const(cfg.t0, l)) for l in map(float, values))
         mp = cv.MetricPoint.from_profile(build_cutoff(cfg.A, cfg.window), cfg.A / 2.0, cfg.n)
         # the summary does not depend on l
         summary = itertools.repeat(next(_curvature_summary(mp, cfg.seed)))

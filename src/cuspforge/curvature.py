@@ -58,6 +58,8 @@ __all__ = [
     "poly_P",
     "discriminant_inequality",
     "CurvatureOracle",
+    "pair_products",
+    "contract",
     "oracle_for",
     "hbc_certificate",
     "random_frame_vector",
@@ -394,6 +396,7 @@ class _Pattern(NamedTuple):
     lk: np.ndarray  # R slot of R_ijlk
     rows: np.ndarray  # pair index ij
     cols: np.ndarray  # pair index kl
+    dt_pairs: np.ndarray  # how many of (ij, kl) are pairs (0, j): the power of g in RLg
 
 
 def _unique(keys: np.ndarray) -> np.ndarray:
@@ -515,6 +518,8 @@ def _pattern(m: int) -> _Pattern:
         lk=lk,
         rows=rl // p,
         cols=rl % p,
+        # the pairs (0, j) come first in row-major order
+        dt_pairs=(rl // p < m - 1).astype(np.intp) + (rl % p < m - 1),
     )
     for field in pattern:
         for array in field if isinstance(field, tuple) else (field,):
@@ -549,8 +554,21 @@ class CurvatureOracle:
     cols[e]), over the structural nonzeros that _pattern derives once per m
     (1,216 of the 246,016 entries at n = 16).  The values are computed only
     there, and equal those of a dense build bit for bit, which is exactly 0
-    off the pattern.  An evaluation gathers the nonzeros and sums each
-    row's terms on their own.
+    off the pattern.
+
+    Of a frame's coordinates only the d/dt one, gamma g, depends on t.  So
+    an evaluation takes the wedges of the t-free coordinates, with gamma in
+    the d/dt slot, and the oracle carries g instead: RLg[..., e] is
+    RL[..., e] g^k_e, where k_e in {0, 1, 2} counts the pairs (0, j) among
+    (rows[e], cols[e]).  Then
+
+        R(Y, Z, W, V) = sum_e RLg_e (y ^ z)[rows_e] (w ^ v)[cols_e]
+
+    with the wedges t-free, and an evaluation is two steps: pair_products
+    forms the products (y ^ z)[rows_e] (w ^ v)[cols_e], which depend on the
+    frames and m alone, and contract sums them against RLg along each row.
+    A caller that evaluates the same frames at many t forms the products
+    once and contracts them at every t.
 
     mp is one point, or jets of one batch shape such as (T,) or (T, 1).
     RL and Ric then carry the batch axes first, evaluations broadcast them
@@ -564,8 +582,7 @@ class CurvatureOracle:
 
     def __init__(self, mp: MetricPoint) -> None:
         self.mp = mp
-        self.m = 2 * mp.n
-        pat = _pattern(self.m)
+        pat = _pattern(2 * mp.n)
         f, fp, fpp = mp.f, mp.fp, mp.fpp
         g, gp, gpp = mp.g, mp.gp, mp.gpp
         # 1, f^2 and g^2, then their first and their second t-derivatives
@@ -605,6 +622,8 @@ class CurvatureOracle:
         R_up *= jets.take(pat.scale, axis=-1)
         self.RL = 0.5 * (R.take(pat.kl, axis=-1) - R.take(pat.lk, axis=-1))
         self.rows, self.cols = pat.rows, pat.cols
+        powers = np.asarray(g)[..., None] ** np.arange(3.0)  # 1, g, g^2
+        self.RLg = self.RL * powers.take(pat.dt_pairs, axis=-1)
 
     def __getitem__(self, k) -> "CurvatureOracle":
         """The oracle at index k of the batch axes, a view of this one's
@@ -613,35 +632,16 @@ class CurvatureOracle:
         fields = (x[k] for x in np.broadcast_arrays(mp.t, mp.f, mp.fp, mp.fpp, mp.fppp))
         sub = object.__new__(CurvatureOracle)
         sub.__dict__.update(vars(self), mp=MetricPoint(*fields, mp.n))
-        sub.RL, sub.Ric = self.RL[k], self.Ric[k]
+        sub.RL, sub.RLg, sub.Ric = self.RL[k], self.RLg[k], self.Ric[k]
         return sub
 
     def frame_coords(self, fv: FrameVector) -> np.ndarray:
         """Coordinates in the frame B, of shape (..., 2n) for a batch (...)."""
-        m = self.m
-        gamma = fv.gamma * self.mp.g
-        x = np.zeros(np.broadcast(fv.u[..., 0], gamma).shape + (m,))
-        x[..., 0] = gamma
-        x[..., 1 : m - 1 : 2] = fv.u.real
-        x[..., 2 : m - 1 : 2] = fv.u.imag
-        x[..., m - 1] = fv.beta
-        return x
+        return _coords(fv, fv.gamma * self.mp.g)
 
     def evaluate(self, Y: FrameVector, Z: FrameVector, W: FrameVector, V: FrameVector):
         """R(Y, Z, W, V), broadcast over the leading axes of the frames."""
-        yz = self._wedge(Y, Z)
-        wv = yz if W is Y and V is Z else self._wedge(W, V)  # R(X, Y, X, Y) needs one
-        terms = yz.take(self.rows, axis=-1) * self.RL * wv.take(self.cols, axis=-1)
-        return terms.sum(axis=-1)[()]
-
-    def _wedge(self, A: FrameVector, B: FrameVector) -> np.ndarray:
-        """(a ^ b)_ij = a_i b_j - a_j b_i over the pairs i < j of the frame
-        coordinates a, b of A and B, shape (..., p)."""
-        _, _, IJ, JI = _pairs(self.m)
-        a, b = self.frame_coords(A), self.frame_coords(B)
-        ab = a.take(IJ, axis=-1) * b.take(JI, axis=-1)
-        p = ab.shape[-1] // 2
-        return ab[..., :p] - ab[..., p:]
+        return contract(pair_products(Y, Z, W, V), self.RLg)
 
     def __call__(self, Y, Z, W, V):
         return self.evaluate(Y, Z, W, V)
@@ -670,6 +670,46 @@ class CurvatureOracle:
         """Sum of R(Xi, b, Xi, b) over the 2n orthonormal frame directions."""
         x = self.frame_coords(Xi)
         return (x * self.Ric * x).sum(axis=-1)[()]
+
+
+def _coords(fv: FrameVector, dt) -> np.ndarray:
+    """Coordinates (dt, Re u_1, Im u_1, ..., Re u_{n-1}, Im u_{n-1}, beta) of
+    fv, of shape (..., 2n) for a batch (...)."""
+    m = 2 * fv.u.shape[-1] + 2
+    x = np.zeros(np.broadcast(fv.u[..., 0], dt).shape + (m,))
+    x[..., 0] = dt
+    x[..., 1 : m - 1 : 2] = fv.u.real
+    x[..., 2 : m - 1 : 2] = fv.u.imag
+    x[..., m - 1] = fv.beta
+    return x
+
+
+def _wedge(A: FrameVector, B: FrameVector) -> np.ndarray:
+    """(a ^ b)_ij = a_i b_j - a_j b_i over the pairs i < j of the t-free
+    coordinates a, b of A and B, shape (..., p)."""
+    a, b = _coords(A, A.gamma), _coords(B, B.gamma)
+    _, _, IJ, JI = _pairs(a.shape[-1])
+    ab = a.take(IJ, axis=-1) * b.take(JI, axis=-1)
+    p = ab.shape[-1] // 2
+    return ab[..., :p] - ab[..., p:]
+
+
+def pair_products(Y: FrameVector, Z: FrameVector, W: FrameVector, V: FrameVector) -> np.ndarray:
+    """(y ^ z)[rows_e] (w ^ v)[cols_e] over the oracle's structural entries e
+    of the frame size of Y, from the t-free wedges, broadcast over the
+    leading axes of the frames: shape (..., nnz).  They depend on no metric
+    point, so one set serves every t (see CurvatureOracle)."""
+    yz = _wedge(Y, Z)
+    wv = yz if W is Y and V is Z else _wedge(W, V)  # R(X, Y, X, Y) needs one
+    pat = _pattern(2 * Y.u.shape[-1] + 2)
+    return yz.take(pat.rows, axis=-1) * wv.take(pat.cols, axis=-1)
+
+
+def contract(products: np.ndarray, RLg: np.ndarray):
+    """sum_e products[..., e] RLg[..., e]: R from pair_products and an
+    oracle's RLg, or RLg[k] for its batch entry k.  The sum runs along each
+    row's last axis, so a batch row rounds exactly like the row alone."""
+    return (products * RLg).sum(axis=-1)[()]
 
 
 # callers reuse only the oracle of the point they just asked for; each

@@ -275,6 +275,35 @@ class TestRunSuite:
         report = run_suite(SuiteConfig(suite="psh", samples=100))
         assert report.passed
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_a_check_passes_exactly_when_its_margin_is_not_negative(self, seed):
+        # the margin is tolerance - error, so -0.0 counts as negative: it is
+        # what -error reads for an error of 0
+        for check in run_suite(SuiteConfig(seed=seed)).checks:
+            nonnegative = check.margin >= 0.0 and math.copysign(1.0, check.margin) > 0.0
+            assert check.passed == nonnegative, (check.name, check.margin)
+
+    def test_broken_ricci_coefficients_fail_the_ricci_check(self, monkeypatch):
+        # 4 f f' in place of 4 f'^2 keeps the Einstein identity at f = exp and
+        # makes Ricci more negative in the cosh region, so only the oracle's
+        # Ricci trace catches it
+        def broken(mp):
+            coef_h, coef_z = ricci_coefficients(mp)
+            return coef_h + 4.0 * mp.fp * (mp.f - mp.fp), coef_z
+
+        def ricci_check():
+            report = run_suite(SuiteConfig(suite="curvature", samples=200))
+            return next(c for c in report.checks if c.name == "curvature.ricci_bounds")
+
+        ricci_coefficients = cv.ricci_coefficients
+        assert ricci_check().passed
+        monkeypatch.setattr(cv, "ricci_coefficients", broken)
+        check = ricci_check()
+        assert check.witness["einstein_defect"] <= 1e-8
+        assert check.witness["cosh_region_slack"] <= 1e-10
+        assert check.witness["oracle_deviation"] > 1e-8
+        assert not check.passed and check.margin < 0.0
+
     def test_deterministic_for_fixed_seed(self):
         def stripped(r: Report) -> dict:
             d = json.loads(r.to_json())
@@ -474,8 +503,8 @@ def drain(rows) -> None:
 
 
 class TestSweep:
-    # None keeps BLOCK_ELEMENTS; 1,000 elements make blocks of 8 t, the last
-    # of the 60 holding 4
+    # None keeps BLOCK_ELEMENTS; 1,000 elements make blocks of 3 t at n = 8,
+    # where an oracle holds 288 values per t
     @pytest.mark.parametrize(
         "lo,hi,steps,n,seed,elements",
         [
@@ -548,6 +577,45 @@ class TestSweep:
             for steps in (1000, 5000)
         ]
         assert (large - small) / 4000 <= 80
+
+    def test_pair_products_are_formed_once(self, default_profile, monkeypatch):
+        # every wedge of frame pairs reads the pair gathers of _pairs once;
+        # the first call at n = 8 derives and caches the oracle's pattern
+        ts = np.linspace(0.5, 5.5, 60)
+        jets = default_profile.jet_at(ts)
+        drain(cli._curvature_summary(cv.MetricPoint.from_jet(ts[:2], jets[:2], 8), 0))
+        calls = []
+        pairs = cv._pairs
+        monkeypatch.setattr(cv, "_pairs", lambda m: calls.append(m) or pairs(m))
+        drain(cli._curvature_summary(cv.MetricPoint.from_jet(ts, jets, 8), 0))
+        assert calls == [16]
+
+    def test_oracle_blocks_hold_at_most_block_elements(self, default_profile, monkeypatch):
+        # at n = 8 an oracle holds 288 values per t, more than the 120 pairs
+        # of the closed forms, so the oracle sets the block
+        ts = np.linspace(0.5, 5.5, 1000)
+        sizes = []
+
+        class Recording(cv.CurvatureOracle):
+            def __init__(self, mp):
+                super().__init__(mp)
+                sizes.append(self.RL.size)
+
+        monkeypatch.setattr(cv, "CurvatureOracle", Recording)
+        drain(cli._curvature_summary(cv.MetricPoint.from_jet(ts, default_profile.jet_at(ts), 8), 0))
+        assert sum(sizes) == 1000 * 288 and max(sizes) <= profile.BLOCK_ELEMENTS
+
+    def test_l_axis_rows_do_not_accumulate(self, tmp_path, traced_peak):
+        # growth of the tracemalloc peak per step from 1,000 to 5,000 steps:
+        # 7.9 B measured, the axis values; 274 B with a config and a key per
+        # value held as lists
+        run_sweep("l", 1.0, 12.0, 2, SuiteConfig(), tmp_path / "warm.csv")
+        out = tmp_path / "sweep.csv"
+        small, large = [
+            traced_peak(lambda: run_sweep("l", 1.0, 12.0, steps, SuiteConfig(), out))
+            for steps in (1000, 5000)
+        ]
+        assert (large - small) / 4000 <= 32
 
     def test_t_outside_domain_exits_two_before_any_work(self, tmp_path, capsys, monkeypatch):
         def no_work(*args, **kwargs):

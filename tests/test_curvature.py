@@ -497,6 +497,24 @@ class TestOracleContraction:
                 mass = np.einsum("ijkl,i,j,k,l->", np.abs(R), *map(np.abs, (y, z, w, v)))
                 assert abs(got[k] - ref) <= 64.0 * eps * mass
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_matches_four_index_sum_near_the_divisor(self, default_profile, n):
+        # g is small there, and the wedges carry gamma where the reference
+        # frame coordinates carry gamma g: the powers of g ride on RLg
+        rng = np.random.default_rng(190 + n)
+        eps = np.finfo(float).eps
+        for t in (0.01, 0.05):
+            mp = MetricPoint.from_profile(default_profile, t, n)
+            orc = CurvatureOracle(mp)
+            R = reference_oracle_tensor(mp)[0]
+            F = random_frame_vector(rng, n, (self.ROWS, 4))
+            got = orc.evaluate(F[:, 0], F[:, 1], F[:, 2], F[:, 3])
+            for k in range(self.ROWS):
+                x = [orc.frame_coords(F[k, j]) for j in range(4)]
+                ref = np.einsum("ijkl,i,j,k,l->", R, *x)
+                mass = np.einsum("ijkl,i,j,k,l->", np.abs(R), *map(np.abs, x))
+                assert abs(got[k] - ref) <= 64.0 * eps * mass
+
 
 def reference_oracle_tensor(mp):
     """(R, Ric) from the Koszul formula on second-order jets: the metric

@@ -48,9 +48,6 @@ RESERVED = {
         "the benchmark traces it by name (perfbench/tracer.py, BENCHMARK.json); it "
         "can go once the benchmark stops tracing it (ROADMAP item 14)"
     ),
-    "curvature.CurvatureOracle.ricci": (
-        "the Koszul reference that the tests compare the closed-form ricci against"
-    ),
 }
 
 
