@@ -640,8 +640,27 @@ class CurvatureOracle:
         return _coords(fv, fv.gamma * self.mp.g)
 
     def evaluate(self, Y: FrameVector, Z: FrameVector, W: FrameVector, V: FrameVector):
-        """R(Y, Z, W, V), broadcast over the leading axes of the frames."""
-        return contract(pair_products(Y, Z, W, V), self.RLg)
+        """R(Y, Z, W, V), broadcast over the leading axes of the frames.
+
+        The batch goes through in blocks along its first axis, each of
+        about BLOCK_ELEMENTS pair products: a block's rows are those of
+        one call, and each row sums on its own, so they keep its bits."""
+        RLg, frames = self.RLg, (Y, Z, W, V)
+        shape = np.broadcast_shapes(RLg.shape[:-1], *(fv.u.shape[:-1] for fv in frames))
+        if not shape:
+            return contract(pair_products(*frames), RLg)
+        step = max(1, profile.BLOCK_ELEMENTS // (RLg.shape[-1] * math.prod(shape[1:])))
+
+        def block(x, batch, lo):
+            # all of x where its batch lacks the first axis or broadcasts along it
+            return x if len(batch) < len(shape) or batch[0] == 1 else x[lo : lo + step]
+
+        out = np.empty(shape)
+        for lo in range(0, shape[0], step):
+            part = {id(fv): block(fv, fv.u.shape[:-1], lo) for fv in frames}  # keeps W is Y
+            products = pair_products(*(part[id(fv)] for fv in frames))
+            out[lo : lo + step] = contract(products, block(RLg, RLg.shape[:-1], lo))
+        return out
 
     def __call__(self, Y, Z, W, V):
         return self.evaluate(Y, Z, W, V)

@@ -503,8 +503,9 @@ def drain(rows) -> None:
 
 
 class TestSweep:
-    # None keeps BLOCK_ELEMENTS; 1,000 elements make blocks of 3 t at n = 8,
-    # where an oracle holds 288 values per t
+    # None keeps BLOCK_ELEMENTS; at n = 8, where an oracle holds 288 values
+    # per t, 1,000 elements make blocks of 3 t, and 2,100 blocks of 7 t, the
+    # last of the 60 holding 4
     @pytest.mark.parametrize(
         "lo,hi,steps,n,seed,elements",
         [
@@ -513,6 +514,7 @@ class TestSweep:
                 for case in [(0.05, 5.5, 60, 8, 1), (0.01, 6.0, 25, 2, 4), (0.5, 5.5, 3, 9, 0), (3.0, 3.0, 1, 3, 0)]
             ),
             pytest.param(0.05, 5.5, 60, 8, 1, 1000, id="0.05-5.5-60-8-1-block1000"),
+            pytest.param(0.05, 5.5, 60, 8, 1, 2100, id="0.05-5.5-60-8-1-block2100"),
         ],
     )
     def test_t_axis_matches_per_point_reference(

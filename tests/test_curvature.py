@@ -457,6 +457,42 @@ class TestBatchedEvaluation:
         expect = [[orc.bisectional(Y[s, r], Xi[s, r]) for r in range(rows)] for s in range(nodes)]
         assert np.array_equal(batched, expect)
 
+    def test_oracle_blocks_match_one_block(self, default_profile, monkeypatch):
+        # node-by-row batches whose first axis comes from the oracle, the
+        # frames or both, then a row batch at one point: one block each,
+        # against blocks of one node or row
+        n = 5
+        F = random_frame_vector(np.random.default_rng(73), n, (40, 10, 2))
+        Y, Xi = F[:, :, 0], F[:, :, 1]
+        ts = np.linspace(0.05, default_profile.A, 40)[:, None]
+        nodes = CurvatureOracle(MetricPoint.from_profile(default_profile, ts, n))
+        point = CurvatureOracle(MetricPoint.from_profile(default_profile, 2.5, n))
+
+        def calls():
+            return (
+                nodes.bisectional(Y, Xi),
+                nodes.bisectional(Y[0], Xi[0]),
+                nodes.bisectional(Y[:1], Xi[:1]),
+                point.sectional(Y[:, 0], Xi[:, 0]),
+            )
+
+        monkeypatch.setattr(profile, "BLOCK_ELEMENTS", 2**40)
+        whole = calls()
+        monkeypatch.setattr(profile, "BLOCK_ELEMENTS", 1)
+        for one, blocked in zip(whole, calls()):
+            assert np.array_equal(one, blocked)
+        assert [x.shape for x in whole] == [(40, 10)] * 3 + [(40,)]
+
+    def test_oracle_temporaries_are_bounded(self, traced_peak):
+        # 1.0 MiB measured for 1,000 planes at n = 32, where the pair
+        # products of one call over all of them take 38 MiB (92 MiB peak)
+        n = 32
+        mp = MetricPoint.exp_model(0.0, n)
+        orc = CurvatureOracle(mp)
+        F = random_frame_vector(np.random.default_rng(74), n, (1000, 2))
+        X, Y = F[:, 0], F[:, 1]
+        assert traced_peak(lambda: orc.sectional(X, Y)) <= 4 * 2**20
+
     @pytest.mark.parametrize("n", [2, 3, 5, 9])
     def test_oracle_ricci_matches_per_row(self, default_profile, n):
         ts, _, Xi = self.draw(default_profile, n, seed=80 + n)
