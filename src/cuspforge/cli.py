@@ -268,15 +268,12 @@ def _curvature_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
     ric_e, ric_c = cv.ricci(Xie, mpe), cv.ricci(Xic, mpc)
     einstein = float(np.max(np.abs(ric_e + (2 * cfg.n + 2) * nsq) / np.maximum(1.0, nsq)))
     cosh_slack = float(np.max(ric_c + 2.0 * Xic.norm_sq(mpc)))
-    # the oracle's Ricci trace at the same draws, over blocks of
-    # BLOCK_ELEMENTS // nnz points: the point oracle above holds nnz values
-    rows = max(1, profile.BLOCK_ELEMENTS // oracle.RL.size)
+    # the oracle's Ricci trace at the same draws, in blocks of points: an
+    # oracle holds nnz values per point, as the point oracle above does
     ref = np.concatenate([
-        cv.CurvatureOracle(cv.MetricPoint.from_profile(p, t[lo : lo + rows], cfg.n)).ricci(
-            Xi[lo : lo + rows]
-        )
+        cv.CurvatureOracle(cv.MetricPoint.from_profile(p, t[rows], cfg.n)).ricci(Xi[rows])
         for t, Xi in ((te, Xie), (tc, Xic))
-        for lo in range(0, draws, rows)
+        for rows in profile.blocks(draws, oracle.RL.size)
     ])
     # relative, as Ricci is negative definite: at most 1.4e-12 measured, at
     # n = 2 for t down to 1e-8, where the oracle's terms cancel most
@@ -559,36 +556,29 @@ SUMMARY = ("min_hbc", "max_hbc", "min_ricci_eigenvalue", "sectional_min", "secti
 
 def _curvature_summary(mp: cv.MetricPoint, seed: int) -> Iterator[tuple[float, ...]]:
     """Yield the SUMMARY row of mp: one for a single point, one per t of
-    (T,) jets.  Every point sees the same 120 frame pairs, drawn from seed,
-    and their nnz oracle pair products carry no t, so they are formed once.
-    The t go through in contiguous blocks of BLOCK_ELEMENTS // max(120, nnz),
-    since a row of the closed forms holds one value per pair and a row of
-    the oracle one per structural entry: per block, only that block's slice
-    of mp's jets is stacked into (B, 1) jets, the closed forms run once over
-    them against the pairs, and so does one oracle build; the pair products
-    are contracted with its k-th row of RLg at the k-th t, so that
-    evaluation temporaries stay those of one t.  All of it is elementwise
-    in t, so a block gives each t the bits of one batch over all t, and of
-    CurvatureOracle.sectional at that t alone."""
+    (T,) jets.  Every point sees the same 120 frame pairs, drawn from seed.
+    The t go through in profile.blocks of width max(120, nnz), since a row
+    of the closed forms holds one value per pair and a row of the oracle
+    one per structural entry: per block, only that block's slice of mp's
+    jets is stacked into (B, 1) jets, and the closed forms and the
+    sectional curvature of one oracle build run once over them against the
+    (120,) pairs, whose pair products the oracle forms once per block.  All
+    of it is elementwise in t, so a block gives each t the bits of one
+    batch over all t, and of CurvatureOracle.sectional at that t alone."""
     pairs = 120
     F = cv.random_frame_vector(np.random.default_rng(seed), mp.n, (pairs, 2))
     Y, Xi = F[:, 0], F[:, 1]
-    products = cv.pair_products(Y, Xi, Y, Xi)
     ts, *jet = map(np.atleast_1d, (mp.t, mp.f, mp.fp, mp.fpp, mp.fppp))
-    step = max(1, profile.BLOCK_ELEMENTS // max(pairs, products.shape[-1]))
-    for lo in range(0, ts.size, step):
-        block = np.stack([col[lo : lo + step, None] for col in jet], axis=-1)
-        grid = cv.MetricPoint.from_jet(ts[lo : lo + step, None], block, mp.n)
-        norms = Y.norm_sq(grid) * Xi.norm_sq(grid)
-        hbc = cv.bisectional(Y, Xi, grid) / norms
-        xy = Y.inner(Xi, grid)
-        area_sq = norms - xy * xy
+    nnz = cv._pattern(2 * mp.n).rows.size
+    for rows in profile.blocks(ts.size, max(pairs, nnz)):
+        block = np.stack([col[rows, None] for col in jet], axis=-1)
+        grid = cv.MetricPoint.from_jet(ts[rows, None], block, mp.n)
+        hbc = cv.bisectional(Y, Xi, grid) / (Y.norm_sq(grid) * Xi.norm_sq(grid))
         coef_h, coef_z = cv.ricci_coefficients(grid)
         ric_lo = np.minimum(-coef_h / grid.f**2, -coef_z / grid.g**2)[:, 0]
-        RLg = cv.CurvatureOracle(grid).RLg
-        for k in range(ric_lo.size):
-            sec = cv.contract(products, RLg[k]) / area_sq[k]
-            yield tuple(map(float, (hbc[k].min(), hbc[k].max(), ric_lo[k], sec.min(), sec.max())))
+        sec = cv.CurvatureOracle(grid).sectional(Y, Xi)
+        columns = (hbc.min(axis=1), hbc.max(axis=1), ric_lo, sec.min(axis=1), sec.max(axis=1))
+        yield from (tuple(map(float, row)) for row in zip(*columns))
 
 
 def _profile_for(A: float) -> profile.CutoffProfile:

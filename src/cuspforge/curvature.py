@@ -58,8 +58,6 @@ __all__ = [
     "poly_P",
     "discriminant_inequality",
     "CurvatureOracle",
-    "pair_products",
-    "contract",
     "oracle_for",
     "hbc_certificate",
     "random_frame_vector",
@@ -564,20 +562,19 @@ class CurvatureOracle:
 
         R(Y, Z, W, V) = sum_e RLg_e (y ^ z)[rows_e] (w ^ v)[cols_e]
 
-    with the wedges t-free, and an evaluation is two steps: pair_products
-    forms the products (y ^ z)[rows_e] (w ^ v)[cols_e], which depend on the
-    frames and m alone, and contract sums them against RLg along each row.
-    A caller that evaluates the same frames at many t forms the products
-    once and contracts them at every t.
+    with the wedges t-free: an evaluation forms the pair products
+    (y ^ z)[rows_e] (w ^ v)[cols_e], which depend on the frames and m alone,
+    and sums them against RLg along each row.
 
     mp is one point, or jets of one batch shape such as (T,) or (T, 1).
-    RL and Ric then carry the batch axes first, evaluations broadcast them
-    against the frames' leading axes as the closed forms do, and oracle[k]
-    is the oracle at batch index k.  All work is elementwise in the batch,
-    so a batch entry and a batch row give the bits of the same point and
-    row alone.  Every gather is a take, whose result is C-ordered:
-    x[..., idx] on a batch returns a transposed layout, over which numpy
-    sums the last axis in another order than for one row.
+    RL and Ric then carry the batch axes first, and evaluations broadcast
+    them against the frames' leading axes as the closed forms do, so a
+    (T, 1) oracle evaluates the same frames at every t.  All work is
+    elementwise in the batch, so a batch entry and a batch row give the
+    bits of the same point and row alone.  Every gather is a take, whose
+    result is C-ordered: x[..., idx] on a batch returns a transposed
+    layout, over which numpy sums the last axis in another order than for
+    one row.
     """
 
     def __init__(self, mp: MetricPoint) -> None:
@@ -625,16 +622,6 @@ class CurvatureOracle:
         powers = np.asarray(g)[..., None] ** np.arange(3.0)  # 1, g, g^2
         self.RLg = self.RL * powers.take(pat.dt_pairs, axis=-1)
 
-    def __getitem__(self, k) -> "CurvatureOracle":
-        """The oracle at index k of the batch axes, a view of this one's
-        arrays: nothing is rebuilt."""
-        mp = self.mp
-        fields = (x[k] for x in np.broadcast_arrays(mp.t, mp.f, mp.fp, mp.fpp, mp.fppp))
-        sub = object.__new__(CurvatureOracle)
-        sub.__dict__.update(vars(self), mp=MetricPoint(*fields, mp.n))
-        sub.RL, sub.RLg, sub.Ric = self.RL[k], self.RLg[k], self.Ric[k]
-        return sub
-
     def frame_coords(self, fv: FrameVector) -> np.ndarray:
         """Coordinates in the frame B, of shape (..., 2n) for a batch (...)."""
         return _coords(fv, fv.gamma * self.mp.g)
@@ -642,24 +629,29 @@ class CurvatureOracle:
     def evaluate(self, Y: FrameVector, Z: FrameVector, W: FrameVector, V: FrameVector):
         """R(Y, Z, W, V), broadcast over the leading axes of the frames.
 
-        The batch goes through in blocks along its first axis, each of
-        about BLOCK_ELEMENTS pair products: a block's rows are those of
-        one call, and each row sums on its own, so they keep its bits."""
+        The batch goes through in profile.blocks along its first axis, a
+        row holding the pair products of the other axes.  When no frame
+        carries that axis, as when a (T, 1) oracle meets (S,) frames, the
+        products are formed once and every block contracts them.  A
+        block's rows are those of one call, and each row sums on its own,
+        so they keep its bits."""
         RLg, frames = self.RLg, (Y, Z, W, V)
         shape = np.broadcast_shapes(RLg.shape[:-1], *(fv.u.shape[:-1] for fv in frames))
         if not shape:
-            return contract(pair_products(*frames), RLg)
-        step = max(1, profile.BLOCK_ELEMENTS // (RLg.shape[-1] * math.prod(shape[1:])))
+            return (_pair_products(*frames) * RLg).sum(axis=-1)[()]
 
-        def block(x, batch, lo):
-            # all of x where its batch lacks the first axis or broadcasts along it
-            return x if len(batch) < len(shape) or batch[0] == 1 else x[lo : lo + step]
+        def carries(batch):
+            # the batch holds the first axis in full, so a block takes its rows
+            return len(batch) == len(shape) and batch[0] != 1
 
+        blocked = any(carries(fv.u.shape[:-1]) for fv in frames)
+        products = None if blocked else _pair_products(*frames)
         out = np.empty(shape)
-        for lo in range(0, shape[0], step):
-            part = {id(fv): block(fv, fv.u.shape[:-1], lo) for fv in frames}  # keeps W is Y
-            products = pair_products(*(part[id(fv)] for fv in frames))
-            out[lo : lo + step] = contract(products, block(RLg, RLg.shape[:-1], lo))
+        for rows in profile.blocks(shape[0], RLg.shape[-1] * math.prod(shape[1:])):
+            if blocked:  # one part per distinct frame keeps W is Y
+                part = {id(fv): fv[rows] if carries(fv.u.shape[:-1]) else fv for fv in frames}
+                products = _pair_products(*(part[id(fv)] for fv in frames))
+            out[rows] = (products * (RLg[rows] if carries(RLg.shape[:-1]) else RLg)).sum(axis=-1)
         return out
 
     def __call__(self, Y, Z, W, V):
@@ -713,7 +705,7 @@ def _wedge(A: FrameVector, B: FrameVector) -> np.ndarray:
     return ab[..., :p] - ab[..., p:]
 
 
-def pair_products(Y: FrameVector, Z: FrameVector, W: FrameVector, V: FrameVector) -> np.ndarray:
+def _pair_products(Y: FrameVector, Z: FrameVector, W: FrameVector, V: FrameVector) -> np.ndarray:
     """(y ^ z)[rows_e] (w ^ v)[cols_e] over the oracle's structural entries e
     of the frame size of Y, from the t-free wedges, broadcast over the
     leading axes of the frames: shape (..., nnz).  They depend on no metric
@@ -722,13 +714,6 @@ def pair_products(Y: FrameVector, Z: FrameVector, W: FrameVector, V: FrameVector
     wv = yz if W is Y and V is Z else _wedge(W, V)  # R(X, Y, X, Y) needs one
     pat = _pattern(2 * Y.u.shape[-1] + 2)
     return yz.take(pat.rows, axis=-1) * wv.take(pat.cols, axis=-1)
-
-
-def contract(products: np.ndarray, RLg: np.ndarray):
-    """sum_e products[..., e] RLg[..., e]: R from pair_products and an
-    oracle's RLg, or RLg[k] for its batch entry k.  The sum runs along each
-    row's last axis, so a batch row rounds exactly like the row alone."""
-    return (products * RLg).sum(axis=-1)[()]
 
 
 # callers reuse only the oracle of the point they just asked for; each
@@ -774,9 +759,9 @@ def hbc_certificate(
     to |Y|^2 |Xi|^2 (a ratio below -STRICT_RATIO) for unit vectors at
     interior t, and the Cauchy-Schwarz step used to absorb the mixed terms.
 
-    All t are drawn first; the samples then go through in contiguous blocks
-    of BLOCK_ELEMENTS // 4n rows (a sample draws two frame vectors of 2n
-    normals), each drawing its own frames, and the extremes and the first
+    All t are drawn first; the samples then go through in profile.blocks
+    of rows of width 4n (a sample draws two frame vectors of 2n normals),
+    each drawing its own frames, and the extremes and the first
     ten failures run on from block to block in sample order.  Consecutive
     draws fill the stream of one draw, every operation is elementwise per
     sample and each sum runs along a sample's own row, so the report has
@@ -788,14 +773,13 @@ def hbc_certificate(
     max_value = worst_ratio = -math.inf
     min_value = min_slack = math.inf
     failures, passed = [], True
-    rows = max(1, profile.BLOCK_ELEMENTS // (4 * n))
-    for lo in range(0, samples, rows):
-        t = ts[lo : lo + rows]
+    for rows in profile.blocks(samples, 4 * n):
+        t = ts[rows]
         F = random_frame_vector(rng, n, (t.size, 2))
         Y, Xi = F[:, 0], F[:, 1]
         # degenerate corners at every 97th sample: pure central and pure
         # horizontal vectors
-        corner = slice(-lo % 97, None, 97)
+        corner = slice(-rows.start % 97, None, 97)
         Y.u[corner], Y.beta[corner], Y.gamma[corner] = 0.0, 1.0, 0.0
         mp = MetricPoint.from_profile(p, t, n)
 

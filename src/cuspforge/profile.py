@@ -31,6 +31,7 @@ this to rounding.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +44,20 @@ __all__ = [
     "PsiSolution",
     "build_cutoff",
     "solve_psi",
+    "blocks",
 ]
 
 GRID_POINTS = 10_001
-# float64 elements per block of a batched evaluation: a loop over rows of w
-# elements each takes max(1, BLOCK_ELEMENTS // w) rows at a time
+# float64 elements per block of a batched evaluation; see blocks
 BLOCK_ELEMENTS = 2**15
+
+
+def blocks(count: int, width: int) -> Iterator[slice]:
+    """The contiguous slices of range(count) that a batched evaluation takes
+    at a time when each of its rows holds `width` float64 elements:
+    max(1, BLOCK_ELEMENTS // width) rows each, the last one possibly short."""
+    rows = max(1, BLOCK_ELEMENTS // width)
+    return (slice(lo, lo + rows) for lo in range(0, count, rows))
 
 
 class ProfileError(ValueError):
@@ -79,8 +88,8 @@ class CutoffProfile:
     def jet_at(self, t: np.ndarray | float) -> np.ndarray:
         """Jet (f, f', f'', f''') at t, shape (..., 4).
 
-        The points go through in blocks of BLOCK_ELEMENTS // ORDER, since
-        the smoothstep's quadrature holds ORDER nodes per point, and each
+        The points go through in blocks of rows of width ORDER, since the
+        smoothstep's quadrature holds ORDER nodes per point, and each
         block fills its rows of the output; so the temporaries stay those of
         one block.  Every operation is elementwise and each node sum runs
         along its own row, so a point gets the same bits in any block as it
@@ -91,9 +100,8 @@ class CutoffProfile:
             raise ValueError("profile evaluated outside [0, A]")
         flat = t.reshape(-1)
         out = np.empty((flat.size, 4))
-        rows = max(1, BLOCK_ELEMENTS // sm.ORDER)
-        for lo in range(0, flat.size, rows):
-            x, jet = flat[lo : lo + rows], out[lo : lo + rows]
+        for rows in blocks(flat.size, sm.ORDER):
+            x, jet = flat[rows], out[rows]
             w, w1, w2, w3 = self.step_data(x)
             ch, sh = np.cosh(x), np.sinh(x)
             jet[:, 0] = ch + w * sh

@@ -581,8 +581,11 @@ class TestSweep:
         assert (large - small) / 4000 <= 80
 
     def test_pair_products_are_formed_once(self, default_profile, monkeypatch):
-        # every wedge of frame pairs reads the pair gathers of _pairs once;
-        # the first call at n = 8 derives and caches the oracle's pattern
+        # once per oracle block, never per t: every wedge of frame pairs reads
+        # the pair gathers of _pairs once, and at n = 8 2,100 elements make
+        # 9 blocks of the 60 t; the first call at n = 8 derives and caches
+        # the oracle's pattern
+        monkeypatch.setattr(profile, "BLOCK_ELEMENTS", 2100)
         ts = np.linspace(0.5, 5.5, 60)
         jets = default_profile.jet_at(ts)
         drain(cli._curvature_summary(cv.MetricPoint.from_jet(ts[:2], jets[:2], 8), 0))
@@ -590,7 +593,7 @@ class TestSweep:
         pairs = cv._pairs
         monkeypatch.setattr(cv, "_pairs", lambda m: calls.append(m) or pairs(m))
         drain(cli._curvature_summary(cv.MetricPoint.from_jet(ts, jets, 8), 0))
-        assert calls == [16]
+        assert calls == [16] * 9
 
     def test_oracle_blocks_hold_at_most_block_elements(self, default_profile, monkeypatch):
         # at n = 8 an oracle holds 288 values per t, more than the 120 pairs

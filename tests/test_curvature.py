@@ -450,7 +450,7 @@ class TestBatchedEvaluation:
         # the (t nodes, rows) draw shape of the formula_vs_oracle check
         n, nodes, rows = 3, 40, 10
         F = random_frame_vector(np.random.default_rng(71), n, (nodes, rows, 2))
-        Y, Xi = F[..., 0], F[..., 1]
+        Y, Xi = F[:, :, 0], F[:, :, 1]
         orc = CurvatureOracle(MetricPoint.from_profile(default_profile, 2.5, n))
         batched = orc.bisectional(Y, Xi)
         assert batched.shape == (nodes, rows)
@@ -459,11 +459,14 @@ class TestBatchedEvaluation:
 
     def test_oracle_blocks_match_one_block(self, default_profile, monkeypatch):
         # node-by-row batches whose first axis comes from the oracle, the
-        # frames or both, then a row batch at one point: one block each,
-        # against blocks of one node or row
+        # frames or both, then a row batch at one point, then the sweep's
+        # (T, 1) oracle against (120,) pairs, whose pair products are formed
+        # once for all blocks: one block each, against blocks of one node or
+        # row
         n = 5
         F = random_frame_vector(np.random.default_rng(73), n, (40, 10, 2))
         Y, Xi = F[:, :, 0], F[:, :, 1]
+        pairs = random_frame_vector(np.random.default_rng(75), n, (120, 2))
         ts = np.linspace(0.05, default_profile.A, 40)[:, None]
         nodes = CurvatureOracle(MetricPoint.from_profile(default_profile, ts, n))
         point = CurvatureOracle(MetricPoint.from_profile(default_profile, 2.5, n))
@@ -474,6 +477,7 @@ class TestBatchedEvaluation:
                 nodes.bisectional(Y[0], Xi[0]),
                 nodes.bisectional(Y[:1], Xi[:1]),
                 point.sectional(Y[:, 0], Xi[:, 0]),
+                nodes.sectional(pairs[:, 0], pairs[:, 1]),
             )
 
         monkeypatch.setattr(profile, "BLOCK_ELEMENTS", 2**40)
@@ -481,7 +485,7 @@ class TestBatchedEvaluation:
         monkeypatch.setattr(profile, "BLOCK_ELEMENTS", 1)
         for one, blocked in zip(whole, calls()):
             assert np.array_equal(one, blocked)
-        assert [x.shape for x in whole] == [(40, 10)] * 3 + [(40,)]
+        assert [x.shape for x in whole] == [(40, 10)] * 3 + [(40,), (40, 120)]
 
     def test_oracle_temporaries_are_bounded(self, traced_peak):
         # 1.0 MiB measured for 1,000 planes at n = 32, where the pair
@@ -702,26 +706,29 @@ class TestOracleBuild:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 9])
     def test_batch_matches_points(self, default_profile, n):
-        # a (T,) oracle, its entries, and a (T, 1) oracle against a batch of
-        # rows per t: every value bitwise that of the oracle built at t alone
+        # a (T,) oracle, its RL and Ric entries, and a (T, 1) oracle against
+        # a batch of rows per t: every value bitwise that of the oracle built
+        # at t alone
         ts = np.array([0.05, 0.3, 1.5, 3.0, 4.8, 6.0])
         jets = default_profile.jet_at(ts)
         batch = CurvatureOracle(MetricPoint.from_jet(ts, jets, n))
         column = CurvatureOracle(MetricPoint.from_jet(ts[:, None], jets[:, None], n))
         F = random_frame_vector(np.random.default_rng(40 + n), n, (ts.size, 8, 4))
         first = F[:, 0]
+        # the rows of t along the last axis, to meet the (T,) oracle
+        across = FrameVector(*(np.moveaxis(x, 0, 1) for x in (F.u, F.beta, F.gamma)))
+        by_batch = batch.evaluate(*(across[:, :, j] for j in range(4)))
+        by_column = column.evaluate(*(F[:, :, j] for j in range(4)))
         for k, (t, jet) in enumerate(zip(ts, jets)):
             alone = CurvatureOracle(MetricPoint.from_jet(t, jet, n))
-            assert np.array_equal(batch[k].RL, alone.RL)
-            assert np.array_equal(batch[k].Ric, alone.Ric)
+            assert np.array_equal(batch.RL[k], alone.RL)
+            assert np.array_equal(batch.Ric[k], alone.Ric)
             Y, Z, W, V = (first[k, j] for j in range(4))
             rows = F[k]
-            for orc in (batch[k], column[k]):
-                assert np.array_equal(
-                    orc.evaluate(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]),
-                    alone.evaluate(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]),
-                )
+            rows_alone = alone.evaluate(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3])
             checks = [
+                (by_batch[:, k], rows_alone),
+                (by_column[k], rows_alone),
                 (batch.evaluate(first[:, 0], first[:, 1], first[:, 2], first[:, 3])[k],
                  alone.evaluate(Y, Z, W, V)),
                 (batch.sectional(first[:, 0], first[:, 1])[k], alone.sectional(Y, Z)),
