@@ -176,51 +176,54 @@ class Check:
 
 
 # ---------------------------------------------------------------------------
-# Check functions.  Each yields (passed, margin, witness) for the checks of
-# its suite, in the order of the table below, and must be deterministic for
-# a fixed config.  The margin is tolerance - error, the least over the
-# check's conditions, so a check passes exactly when its margin is +0.0 or
-# more; an exact condition has tolerance 0, or reads 0.0 when it holds and
-# -1.0 when it fails.
+# Check functions.  Each yields (margin, witness) for the checks of its
+# suite, in the order of the table below, and must be deterministic for a
+# fixed config; run_suite derives the pass flag from the margin alone.  The
+# margin is tolerance - error, the _least over the check's conditions, so a
+# check passes exactly when its margin is +0.0 or more, and a NaN fails.  A
+# strict condition v > 0 reads _strict(v), -0.0 at v = 0.  An exact
+# condition reads 0.0 when it holds and -1.0 when it fails; a check that
+# adds it to a numeric tolerance reads -1.0 when it fails.
 # ---------------------------------------------------------------------------
 
 
-def _profile_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
+def _least(*margins: float) -> float:
+    # np.min keeps a nan, where the builtin min drops one not in first place
+    return float(np.min(margins))
+
+
+def _strict(value: float) -> float:
+    # v > 0 holds exactly when the margin is +0.0 or more, once 0 reads -0.0
+    return float(value) or -0.0
+
+
+def _profile_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
     p = build_cutoff(cfg.A, cfg.window)
     margins = p.positivity_margins()
     names = ("f", "fp", "fpp", "fppp")
-    yield (
-        bool(np.all(margins > 0)),
-        float(margins.min()),
-        {k: float(v) for k, v in zip(names, margins)},
-    )
+    yield _strict(margins.min()), {k: float(v) for k, v in zip(names, margins)}
     j0 = p.jet_at(0.0)
     jA = p.jet_at(cfg.A)
     exact0 = tuple(j0) == (1.0, 0.0, 1.0, 0.0)
     exactA = jA[0] == jA[1] == jA[2] == jA[3]
     relA = abs(float(jA[0]) - math.exp(cfg.A)) / math.exp(cfg.A)
-    exact = bool(exact0 and exactA)
     yield (
-        exact and relA <= 1e-10,
-        1e-10 - relA if exact else -1.0,
+        1e-10 - relA if exact0 and exactA else -1.0,
         {"jet0": [float(v) for v in j0], "jetA": [float(v) for v in jA]},
     )
     sol = solve_psi(p, t_min=0.05)
     res = sol.max_residual()
-    yield res <= 1e-8, 1e-8 - res, {"residual": res}
+    yield 1e-8 - res, {"residual": res}
     idd = sol.identity_defect(cfg.window[1])
-    yield idd <= 1e-10, 1e-10 - idd, {"defect": idd}
+    yield 1e-10 - idd, {"defect": idd}
 
 
-def _curvature_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
+def _curvature_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
     p = build_cutoff(cfg.A, cfg.window)
 
     mp_exp = cv.MetricPoint.exp_model(0.0, cfg.n)
     bl = cv.hs_blocks(mp_exp)
-    dev = max(
-        float(np.max(np.abs(bl.G - np.array([[-4.0, -2.0], [-2.0, -4.0]])))),
-        float(np.max(np.abs(bl.F + np.ones((2, 2))))),
-    )
+    dev = float(np.max(np.abs([bl.G - [[-4.0, -2.0], [-2.0, -4.0]], bl.F + 1.0])))
     rng = np.random.default_rng(cfg.seed + 11)
     F = cv.random_frame_vector(rng, cfg.n, (min(cfg.samples, 1000), 2))
     X, Y = F[:, 0], F[:, 1]
@@ -230,8 +233,7 @@ def _curvature_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
     sec_lo, sec_hi = float(s.min()), float(s.max())
     band_lo, band_hi = -4.0 - 1e-8, -1.0 + 1e-8
     yield (
-        dev <= 1e-12 and hsc_dev <= 1e-8 and band_lo <= sec_lo and sec_hi <= band_hi,
-        min(1e-12 - dev, 1e-8 - hsc_dev, sec_lo - band_lo, band_hi - sec_hi),
+        _least(1e-12 - dev, 1e-8 - hsc_dev, sec_lo - band_lo, band_hi - sec_hi),
         {"block_deviation": dev, "hsc_deviation": hsc_dev, "sectional": [sec_lo, sec_hi]},
     )
 
@@ -242,12 +244,11 @@ def _curvature_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
     mp = cv.MetricPoint.from_profile(p, t_nodes[:, None], cfg.n)
     ref = cv.CurvatureOracle(mp).bisectional(Y, Xi)
     worst = float(np.max(np.abs(cv.bisectional(Y, Xi, mp) - ref) / (1.0 + np.abs(ref))))
-    yield worst <= 1e-6, 1e-6 - worst, {"max_relative_error": worst}
+    yield 1e-6 - worst, {"max_relative_error": worst}
 
     cert = cv.hbc_certificate(p, cfg.samples, n=cfg.n, seed=cfg.seed)
     yield (
-        cert.passed,
-        -cert.worst_interior_ratio,
+        -cert.worst_interior_ratio if cert.passed else -1.0,
         {
             "max_value": cert.max_value,
             "worst_interior_ratio": cert.worst_interior_ratio,
@@ -279,13 +280,12 @@ def _curvature_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
     # n = 2 for t down to 1e-8, where the oracle's terms cancel most
     oracle_dev = float(np.max(np.abs(np.concatenate([ric_e, ric_c]) - ref) / np.abs(ref)))
     yield (
-        einstein <= 1e-8 and cosh_slack <= 1e-10 and oracle_dev <= 1e-8,
-        min(1e-8 - einstein, 1e-10 - cosh_slack, 1e-8 - oracle_dev),
+        _least(1e-8 - einstein, 1e-10 - cosh_slack, 1e-8 - oracle_dev),
         {"einstein_defect": einstein, "cosh_region_slack": cosh_slack, "oracle_deviation": oracle_dev},
     )
 
 
-def _bundle_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
+def _bundle_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
     cp = cfg.cusp_params()
     rng = np.random.default_rng(cfg.seed + 23)
     drifts = []
@@ -300,11 +300,11 @@ def _bundle_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
         base = h_norm(pt, cp)
         drifts.append(abs(h_norm(moved, cp) - base) / max(1.0, base))
     worst = float(np.max(drifts))
-    yield worst <= 1e-12, 1e-12 - worst, {"max_relative_drift": worst}
+    yield 1e-12 - worst, {"max_relative_drift": worst}
 
     curv = bundle_curvature(cp)
     eigs = np.linalg.eigvalsh(0.5 * (curv + curv.T))
-    yield bool(np.all(eigs < 0.0)), float(-np.max(eigs)), {"eigenvalues": [float(e) for e in eigs]}
+    yield _strict(-np.max(eigs)), {"eigenvalues": [float(e) for e in eigs]}
 
     lam = lambda_const(cfg.t0, cfg.l)
     boundary = orbit_coords(0.0, np.zeros(cfg.n - 1), cfg.t0)
@@ -319,17 +319,15 @@ def _bundle_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
     except ValueError as e:
         domain_err = str(e)
     yield (
-        drift <= 1e-12 and abs(abs(a_disk) - t_probe) <= 1e-12 and domain_err is not None,
-        1e-12 - drift,
+        _least(1e-12 - drift, 1e-12 - abs(abs(a_disk) - t_probe)) if domain_err is not None else -1.0,
         {"lambda": lam, "lambda_quotient_route": lam_q, "domain_error": domain_err},
     )
 
 
-def _cayley_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
+def _cayley_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
     rng = np.random.default_rng(cfg.seed + 31)
     per_form = max(5, min(cfg.samples, 400) // 20)
-    runs = 0
-    worst_err = 0.0
+    errors = []
     all_exact = True
     for m in (2, 3):
         B = qc.HermitianDiagForm(tuple(Fraction(k + 1) for k in range(m)))
@@ -349,12 +347,11 @@ def _cayley_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
             M = qc.cayley(qc.constraint_fill(x, y, B, cfg.d)).to_complex()
             Mq = qc.approximate_in_Ul(M, B, cfg.d, cfg.eps)
             all_exact &= qc.in_unitary_group(Mq, B.matrix(cfg.d))
-            worst_err = max(worst_err, float(np.max(np.abs(Mq.to_complex() - M))))
-            runs += 1
+            errors.append(np.max(np.abs(Mq.to_complex() - M)))
+    worst_err = float(np.max(errors))
     yield (
-        all_exact and worst_err <= cfg.eps,
-        cfg.eps - worst_err,
-        {"max_entry_error": worst_err, "eps": cfg.eps, "runs": runs},
+        cfg.eps - worst_err if all_exact else -1.0,
+        {"max_entry_error": worst_err, "eps": cfg.eps, "runs": len(errors)},
     )
 
     B = qc.HermitianDiagForm((Fraction(1), Fraction(2), Fraction(3)))
@@ -369,8 +366,7 @@ def _cayley_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
     M = qc.cayley(S)
     invol_ok = qc.cayley(M) == S and qc.in_unitary_group(M, B.matrix(cfg.d))
     yield (
-        fill_ok and invol_ok,
-        0.0 if (fill_ok and invol_ok) else -1.0,
+        0.0 if fill_ok and invol_ok else -1.0,
         {"constraint_exact": fill_ok, "involution_exact": invol_ok},
     )
 
@@ -393,8 +389,7 @@ def _cayley_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
     vfix = qc.unipotent_fixed_vector(qc.QuadMatrix.identity(cfg.n + 1, cfg.d), H)
     ident_ok = qc.form_value(H, vfix, vfix).a <= 0
     yield (
-        fixed_ok and ident_ok,
-        0.0 if (fixed_ok and ident_ok) else -1.0,
+        0.0 if fixed_ok and ident_ok else -1.0,
         {"heisenberg_case": fixed_ok, "identity_case": ident_ok},
     )
 
@@ -411,10 +406,10 @@ def _cayley_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
         orders[name] = qc.root_of_unity_power(qc.QuadMatrix([[alpha]]), [qc.qone(cfg.d)])
         trace_orders[name] = qc.order_from_trace(alpha)
         ok &= orders[name] == trace_orders[name] == want
-    yield ok, 0.0 if ok else -1.0, {"orders": orders, "trace_orders": trace_orders}
+    yield 0.0 if ok else -1.0, {"orders": orders, "trace_orders": trace_orders}
 
 
-def _psh_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
+def _psh_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
     pr = psh.RegMaxParams(eta=0.5)
     rng = np.random.default_rng(cfg.seed + 41)
     defects = []
@@ -429,10 +424,8 @@ def _psh_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
         ]
     worst = float(np.max(defects))
     diag = psh.reg_max(0.0, 0.0, pr)
-    diag_ok = 0.0 < diag < 2.0 * pr.eta
     yield (
-        worst <= 1e-9 and diag_ok,
-        1e-9 - worst,
+        1e-9 - worst if 0.0 < diag < 2.0 * pr.eta else -1.0,
         {"worst_defect": worst, "diagonal_excess": diag},
     )
 
@@ -443,10 +436,8 @@ def _psh_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
     chi = psh.build_chi(phi_samples, psi_samples)
     vals = chi(np.array([v for _, v in psi_samples]))
     margins = vals - np.array([v for _, v in phi_samples])
-    chi_ok = bool(np.all(margins > 0)) and chi(0.0) == 0.0
     yield (
-        chi_ok,
-        float(margins.min()),
+        _strict(margins.min()) if chi(0.0) == 0.0 else -1.0,
         {"min_margin": float(margins.min()), "chi_at_zero": chi(0.0),
          "slopes": list(chi.slopes)},
     )
@@ -463,7 +454,7 @@ def _psh_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
         rep = psh.complex_hessian(lambda z: psh.phi_cusp_ambient(z, cp), z0)
         eigs.append(rep.min_eigenvalue)
     min_eig = float(np.min(eigs))
-    yield min_eig > 0.0, min_eig, {"min_eigenvalue": min_eig}
+    yield _strict(min_eig), {"min_eigenvalue": min_eig}
 
     eta = 0.5
     pp = psh.RegMaxParams(eta=eta)
@@ -473,10 +464,9 @@ def _psh_checks(cfg: SuiteConfig) -> Iterator[tuple[bool, float, dict]]:
         inner=[0.1, 0.3], outer=[2.4, 2.7, 3.0], in_region=lambda t: t < 2.8
     )
     glued = psh.glue_exhaustion(phi2, psi2, band, pp)
-    outer_dev = max(abs(glued(t) - psi2(t)) for t in band.outer)
+    outer_dev = float(np.max([abs(glued(t) - psi2(t)) for t in band.outer]))
     inner_ok = all(glued(t) >= phi2(t) for t in band.inner)
     yield (
-        outer_dev == 0.0 and inner_ok,
         0.0 - outer_dev if inner_ok else -1.0,
         {"outer_deviation": outer_dev, "inner_dominates": inner_ok},
     )
@@ -536,7 +526,11 @@ def run_suite(cfg: SuiteConfig) -> Report:
             raise RuntimeError(
                 f"the {name} suite gave {len(results)} results for {len(checks)} checks"
             )
-        records += [CheckRecord(c.name, *r) for c, r in zip(checks, results)]
+        # the one pass rule: +0.0 or more passes; -0.0 and a nan fail
+        records += [
+            CheckRecord(c.name, bool(margin >= 0.0) and math.copysign(1.0, margin) > 0.0, margin, witness)
+            for c, (margin, witness) in zip(checks, results)
+        ]
     return Report(
         suite=cfg.suite,
         config=cfg.to_dict(),
@@ -622,10 +616,10 @@ def run_sweep(axis: str, start: float, stop: float, steps: int, cfg: SuiteConfig
         jets = np.array([_profile_for(A).jet_at(A / 2.0) for A in values.tolist()])
         summary = _curvature_summary(cv.MetricPoint.from_jet(values / 2.0, jets, cfg.n), cfg.seed)
     elif axis == "l":
-        # SuiteConfig's own checks reject l <= 0 and lambda(t0) = 0; the
-        # check keeps nothing, and lambda is computed as the rows are written
-        for l in map(float, values):
-            replace(cfg, l=l)
+        # SuiteConfig's own checks reject l <= 0 and lambda(t0) = 0; lambda
+        # grows with l and the values ascend, so the first l decides for all,
+        # and lambda is computed as the rows are written
+        replace(cfg, l=float(values[0]))
         keys = ((l, lambda_const(cfg.t0, l)) for l in map(float, values))
         mp = cv.MetricPoint.from_profile(build_cutoff(cfg.A, cfg.window), cfg.A / 2.0, cfg.n)
         # the summary does not depend on l

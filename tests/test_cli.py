@@ -2,12 +2,14 @@
 
 import builtins
 import csv
+import dataclasses
 import importlib
 import json
 import math
 import pkgutil
 import re
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,7 @@ from cuspforge.cli import (
 )
 from cuspforge import curvature as cv
 from cuspforge import profile
+from cuspforge import psh
 from cuspforge import qfield_cayley as qc
 from cuspforge.profile import GRID_POINTS, CutoffProfile, build_cutoff
 
@@ -241,6 +244,67 @@ class TestConfigSchema:
             assert main(["verify", "bundle", "--config", str(path)]) == 2
 
 
+# Each patch breaks one condition of one check while the check's other
+# conditions hold, and must raise no RuntimeWarning.  The first five would
+# fail with a nonnegative margin where a pass flag is computed apart from
+# the margin; the last two would pass where the builtin max reduces the
+# errors, as it drops a nan that is not in first place.
+
+
+def nan_f_block(monkeypatch):
+    hs_blocks = cv.hs_blocks
+    monkeypatch.setattr(
+        cv, "hs_blocks", lambda mp: dataclasses.replace(hs_blocks(mp), F=np.full((2, 2), math.nan))
+    )
+
+
+def disk_map_without_domain_error(monkeypatch):
+    cusp_to_disk = cli.cusp_to_disk
+    monkeypatch.setattr(cli, "cusp_to_disk", lambda t, g, A: cusp_to_disk(min(t, A / 2.0), g, A))
+
+
+def no_unitary_approximant(monkeypatch):
+    # only the check's own route sees it: approximate_in_Ul keeps the real one
+    fake_qc = types.SimpleNamespace(**{**vars(qc), "in_unitary_group": lambda M, H: False})
+    monkeypatch.setattr(cli, "qc", fake_qc)
+
+
+def reg_max_far_above_the_diagonal(monkeypatch):
+    reg_max = psh.reg_max
+    monkeypatch.setattr(psh, "reg_max", lambda x, y, p: 5.0 if x == y == 0.0 else reg_max(x, y, p))
+
+
+def nan_glued_at_an_outer_point(monkeypatch):
+    glue_exhaustion = psh.glue_exhaustion
+
+    def glue(*args):
+        glued = glue_exhaustion(*args)
+        return lambda t: math.nan if t == 2.7 else glued(t)
+
+    monkeypatch.setattr(psh, "glue_exhaustion", glue)
+
+
+def zero_positivity_margin(monkeypatch):
+    monkeypatch.setattr(CutoffProfile, "positivity_margins", lambda p: np.array([0.0, 1.0, 1.0, 1.0]))
+
+
+def nan_ricci_below_the_exp_region(monkeypatch):
+    ricci = cv.ricci
+    window = SuiteConfig().window
+    monkeypatch.setattr(cv, "ricci", lambda Xi, mp: np.where(mp.t < window[1], math.nan, ricci(Xi, mp)))
+
+
+FAILING_PATHS = [
+    ("bundle.disk_coordinates", disk_map_without_domain_error),
+    ("cayley.exact_unitarity", no_unitary_approximant),
+    ("psh.reg_max_properties", reg_max_far_above_the_diagonal),
+    ("profile.positive_derivatives", zero_positivity_margin),
+    ("curvature.ricci_bounds", nan_ricci_below_the_exp_region),
+    ("curvature.space_form_blocks", nan_f_block),
+    ("psh.glue_outer_band", nan_glued_at_an_outer_point),
+]
+
+
 class TestRunSuite:
     def test_bundle_suite_passes(self):
         report = run_suite(SuiteConfig(suite="bundle", samples=100))
@@ -282,6 +346,14 @@ class TestRunSuite:
         for check in run_suite(SuiteConfig(seed=seed)).checks:
             nonnegative = check.margin >= 0.0 and math.copysign(1.0, check.margin) > 0.0
             assert check.passed == nonnegative, (check.name, check.margin)
+
+    @pytest.mark.parametrize("name,patch", FAILING_PATHS, ids=[name for name, _ in FAILING_PATHS])
+    def test_a_failing_check_reads_a_negative_margin(self, monkeypatch, name, patch):
+        patch(monkeypatch)
+        report = run_suite(SuiteConfig(suite=name.partition(".")[0], samples=50))
+        check = next(c for c in report.checks if c.name == name)
+        assert not check.passed
+        assert math.isnan(check.margin) or math.copysign(1.0, check.margin) < 0.0, check.margin
 
     def test_broken_ricci_coefficients_fail_the_ricci_check(self, monkeypatch):
         # 4 f f' in place of 4 f'^2 keeps the Einstein identity at f = exp and
@@ -680,6 +752,21 @@ class TestSweep:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "t0 = 0.0" in lines[0] and "l = 0.001" in lines[0]
         assert not out.exists()
+
+    def test_l_axis_validates_one_config_for_any_steps(self, tmp_path, monkeypatch):
+        # lambda grows with l and the swept values ascend, so the first l
+        # decides for all; a config per value took 0.24 of 0.43 s at 20,000
+        # steps
+        validated = []
+        post_init = SuiteConfig.__post_init__
+        monkeypatch.setattr(SuiteConfig, "__post_init__", lambda cfg: validated.append(cfg.l) or post_init(cfg))
+        counts = []
+        for steps in ("2", "50"):
+            validated.clear()
+            argv = ["sweep", "l", "--from", "1", "--to", "12", "--steps", steps]
+            assert main([*argv, "--out", str(tmp_path / "sweep_l.csv")]) == 0
+            counts.append(len(validated))
+        assert counts[0] == counts[1]
 
     def test_single_point_sweep(self, tmp_path):
         out = tmp_path / "one.csv"
