@@ -263,22 +263,28 @@ def _curvature_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
     tc = rng.uniform(0.0, cfg.window[0], draws)
     F = cv.random_frame_vector(rng, cfg.n, (draws, 2))
     Xie, Xic = F[:, 0], F[:, 1]
+    # the glued window, drawn last so that the draws above keep their bits:
+    # only there is f'' != f, so only there can the oracle route see the
+    # closed form confuse f'' with f or f''' with f'
+    tg = rng.uniform(cfg.window[0], cfg.window[1], draws)
+    Xig = cv.random_frame_vector(rng, cfg.n, (draws,))
     mpe = cv.MetricPoint.from_profile(p, te, cfg.n)
     mpc = cv.MetricPoint.from_profile(p, tc, cfg.n)
+    mpg = cv.MetricPoint.from_profile(p, tg, cfg.n)
     nsq = Xie.norm_sq(mpe)
-    ric_e, ric_c = cv.ricci(Xie, mpe), cv.ricci(Xic, mpc)
+    ric_e, ric_c, ric_g = cv.ricci(Xie, mpe), cv.ricci(Xic, mpc), cv.ricci(Xig, mpg)
     einstein = float(np.max(np.abs(ric_e + (2 * cfg.n + 2) * nsq) / np.maximum(1.0, nsq)))
     cosh_slack = float(np.max(ric_c + 2.0 * Xic.norm_sq(mpc)))
     # the oracle's Ricci trace at the same draws, in blocks of points: an
     # oracle holds nnz values per point, as the point oracle above does
     ref = np.concatenate([
         cv.CurvatureOracle(cv.MetricPoint.from_profile(p, t[rows], cfg.n)).ricci(Xi[rows])
-        for t, Xi in ((te, Xie), (tc, Xic))
+        for t, Xi in ((te, Xie), (tc, Xic), (tg, Xig))
         for rows in profile.blocks(draws, oracle.RL.size)
     ])
     # relative, as Ricci is negative definite: at most 1.4e-12 measured, at
     # n = 2 for t down to 1e-8, where the oracle's terms cancel most
-    oracle_dev = float(np.max(np.abs(np.concatenate([ric_e, ric_c]) - ref) / np.abs(ref)))
+    oracle_dev = float(np.max(np.abs(np.concatenate([ric_e, ric_c, ric_g]) - ref) / np.abs(ref)))
     yield (
         _least(1e-8 - einstein, 1e-10 - cosh_slack, 1e-8 - oracle_dev),
         {"einstein_defect": einstein, "cosh_region_slack": cosh_slack, "oracle_deviation": oracle_dev},

@@ -794,8 +794,9 @@ def hbc_certificate(
         min_value = np.minimum(min_value, val.min())
         worst_ratio = np.maximum(worst_ratio, ratio.max())
         min_slack = np.minimum(min_slack, slack.min())
+        # each test is the negation of its pass condition, so a NaN fails
         failed = np.stack(
-            [val > 1e-12, interior & (ratio >= -STRICT_RATIO), slack < -1e-12], axis=-1
+            [~(val <= 1e-12), interior & ~(ratio < -STRICT_RATIO), ~(slack >= -1e-12)], axis=-1
         )
         k, j = np.nonzero(failed)
         passed = passed and not k.size

@@ -224,26 +224,27 @@ def _times_conj(X, Y, px: int, py: int, d: int) -> tuple:
     return X * px + d * py * Y, Y * px - X * py
 
 
-_divmod = np.frompyfunc(divmod, 2, 2)
-
-
 def _gauss_jordan(
-    X: np.ndarray, Y: np.ndarray, d: int, ncols: int
+    X: list[list[int]], Y: list[list[int]], d: int, ncols: int
 ) -> tuple[list[int], tuple[int, int], int]:
     """Fraction-free Gauss-Jordan on X + Y w over Z[w], in place.
 
-    Pivots are searched in the first ncols columns; the pivot is the first
-    nonzero entry at or below the current row.  With pivot a in row r and
-    p the previous pivot (1 at first), every other row becomes
+    X and Y are the rows of the real and w parts, each a list of Python
+    ints; a row update replaces the two lists of that row.  Pivots are
+    searched in the first ncols columns; the pivot is the first nonzero
+    entry at or below the current row.  With pivot a in row r and p the
+    previous pivot (1 at first), every other row becomes
     (a row_i - row_i[col] row_r)/p (Bareiss, Math. Comp. 22, 1968).  Each
     entry is then a minor of the input, so the division is exact in
-    Z[w]; it is done through conj(p) and the norm of p, and a nonzero
-    remainder raises.  Afterwards every pivot entry equals the last pivot
-    p, so the reduced row echelon form is (X + Y w)/p.  Returns the pivot
-    columns, p as (px, py), and the sign of the row permutation: sign * p
-    is the determinant of the leading square block when it has full rank.
+    Z[w]; a and row_i[col] are first multiplied by conj(p), leaving a
+    division by the integer norm of p (by p itself while p is rational),
+    and a nonzero remainder raises.  Afterwards every pivot entry equals
+    the last pivot p, so the reduced row echelon form is (X + Y w)/p.
+    Returns the pivot columns, p as (px, py), and the sign of the row
+    permutation: sign * p is the determinant of the leading square block
+    when it has full rank.
     """
-    nrows = X.shape[0]
+    nrows = len(X)
     px, py = 1, 0
     sign = 1
     pivots: list[int] = []
@@ -251,26 +252,31 @@ def _gauss_jordan(
         row = len(pivots)
         if row == nrows:
             break
-        piv = next((r for r in range(row, nrows) if X[r, col] or Y[r, col]), None)
+        piv = next((r for r in range(row, nrows) if X[r][col] or Y[r][col]), None)
         if piv is None:
             continue
         if piv != row:
-            X[[row, piv]] = X[[piv, row]]
-            Y[[row, piv]] = Y[[piv, row]]
+            X[row], X[piv] = X[piv], X[row]
+            Y[row], Y[piv] = Y[piv], Y[row]
             sign = -sign
-        ax, ay = X[row, col], Y[row, col]
-        rest = np.arange(nrows) != row
-        cx, cy = X[rest, col : col + 1], Y[rest, col : col + 1]
-        nx = ax * X[rest] - d * ay * Y[rest] - (cx * X[row] - d * cy * Y[row])
-        ny = ax * Y[rest] + ay * X[rest] - (cx * Y[row] + cy * X[row])
-        divisor = px
-        if py:
-            nx, ny = _times_conj(nx, ny, px, py, d)
-            divisor = px * px + d * py * py
-        (X[rest], rx), (Y[rest], ry) = _divmod(nx, divisor), _divmod(ny, divisor)
-        if rx.any() or ry.any():
-            raise AssertionError("inexact division by the previous pivot")
-        px, py = ax, ay
+        rx, ry = X[row], Y[row]
+        # divide by p as conj(p) over its norm, or by p itself while it is rational
+        (qx, qy), norm = ((px, py), px * px + d * py * py) if py else ((1, 0), px)
+        sx, sy = _times_conj(rx[col], ry[col], qx, qy, d)
+        dsy = d * sy
+        for i in range(nrows):
+            if i == row:
+                continue
+            xi, yi = X[i], Y[i]
+            tx, ty = _times_conj(xi[col], yi[col], qx, qy, d)
+            dty = d * ty
+            # (s row_i - t row_r) with s = a conj(q), t = row_i[col] conj(q)
+            nx = [sx * a - dsy * b - tx * u + dty * v for a, b, u, v in zip(xi, yi, rx, ry)]
+            ny = [sx * b + sy * a - tx * v - ty * u for a, b, u, v in zip(xi, yi, rx, ry)]
+            if math.gcd(norm, *nx, *ny) != abs(norm):
+                raise AssertionError("inexact division by the previous pivot")
+            X[i], Y[i] = [v // norm for v in nx], [v // norm for v in ny]
+        px, py = rx[col], ry[col]
         pivots.append(col)
     return pivots, (px, py), sign
 
@@ -278,13 +284,15 @@ def _gauss_jordan(
 def _inverse_ints(X: np.ndarray, Y: np.ndarray, D: int, d: int) -> tuple:
     """Integer form (X', Y', D') of the inverse of (X + Y w)/D."""
     m = len(X)
-    rows_x = np.hstack([X, np.eye(m, dtype=object)])
-    rows_y = np.hstack([Y, np.zeros((m, m), dtype=object)])
+    rows_x = [r + [int(i == j) for j in range(m)] for i, r in enumerate(X.tolist())]
+    rows_y = [r + [0] * m for r in Y.tolist()]
     pivots, (px, py), _ = _gauss_jordan(rows_x, rows_y, d, m)
     if len(pivots) < m:
         raise ZeroDivisionError("singular matrix")
     # the right block is p (X + Y w)^{-1}, and (X + Y w)/D inverts to D times that
-    Rx, Ry = _times_conj(D * rows_x[:, m:], D * rows_y[:, m:], px, py, d)
+    Px = np.array([r[m:] for r in rows_x], dtype=object)
+    Py = np.array([r[m:] for r in rows_y], dtype=object)
+    Rx, Ry = _times_conj(D * Px, D * Py, px, py, d)
     return Rx, Ry, px * px + d * py * py
 
 
@@ -326,9 +334,15 @@ class QuadMatrix:
 
     @classmethod
     def diagonal(cls, diag: Sequence[RationalLike], d: int) -> "QuadMatrix":
-        grid = np.full((len(diag), len(diag)), qzero(d), dtype=object)
-        np.fill_diagonal(grid, [QuadElem(_frac(v), Fraction(0), d) for v in diag])
-        return cls(grid)
+        _check_field(d)
+        fracs = [_frac(v) for v in diag]
+        m = len(fracs)
+        if m == 0:
+            raise ValueError("square nonempty entry grid required")
+        D = math.lcm(*(f.denominator for f in fracs))
+        X, Y = np.zeros((m, m), dtype=object), np.zeros((m, m), dtype=object)
+        np.fill_diagonal(X, [f.numerator * (D // f.denominator) for f in fracs])
+        return cls._reduced(X, Y, D, d)
 
     @property
     def entries(self) -> np.ndarray:
@@ -388,7 +402,7 @@ class QuadMatrix:
         return QuadMatrix._reduced(*_inverse_ints(self.X, self.Y, self.D, self.d), self.d)
 
     def det(self) -> QuadElem:
-        pivots, (px, py), sign = _gauss_jordan(self.X.copy(), self.Y.copy(), self.d, self.m)
+        pivots, (px, py), sign = _gauss_jordan(self.X.tolist(), self.Y.tolist(), self.d, self.m)
         if len(pivots) < self.m:
             return qzero(self.d)
         # det (X + Y w) = sign * p, and each of the m rows carries 1/D
@@ -406,8 +420,8 @@ class QuadMatrix:
         fraction strings "p/q"."""
 
         def s(x: int) -> str:
-            f = Fraction(x, self.D)
-            return f"{f.numerator}/{f.denominator}"
+            g = math.gcd(x, self.D)
+            return f"{x // g}/{self.D // g}"
 
         rows = [[[s(x), s(y)] for x, y in zip(*xy)] for xy in zip(self.X, self.Y)]
         return json.dumps({"d": self.d, "m": self.m, "entries": rows})
@@ -509,21 +523,37 @@ def constraint_fill(
                 need = "i < j" if lo else "i <= j"
                 raise ValueError(f"{name} key {(i, j)} is not free: need 0 <= {need} < {m}")
     _check_field(d)
-    Xf = np.full((m, m), Fraction(0), dtype=object)
-    Yf = np.full((m, m), Fraction(0), dtype=object)
+    x = {ij: _frac(v) for ij, v in x_upper.items()}
+    y = {ij: _frac(v) for ij, v in y_upper.items()}
+    D = math.lcm(*(f.denominator for f in (*x.values(), *y.values())))
+
+    def over_D(data: dict) -> dict:
+        return {ij: f.numerator * (D // f.denominator) for ij, f in data.items()}
+
+    return _filled(over_D(x), over_D(y), D, B, d)
+
+
+def _filled(
+    x: dict[tuple[int, int], int], y: dict[tuple[int, int], int], D: int,
+    B: HermitianDiagForm, d: int,
+) -> QuadMatrix:
+    """constraint_fill of the free data x/D and y/D, for integer x and y
+    at free positions only."""
+    m = B.m
+    # b_i = c_i / C over the least common denominator C, so b_i / b_j =
+    # c_i / c_j, and L = lcm(c) clears every such denominator
+    C = math.lcm(*(b.denominator for b in B.diag))
+    c = [b.numerator * (C // b.denominator) for b in B.diag]
+    L = math.lcm(*c)
+    X, Y = [[0] * m for _ in range(m)], [[0] * m for _ in range(m)]
     for i in range(m):
-        Yf[i, i] = _frac(y_upper.get((i, i), 0))
+        Y[i][i] = L * y.get((i, i), 0)
         for j in range(i + 1, m):
-            x = _frac(x_upper.get((i, j), 0))
-            y = _frac(y_upper.get((i, j), 0))
-            ratio = B.diag[i] / B.diag[j]
-            Xf[i, j], Yf[i, j] = x, y
-            Xf[j, i], Yf[j, i] = -ratio * x, ratio * y
-    fracs = [*Xf.flat, *Yf.flat]
-    D = math.lcm(*(f.denominator for f in fracs))
-    ints = np.array([f.numerator * (D // f.denominator) for f in fracs], dtype=object)
-    X, Y = ints.reshape(2, m, m)
-    return QuadMatrix._reduced(X, Y, D, d)
+            xij, yij = x.get((i, j), 0), y.get((i, j), 0)
+            ratio = c[i] * (L // c[j])
+            X[i][j], Y[i][j] = L * xij, L * yij
+            X[j][i], Y[j][i] = -ratio * xij, ratio * yij
+    return QuadMatrix._reduced(np.array(X, dtype=object), np.array(Y, dtype=object), D * L, d)
 
 
 class ApproximationError(RuntimeError):
@@ -532,6 +562,18 @@ class ApproximationError(RuntimeError):
     def __init__(self, message: str, achieved: float):
         super().__init__(message)
         self.achieved = achieved
+
+
+def _grid_round(v: float, k: int) -> int:
+    """round(Fraction(v) * 2**k), half to even, in integers: v = p / 2^e
+    exactly, so v 2^k is p shifted by k - e."""
+    p, q = v.as_integer_ratio()
+    shift = q.bit_length() - 1 - k
+    if shift <= 0:
+        return p << -shift
+    n, r = divmod(p, 1 << shift)
+    half = 1 << (shift - 1)
+    return n + (r > half or (r == half and n & 1))
 
 
 def _signature(M: np.ndarray) -> np.ndarray:
@@ -584,10 +626,9 @@ def approximate_in_Ul(
     k = ((10 * m * m * e.denominator - 1) // e.numerator).bit_length()
     achieved = math.inf
     for _ in range(6):
-        grid = 2**k
-        x_upper = {ij: Fraction(round(Fraction(v) * grid), grid) for ij, v in free_x.items()}
-        y_upper = {ij: Fraction(round(Fraction(v) * grid), grid) for ij, v in free_y.items()}
-        S_exact = constraint_fill(x_upper, y_upper, B, d)
+        x_upper = {ij: _grid_round(v, k) for ij, v in free_x.items()}
+        y_upper = {ij: _grid_round(v, k) for ij, v in free_y.items()}
+        S_exact = _filled(x_upper, y_upper, 1 << k, B, d)
         # tS B = -B conj(S) with B positive diagonal makes B^(1/2) S B^(-1/2)
         # skew-Hermitian, so S has imaginary eigenvalues and I + S is invertible
         A = cayley(S_exact)
@@ -610,17 +651,17 @@ def approximate_in_Ul(
 def _rref_kernel(A: QuadMatrix) -> list[list[QuadElem]]:
     """Exact kernel basis of A over Q(sqrt(-d))."""
     m, d = A.m, A.d
-    X, Y = A.X.copy(), A.Y.copy()
+    X, Y = A.X.tolist(), A.Y.tolist()
     pivots, (px, py), _ = _gauss_jordan(X, Y, d, m)
-    rank = len(pivots)
+    norm = px * px + d * py * py
     basis = []
     for fc in (c for c in range(m) if c not in pivots):
         vec = [qzero(d) for _ in range(m)]
         vec[fc] = qone(d)
         # the reduced rows are (X + Y w)/p; the pivot coordinates are minus column fc
-        kx, ky = _times_conj(-X[:rank, fc], -Y[:rank, fc], px, py, d)
-        for pc, e in zip(pivots, _quads(kx, ky, px * px + d * py * py, d)):
-            vec[pc] = e
+        for pc, rx, ry in zip(pivots, X, Y):
+            kx, ky = _times_conj(-rx[fc], -ry[fc], px, py, d)
+            vec[pc] = QuadElem(Fraction(kx, norm), Fraction(ky, norm), d)
         basis.append(vec)
     return basis
 

@@ -376,6 +376,30 @@ class TestRunSuite:
         assert check.witness["oracle_deviation"] > 1e-8
         assert not check.passed and check.margin < 0.0
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_swapped_coef_z_terms_fail_the_ricci_check(self, monkeypatch, seed, n):
+        # (2n+1) f^2 f' f''' + f f'^2 f'' in place of (2n+1) f f'^2 f'' +
+        # f^2 f' f''' agrees with the right coefficient where f = exp and
+        # where f = cosh, so only the draws in the glued window catch it
+        def swapped(mp):
+            coef_h, _ = ricci_coefficients(mp)
+            f, fp, fpp, fppp = mp.f, mp.fp, mp.fpp, mp.fppp
+            return coef_h, (2 * mp.n + 1) * f * f * fp * fppp + f * fp * fp * fpp
+
+        def ricci_check():
+            report = run_suite(SuiteConfig(suite="curvature", samples=200, seed=seed, n=n))
+            return next(c for c in report.checks if c.name == "curvature.ricci_bounds")
+
+        ricci_coefficients = cv.ricci_coefficients
+        assert ricci_check().passed
+        monkeypatch.setattr(cv, "ricci_coefficients", swapped)
+        check = ricci_check()
+        assert check.witness["einstein_defect"] <= 1e-8
+        assert check.witness["cosh_region_slack"] <= 1e-10
+        assert check.witness["oracle_deviation"] > 1e-8
+        assert not check.passed and check.margin < 0.0
+
     def test_deterministic_for_fixed_seed(self):
         def stripped(r: Report) -> dict:
             d = json.loads(r.to_json())

@@ -362,6 +362,18 @@ class TestCertificate:
         assert rep.failures[0][0] == "strict negativity"
         assert "FAIL" in rep.summary()
 
+    def test_nan_sample_fails(self, default_profile, monkeypatch):
+        # every comparison with a NaN is False, so each failure test is
+        # written as the negation of its pass condition
+        exact = curvature._bisectional
+        monkeypatch.setattr(curvature, "_bisectional", lambda pd, mp: exact(pd, mp) * np.nan)
+        rep = hbc_certificate(default_profile, samples=200, n=3, seed=5)
+        assert rep.passed is False
+        assert math.isnan(rep.max_value) and math.isnan(rep.worst_interior_ratio)
+        kind, t, value = rep.failures[0]
+        assert kind == "nonpositivity" and math.isnan(value)
+        assert {f[0] for f in rep.failures} == {"nonpositivity", "strict negativity"}
+
 
 class TestFrameDraw:
     @pytest.mark.parametrize("n", [2, 3, 9])

@@ -31,7 +31,13 @@ from cuspforge.qfield_cayley import (
     unipotent_fixed_vector,
     unitary_defect_float,
 )
-from cuspforge.qfield_cayley import _is_squarefree, _pullback, _rref_kernel, _signature
+from cuspforge.qfield_cayley import (
+    _grid_round,
+    _is_squarefree,
+    _pullback,
+    _rref_kernel,
+    _signature,
+)
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
@@ -656,6 +662,108 @@ class TestConstraintFill:
         ):
             with pytest.raises(ValueError, match=key):
                 constraint_fill(x, y, B, 1)
+
+
+# References for the integer forms built without a Fraction or QuadElem per
+# entry: the Fraction formulas they replaced.
+
+
+def fraction_json(A):
+    def s(x):
+        f = Fraction(x, A.D)
+        return f"{f.numerator}/{f.denominator}"
+
+    rows = [[[s(x), s(y)] for x, y in zip(*xy)] for xy in zip(A.X, A.Y)]
+    return json.dumps({"d": A.d, "m": A.m, "entries": rows})
+
+
+def fraction_fill(x_upper, y_upper, B, d):
+    m = B.m
+    grid = [[qzero(d) for _ in range(m)] for _ in range(m)]
+    for i in range(m):
+        grid[i][i] = QuadElem(Fraction(0), Fraction(y_upper.get((i, i), 0)), d)
+        for j in range(i + 1, m):
+            x, y = Fraction(x_upper.get((i, j), 0)), Fraction(y_upper.get((i, j), 0))
+            ratio = B.diag[i] / B.diag[j]
+            grid[i][j] = QuadElem(x, y, d)
+            grid[j][i] = QuadElem(-ratio * x, ratio * y, d)
+    return QuadMatrix(grid)
+
+
+def _small_fraction(rng):
+    return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13))) * int(rng.integers(0, 2))
+
+
+class TestIntegerForms:
+    @pytest.mark.parametrize(
+        "v,k,expected",
+        [
+            (0.5, 0, 0), (1.5, 0, 2), (2.5, 0, 2), (-0.5, 0, 0), (-1.5, 0, -2), (-2.5, 0, -2),
+            (0.25, 1, 0), (0.75, 1, 2), (-0.75, 1, -2), (2.0**-60 * 3, 59, 2), (2.0**-60 * 5, 59, 2),
+            # subnormal: 5e-324 is 2^-1074
+            (5e-324, 1073, 0), (3 * 5e-324, 1073, 2), (-3 * 5e-324, 1073, -2),
+            (5e-324, 1100, 2**26), (1e-310, 1100, round(Fraction(1e-310) * 2**1100)),
+        ],
+    )
+    def test_grid_round_ties_go_to_even(self, v, k, expected):
+        assert _grid_round(v, k) == round(Fraction(v) * 2**k) == expected
+        assert type(_grid_round(v, k)) is int
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(min_value=-1e-300, max_value=1e-300),
+            st.integers(-(2**60), 2**60).map(lambda a: a / 2**40),
+        ),
+        st.integers(0, 1100),
+    )
+    def test_grid_round_matches_fraction_round(self, v, k):
+        assert _grid_round(v, k) == round(Fraction(v) * 2**k)
+        assert _grid_round(np.float64(v), k) == round(Fraction(v) * 2**k)
+
+    def test_diagonal_matches_the_entry_grid(self):
+        rng = np.random.default_rng(8)
+        for d in (1, 2, 3, 7):
+            for m in range(1, 6):
+                for _ in range(4):
+                    diag = [_small_fraction(rng) for _ in range(m)]
+                    grid = [[qzero(d)] * m for _ in range(m)]
+                    for i, v in enumerate(diag):
+                        grid[i][i] = QuadElem(v, Fraction(0), d)
+                    A, ref = QuadMatrix.diagonal(diag, d), QuadMatrix(grid)
+                    assert A == ref and A.D == ref.D
+                    assert A.X.dtype == A.Y.dtype == object
+                    assert np.array_equal(A.X, ref.X) and np.array_equal(A.Y, ref.Y)
+            mixed = [3, "-2/7", Fraction(0)]
+            assert QuadMatrix.diagonal(mixed, d) == QuadMatrix.diagonal([3, Fraction(-2, 7), 0], d)
+            assert HermitianDiagForm((1, 2)).matrix(d) == QuadMatrix.diagonal([1, 2], d)
+        for bad in (4, 8, 0):
+            with pytest.raises(ValueError, match="squarefree"):
+                QuadMatrix.diagonal([1, 2], bad)
+        with pytest.raises(ValueError, match="square nonempty"):
+            QuadMatrix.diagonal([], 1)
+
+    def test_to_json_matches_the_fraction_strings(self):
+        rng = np.random.default_rng(9)
+        for d in (1, 2, 3, 7):
+            cases = [QuadMatrix.diagonal([0, 0], d), QuadMatrix.identity(3, d).scale(-1)]
+            cases += [random_quad_matrix(rng, m, d) for m in range(1, 6)]
+            cases.append(generic_approximant(rng, 3, d)[0])
+            for A in cases:
+                assert A.to_json() == fraction_json(A)
+
+    def test_constraint_fill_matches_the_fraction_assembly(self):
+        rng = np.random.default_rng(10)
+        for d in (1, 2, 3, 7):
+            for m in range(1, 5):
+                weights = [Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 7))) for _ in range(m)]
+                B = HermitianDiagForm(tuple(weights))
+                x = {(i, j): _small_fraction(rng) for i in range(m) for j in range(i + 1, m)}
+                y = {(i, j): _small_fraction(rng) for i in range(m) for j in range(i, m)}
+                S = constraint_fill(x, y, B, d)
+                ref = fraction_fill(x, y, B, d)
+                assert S == ref and S.D == ref.D
 
 
 class TestApproximateInUl:
