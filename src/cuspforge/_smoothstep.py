@@ -15,6 +15,14 @@ symmetric about 1/2, so the mass is twice the half-interval sum, and
 
 which make S(1/2) = 1/2, S in {0, 1} outside (0, 1) and int_0^1 S = 1/2
 exact by construction.  S, its mass and int_0^x S are accurate to rounding.
+
+The rule evaluates the bump only at its nodes, lo + (x - lo) u with lo a
+panel edge in [0, 1/2], x in [lo, 1/2] and u in (0, 1), so every node lies
+in [0, 1/2] and the bare formula applies without the mask of `bump`.  A
+node is 0 only when x is, as for the x <= 0 that step_integral folds to
+0; there x (1 - x) = 0 divides -1 by zero, and exp(-inf) = 0 = bump(0),
+so the kernel only silences that division.  An edge lo is +0.0 or
+positive, so a node is never -0.0, where the quotient would be +inf.
 """
 
 from __future__ import annotations
@@ -38,6 +46,17 @@ def bump(x: np.ndarray | float) -> np.ndarray:
     return out
 
 
+def _node_bump(x: np.ndarray) -> np.ndarray:
+    # bump at quadrature nodes, which lie in [0, 1/2]; see the module notes.
+    # One temporary, updated in place: a node array holds ORDER values per
+    # point, and allocating one per step cost more than the arithmetic
+    r = 1.0 - x
+    r *= x
+    with np.errstate(divide="ignore"):
+        np.divide(-1.0, r, out=r)
+    return np.exp(r, out=r)
+
+
 @lru_cache(maxsize=None)
 def _rule() -> tuple[np.ndarray, np.ndarray]:
     # the Gauss-Legendre nodes and weights mapped to [0, 1]
@@ -50,7 +69,11 @@ def _panel(fn, lo: np.ndarray, x: np.ndarray) -> np.ndarray:
     # last axis so that a batch row rounds exactly like a single point
     u, w = _rule()
     width = x - lo
-    return width * np.sum(w * fn(lo[..., None] + width[..., None] * u), axis=-1)
+    nodes = width[..., None] * u
+    nodes += lo[..., None]
+    values = fn(nodes)
+    values *= w
+    return width * np.sum(values, axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -68,7 +91,7 @@ def _integral(fn, x: np.ndarray) -> np.ndarray:
 
 def _half_step(x: np.ndarray) -> np.ndarray:
     # S on [0, 1/2]; the mass is twice the half-interval sum
-    return _integral(bump, x) / (2.0 * _prefix(bump)[-1])
+    return _integral(_node_bump, x) / (2.0 * _prefix(_node_bump)[-1])
 
 
 def _fold(x: np.ndarray) -> np.ndarray:
@@ -108,4 +131,4 @@ def step_jet(x: np.ndarray | float) -> np.ndarray:
     q1 = rp / r**2
     q2 = (-2.0 * r - 2.0 * rp**2) / r**3
     out[inside] = np.stack([e, q1 * e, (q2 + q1**2) * e], axis=-1)
-    return out / (2.0 * _prefix(bump)[-1])
+    return out / (2.0 * _prefix(_node_bump)[-1])

@@ -564,16 +564,19 @@ def _curvature_summary(mp: cv.MetricPoint, seed: int) -> Iterator[tuple[float, .
     sectional curvature of one oracle build run once over them against the
     (120,) pairs, whose pair products the oracle forms once per block.  All
     of it is elementwise in t, so a block gives each t the bits of one
-    batch over all t, and of CurvatureOracle.sectional at that t alone."""
+    batch over all t, and of CurvatureOracle.sectional at that t alone.
+    The pairs' pair data, which depend on no t, are formed once: the
+    bisectional curvature and its |Y|^2 |Xi|^2 both come from them."""
     pairs = 120
     F = cv.random_frame_vector(np.random.default_rng(seed), mp.n, (pairs, 2))
     Y, Xi = F[:, 0], F[:, 1]
+    pair_data = cv._pair_data(Y, Xi)
     ts, *jet = map(np.atleast_1d, (mp.t, mp.f, mp.fp, mp.fpp, mp.fppp))
     nnz = cv._pattern(2 * mp.n).rows.size
     for rows in profile.blocks(ts.size, max(pairs, nnz)):
         block = np.stack([col[rows, None] for col in jet], axis=-1)
         grid = cv.MetricPoint.from_jet(ts[rows, None], block, mp.n)
-        hbc = cv.bisectional(Y, Xi, grid) / (Y.norm_sq(grid) * Xi.norm_sq(grid))
+        hbc = cv._bisectional(pair_data, grid) / cv._norm_product(pair_data, grid)
         coef_h, coef_z = cv.ricci_coefficients(grid)
         ric_lo = np.minimum(-coef_h / grid.f**2, -coef_z / grid.g**2)[:, 0]
         sec = cv.CurvatureOracle(grid).sectional(Y, Xi)

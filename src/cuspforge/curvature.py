@@ -178,19 +178,16 @@ class FrameVector:
         return self.inner(self, mp)
 
     def inner(self, other: "FrameVector", mp: MetricPoint):
-        uu = _hdot(self.u, other.u)[0]
+        uu = _hdot(self.u, other.u)
         return mp.f * mp.f * uu + mp.g * mp.g * (
             self.beta * other.beta + self.gamma * other.gamma
         )
 
 
 def _hdot(v: np.ndarray, w: np.ndarray):
-    """Real and imaginary part of sum(conj(w) v) over the last axis, in real
-    products, so that a batch row rounds exactly like a single vector."""
-    return (
-        np.sum(w.real * v.real + w.imag * v.imag, axis=-1),
-        np.sum(w.real * v.imag - w.imag * v.real, axis=-1),
-    )
+    """Real part of sum(conj(w) v) over the last axis, in real products, so
+    that a batch row rounds exactly like a single vector."""
+    return np.sum(w.real * v.real + w.imag * v.imag, axis=-1)
 
 
 def random_frame_vector(rng: np.random.Generator, n: int, shape: tuple = ()) -> FrameVector:
@@ -250,10 +247,19 @@ def _pair_data(Y: FrameVector, Xi: FrameVector):
     <u_Y, u_Xi> = a alpha (x + i y) none of them needs the unit vectors X
     and Xtilde, so all of them vanish with the horizontal parts."""
     b, c, beta, gamma = Y.beta, Y.gamma, Xi.beta, Xi.gamma
-    re, im = _hdot(Y.u, Xi.u)
+    v, w = Y.u, Xi.u
+    re, im = _hdot(v, w), np.sum(w.real * v.imag - w.imag * v.real, axis=-1)
     cross = 2.0 * ((b * beta + c * gamma) * re + (c * beta - b * gamma) * im)
-    a_sq, alpha_sq = _hdot(Y.u, Y.u)[0], _hdot(Xi.u, Xi.u)[0]
+    a_sq, alpha_sq = _hdot(v, v), _hdot(w, w)
     return a_sq, alpha_sq, b * b + c * c, beta * beta + gamma * gamma, cross, re * re + im * im
+
+
+def _norm_product(pair_data: tuple, mp: MetricPoint):
+    """|Y|^2 |Xi|^2 from the _pair_data of (Y, Xi): the expression of
+    Y.norm_sq(mp) * Xi.norm_sq(mp) in the same order, so the same bits."""
+    f2, g2 = mp.f * mp.f, mp.g * mp.g
+    a_sq, alpha_sq, bc_sq, bg_sq, _, _ = pair_data
+    return (f2 * a_sq + g2 * bc_sq) * (f2 * alpha_sq + g2 * bg_sq)
 
 
 def bisectional(Y: FrameVector, Xi: FrameVector, mp: MetricPoint):
@@ -304,7 +310,7 @@ def ricci(Xi: FrameVector, mp: MetricPoint):
     with alpha^2 the squared Euclidean norm of the horizontal part.  With
     f = exp this is the Einstein identity Ricci = -(2n+2) |Xi|^2.
     """
-    alpha_sq = _hdot(Xi.u, Xi.u)[0]
+    alpha_sq = _hdot(Xi.u, Xi.u)
     coef_h, coef_z = ricci_coefficients(mp)
     return -coef_h * alpha_sq - coef_z * (Xi.beta * Xi.beta + Xi.gamma * Xi.gamma)
 
@@ -758,6 +764,8 @@ def hbc_certificate(
     nonpositivity of the bisectional curvature, strict negativity relative
     to |Y|^2 |Xi|^2 (a ratio below -STRICT_RATIO) for unit vectors at
     interior t, and the Cauchy-Schwarz step used to absorb the mixed terms.
+    Each failure is (kind, sample index, t, value), the index counting
+    draws from 0, so a sample can be replayed at its seed.
 
     All t are drawn first; the samples then go through in profile.blocks
     of rows of width 4n (a sample draws two frame vectors of 2n normals),
@@ -766,6 +774,8 @@ def hbc_certificate(
     draws fill the stream of one draw, every operation is elementwise per
     sample and each sum runs along a sample's own row, so the report has
     the bits of one batch over all samples, with temporaries of one block.
+    The norms of the ratio's |Y|^2 |Xi|^2 come from the pair data that the
+    bisectional formula reads, not from a second pass over the frames.
     """
     rng = np.random.default_rng(seed)
     ts = rng.uniform(0.05, p.A, samples)
@@ -785,7 +795,7 @@ def hbc_certificate(
 
         pair_data = _pair_data(Y, Xi)
         val = _bisectional(pair_data, mp)
-        denom = Y.norm_sq(mp) * Xi.norm_sq(mp)
+        denom = _norm_product(pair_data, mp)
         interior = denom > 0.0
         ratio = np.where(interior, val / np.where(interior, denom, 1.0), -math.inf)
         slack = _cauchy_schwarz_defect(pair_data)
@@ -802,7 +812,8 @@ def hbc_certificate(
         passed = passed and not k.size
         columns = (val, ratio, slack)
         failures += [
-            (kinds[c], float(t[r]), float(columns[c][r])) for r, c in zip(k[: 10 - len(failures)], j)
+            (kinds[c], rows.start + int(r), float(t[r]), float(columns[c][r]))
+            for r, c in zip(k[: 10 - len(failures)], j)
         ]
     return CertificateReport(
         passed=passed,

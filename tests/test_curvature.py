@@ -25,7 +25,7 @@ from cuspforge.curvature import (
     ricci,
     ricci_coefficients,
 )
-from cuspforge.curvature import _cauchy_schwarz_defect, _pair_data
+from cuspforge.curvature import _cauchy_schwarz_defect, _norm_product, _pair_data
 
 small = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -291,17 +291,17 @@ def per_sample_certificate(p, samples, n, seed, strict_ratio=1e-10):
         val = bisectional(Y, Xi, mp)
         max_val, min_val = max(max_val, val), min(min_val, val)
         if val > 1e-12:
-            failures.append(("nonpositivity", t, val))
+            failures.append(("nonpositivity", k, t, val))
         denom = Y.norm_sq(mp) * Xi.norm_sq(mp)
         if denom > 0.0:
             ratio = val / denom
             worst_ratio = max(worst_ratio, ratio)
             if ratio >= -strict_ratio:
-                failures.append(("strict negativity", t, ratio))
+                failures.append(("strict negativity", k, t, ratio))
         slack = _cauchy_schwarz_defect(_pair_data(Y, Xi))
         min_slack = min(min_slack, slack)
         if slack < -1e-12:
-            failures.append(("cauchy-schwarz", t, slack))
+            failures.append(("cauchy-schwarz", k, t, slack))
     return CertificateReport(
         passed=not failures,
         samples=samples,
@@ -361,6 +361,11 @@ class TestCertificate:
         assert rep.failures
         assert rep.failures[0][0] == "strict negativity"
         assert "FAIL" in rep.summary()
+        # every interior sample fails, and each failure names the sample
+        # index at which its t is drawn from the seed
+        ts = np.random.default_rng(5).uniform(0.05, default_profile.A, 50)
+        assert [f[1] for f in rep.failures] == list(range(10))
+        assert all(t == ts[index] for _, index, t, _ in rep.failures)
 
     def test_nan_sample_fails(self, default_profile, monkeypatch):
         # every comparison with a NaN is False, so each failure test is
@@ -370,8 +375,9 @@ class TestCertificate:
         rep = hbc_certificate(default_profile, samples=200, n=3, seed=5)
         assert rep.passed is False
         assert math.isnan(rep.max_value) and math.isnan(rep.worst_interior_ratio)
-        kind, t, value = rep.failures[0]
+        kind, index, t, value = rep.failures[0]
         assert kind == "nonpositivity" and math.isnan(value)
+        assert index == 0 and t == np.random.default_rng(5).uniform(0.05, default_profile.A, 1)[0]
         assert {f[0] for f in rep.failures} == {"nonpositivity", "strict negativity"}
 
 
@@ -433,6 +439,18 @@ class TestBatchedEvaluation:
         for batched, per_row in cases:
             assert batched.shape == (self.ROWS,)
             assert np.array_equal(batched, [per_row(*r) for r in rows])
+
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_norm_product_matches_norms(self, default_profile, n):
+        # |Y|^2 |Xi|^2 from the pair data, as the certificate reads it on
+        # rows and the sweep on (T, 1) jets against (S,) pairs
+        ts, Y, Xi = self.draw(default_profile, n, seed=80 + n)
+        pair_data = _pair_data(Y, Xi)
+        for t in (ts, ts[:40, None]):
+            mp = MetricPoint.from_profile(default_profile, t, n)
+            got, want = _norm_product(pair_data, mp), Y.norm_sq(mp) * Xi.norm_sq(mp)
+            assert got.shape == want.shape == np.broadcast_shapes(t.shape, (self.ROWS,))
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 9])
     def test_oracle_matches_per_row(self, default_profile, n):

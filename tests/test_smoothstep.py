@@ -82,6 +82,24 @@ def test_step_integral_matches_integration_by_parts():
     assert np.max(np.abs(sm.step_integral(x) - ref)) <= 4.5e-16
 
 
+def test_node_kernel_matches_bump_bitwise():
+    # every node of the 64 panels, the nodes of partial panels up to random
+    # x and to x = 1/2, and the node 0 that a folded x <= 0 makes, which
+    # must not warn: RuntimeWarning is an error under the test settings
+    u, _ = sm._rule()
+    x = np.concatenate([np.random.default_rng(17).uniform(0.0, 0.5, 500), [0.5]])
+    lo = sm._WIDTH * (x // sm._WIDTH)
+    edges = sm._WIDTH * np.arange(sm.PANELS)
+    nodes = np.concatenate(
+        [(edges[:, None] + sm._WIDTH * u).ravel(), (lo[:, None] + (x - lo)[:, None] * u).ravel()]
+    )
+    assert nodes.min() > 0.0 and nodes.max() <= 0.5
+    assert np.array_equal(sm._node_bump(nodes), sm.bump(nodes))
+    zero = sm._node_bump(np.zeros((2, sm.ORDER)))
+    assert np.array_equal(zero, sm.bump(np.zeros((2, sm.ORDER))))
+    assert not np.signbit(zero).any()
+
+
 @pytest.mark.parametrize("r", [0.05, 0.2, 1.0 / 3.0, 2.5])
 def test_smoothed_hinge_continuous_at_band_edges(r):
     for edge in (-r, r):
