@@ -16,13 +16,15 @@ symmetric about 1/2, so the mass is twice the half-interval sum, and
 which make S(1/2) = 1/2, S in {0, 1} outside (0, 1) and int_0^1 S = 1/2
 exact by construction.  S, its mass and int_0^x S are accurate to rounding.
 
-The rule evaluates the bump only at its nodes, lo + (x - lo) u with lo a
-panel edge in [0, 1/2], x in [lo, 1/2] and u in (0, 1), so every node lies
-in [0, 1/2] and the bare formula applies without the mask of `bump`.  A
-node is 0 only when x is, as for the x <= 0 that step_integral folds to
-0; there x (1 - x) = 0 divides -1 by zero, and exp(-inf) = 0 = bump(0),
-so the kernel only silences that division.  An edge lo is +0.0 or
-positive, so a node is never -0.0, where the quotient would be +inf.
+One kernel evaluates exp(-1/(x(1-x))) for `bump`, `step_jet` and the
+rule, and needs no mask on [0, 1]: where x (1 - x) is 0 or below about
+1e-308, -1 / (x (1 - x)) divides by zero or overflows to -inf, and
+exp(-inf) = 0 is the true value to rounding, so the kernel only silences
+those warnings.  The rule evaluates it only at its nodes, lo + (x - lo) u
+with lo a panel edge in [0, 1/2], x in [lo, 1/2] and u in (0, 1), so
+every node lies in [0, 1/2]; a node is 0 only for the x <= 0 that
+step_integral folds to 0.  An edge lo is +0.0 or positive, so a node is
+never -0.0, where the quotient would be +inf.
 """
 
 from __future__ import annotations
@@ -41,18 +43,17 @@ def bump(x: np.ndarray | float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     inside = (x > 0.0) & (x < 1.0)
-    xi = x[inside]
-    out[inside] = np.exp(-1.0 / (xi * (1.0 - xi)))
+    out[inside] = _node_bump(x[inside])
     return out
 
 
 def _node_bump(x: np.ndarray) -> np.ndarray:
-    # bump at quadrature nodes, which lie in [0, 1/2]; see the module notes.
-    # One temporary, updated in place: a node array holds ORDER values per
-    # point, and allocating one per step cost more than the arithmetic
+    # the bump on [0, 1]; see the module notes.  One temporary, updated in
+    # place: a node array holds ORDER values per point, and allocating one
+    # per step cost more than the arithmetic
     r = 1.0 - x
     r *= x
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         np.divide(-1.0, r, out=r)
     return np.exp(r, out=r)
 
@@ -123,12 +124,12 @@ def step_jet(x: np.ndarray | float) -> np.ndarray:
     derivatives over the mass, all zero outside (0, 1)."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape + (3,))
-    inside = (x > 0.0) & (x < 1.0)
-    xi = x[inside]
+    e = bump(x)
+    live = e > 0.0  # past the bump's underflow, the factors in 1/r overflow
+    xi, e = x[live], e[live]
     r = xi * (1.0 - xi)
     rp = 1.0 - 2.0 * xi
-    e = np.exp(-1.0 / r)
     q1 = rp / r**2
     q2 = (-2.0 * r - 2.0 * rp**2) / r**3
-    out[inside] = np.stack([e, q1 * e, (q2 + q1**2) * e], axis=-1)
+    out[live] = np.stack([e, q1 * e, (q2 + q1**2) * e], axis=-1)
     return out / (2.0 * _prefix(_node_bump)[-1])

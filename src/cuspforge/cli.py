@@ -247,15 +247,8 @@ def _curvature_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
     yield 1e-6 - worst, {"max_relative_error": worst}
 
     cert = cv.hbc_certificate(p, cfg.samples, n=cfg.n, seed=cfg.seed)
-    yield (
-        -cert.worst_interior_ratio if cert.passed else -1.0,
-        {
-            "max_value": cert.max_value,
-            "worst_interior_ratio": cert.worst_interior_ratio,
-            "min_cs_slack": cert.min_cs_slack,
-            "failures": cert.failures,
-        },
-    )
+    witness = ("max_value", "worst_interior_ratio", "min_cs_slack", "failures")
+    yield cert.margin, {key: getattr(cert, key) for key in witness}
 
     rng = np.random.default_rng(cfg.seed + 17)
     draws = min(cfg.samples, 300)
@@ -278,8 +271,8 @@ def _curvature_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
     # the oracle's Ricci trace at the same draws, in blocks of points: an
     # oracle holds nnz values per point, as the point oracle above does
     ref = np.concatenate([
-        cv.CurvatureOracle(cv.MetricPoint.from_profile(p, t[rows], cfg.n)).ricci(Xi[rows])
-        for t, Xi in ((te, Xie), (tc, Xic), (tg, Xig))
+        cv.CurvatureOracle(mp[rows]).ricci(Xi[rows])
+        for mp, Xi in ((mpe, Xie), (mpc, Xic), (mpg, Xig))
         for rows in profile.blocks(draws, oracle.RL.size)
     ])
     # relative, as Ricci is negative definite: at most 1.4e-12 measured, at
@@ -332,24 +325,19 @@ def _bundle_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
 
 def _cayley_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
     rng = np.random.default_rng(cfg.seed + 31)
+
+    def draw() -> Fraction:
+        return Fraction(float(rng.uniform(-1, 1))).limit_denominator(40)
+
     per_form = max(5, min(cfg.samples, 400) // 20)
     errors = []
     all_exact = True
     for m in (2, 3):
         B = qc.HermitianDiagForm(tuple(Fraction(k + 1) for k in range(m)))
         for _ in range(per_form):
-            x = {
-                (i, j): Fraction(float(rng.uniform(-1, 1))).limit_denominator(40)
-                for i in range(m)
-                for j in range(i + 1, m)
-            }
-            y = dict(x)
-            y.update(
-                {
-                    (i, i): Fraction(float(rng.uniform(-1, 1))).limit_denominator(40)
-                    for i in range(m)
-                }
-            )
+            # the free entries of Re S (i < j) and of Im S / sqrt(d) (i <= j)
+            x = {(i, j): draw() for i in range(m) for j in range(i + 1, m)}
+            y = {(i, j): draw() for i in range(m) for j in range(i, m)}
             M = qc.cayley(qc.constraint_fill(x, y, B, cfg.d)).to_complex()
             Mq = qc.approximate_in_Ul(M, B, cfg.d, cfg.eps)
             all_exact &= qc.in_unitary_group(Mq, B.matrix(cfg.d))
@@ -551,39 +539,6 @@ def run_suite(cfg: SuiteConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 
-SUMMARY = ("min_hbc", "max_hbc", "min_ricci_eigenvalue", "sectional_min", "sectional_max")
-
-
-def _curvature_summary(mp: cv.MetricPoint, seed: int) -> Iterator[tuple[float, ...]]:
-    """Yield the SUMMARY row of mp: one for a single point, one per t of
-    (T,) jets.  Every point sees the same 120 frame pairs, drawn from seed.
-    The t go through in profile.blocks of width max(120, nnz), since a row
-    of the closed forms holds one value per pair and a row of the oracle
-    one per structural entry: per block, only that block's slice of mp's
-    jets is stacked into (B, 1) jets, and the closed forms and the
-    sectional curvature of one oracle build run once over them against the
-    (120,) pairs, whose pair products the oracle forms once per block.  All
-    of it is elementwise in t, so a block gives each t the bits of one
-    batch over all t, and of CurvatureOracle.sectional at that t alone.
-    The pairs' pair data, which depend on no t, are formed once: the
-    bisectional curvature and its |Y|^2 |Xi|^2 both come from them."""
-    pairs = 120
-    F = cv.random_frame_vector(np.random.default_rng(seed), mp.n, (pairs, 2))
-    Y, Xi = F[:, 0], F[:, 1]
-    pair_data = cv._pair_data(Y, Xi)
-    ts, *jet = map(np.atleast_1d, (mp.t, mp.f, mp.fp, mp.fpp, mp.fppp))
-    nnz = cv._pattern(2 * mp.n).rows.size
-    for rows in profile.blocks(ts.size, max(pairs, nnz)):
-        block = np.stack([col[rows, None] for col in jet], axis=-1)
-        grid = cv.MetricPoint.from_jet(ts[rows, None], block, mp.n)
-        hbc = cv._bisectional(pair_data, grid) / cv._norm_product(pair_data, grid)
-        coef_h, coef_z = cv.ricci_coefficients(grid)
-        ric_lo = np.minimum(-coef_h / grid.f**2, -coef_z / grid.g**2)[:, 0]
-        sec = cv.CurvatureOracle(grid).sectional(Y, Xi)
-        columns = (hbc.min(axis=1), hbc.max(axis=1), ric_lo, sec.min(axis=1), sec.max(axis=1))
-        yield from (tuple(map(float, row)) for row in zip(*columns))
-
-
 def _profile_for(A: float) -> profile.CutoffProfile:
     """The profile `sweep A` uses at length A: the proportional window
     first, then the widest sensible one, which pushes feasibility down to
@@ -601,9 +556,9 @@ def _profile_for(A: float) -> profile.CutoffProfile:
 
 def run_sweep(axis: str, start: float, stop: float, steps: int, cfg: SuiteConfig, out: Path) -> None:
     """Write one CSV row per value of the axis: the axis column(s), then
-    SUMMARY.  Every value is checked and the metric points are built before
-    out is opened, so a usage error leaves no file; the rows are written as
-    _curvature_summary yields them."""
+    curvature.SUMMARY.  Every value is checked and the metric points are
+    built before out is opened, so a usage error leaves no file; the rows
+    are written as curvature.sweep_summary yields them."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
     for flag, value in (("--from", start), ("--to", stop)):
@@ -618,12 +573,12 @@ def run_sweep(axis: str, start: float, stop: float, steps: int, cfg: SuiteConfig
         if outside.any():
             raise ValueError(f"t = {values[outside][0]} outside (0, A]")
         mp = cv.MetricPoint.from_profile(build_cutoff(cfg.A, cfg.window), values, cfg.n)
-        summary = _curvature_summary(mp, cfg.seed)
+        summary = cv.sweep_summary(mp, cfg.seed)
     elif axis == "A":
         if np.any(values <= 0):
             raise ValueError("A must be positive")
         jets = np.array([_profile_for(A).jet_at(A / 2.0) for A in values.tolist()])
-        summary = _curvature_summary(cv.MetricPoint.from_jet(values / 2.0, jets, cfg.n), cfg.seed)
+        summary = cv.sweep_summary(cv.MetricPoint.from_jet(values / 2.0, jets, cfg.n), cfg.seed)
     elif axis == "l":
         # SuiteConfig's own checks reject l <= 0 and lambda(t0) = 0; lambda
         # grows with l and the values ascend, so the first l decides for all,
@@ -632,7 +587,7 @@ def run_sweep(axis: str, start: float, stop: float, steps: int, cfg: SuiteConfig
         keys = ((l, lambda_const(cfg.t0, l)) for l in map(float, values))
         mp = cv.MetricPoint.from_profile(build_cutoff(cfg.A, cfg.window), cfg.A / 2.0, cfg.n)
         # the summary does not depend on l
-        summary = itertools.repeat(next(_curvature_summary(mp, cfg.seed)))
+        summary = itertools.repeat(next(cv.sweep_summary(mp, cfg.seed)))
     elif axis == "n":
         ns = [int(round(v)) for v in values.tolist()]
         if min(ns) < 2:
@@ -640,14 +595,14 @@ def run_sweep(axis: str, start: float, stop: float, steps: int, cfg: SuiteConfig
         p = build_cutoff(cfg.A, cfg.window)
         keys = zip(ns)
         points = [cv.MetricPoint.from_profile(p, cfg.A / 2.0, n) for n in ns]
-        summary = itertools.chain.from_iterable(_curvature_summary(mp, cfg.seed) for mp in points)
+        summary = itertools.chain.from_iterable(cv.sweep_summary(mp, cfg.seed) for mp in points)
     else:
         raise ValueError(f"unknown axis {axis!r}")
 
     header = ("l", "lambda") if axis == "l" else (axis,)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header + SUMMARY)
+        writer.writerow(header + cv.SUMMARY)
         for key, row in zip(keys, summary):
             writer.writerow(key + row)
 

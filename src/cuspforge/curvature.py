@@ -36,6 +36,7 @@ closed forms.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -61,6 +62,7 @@ __all__ = [
     "oracle_for",
     "hbc_certificate",
     "random_frame_vector",
+    "sweep_summary",
 ]
 
 
@@ -91,6 +93,12 @@ class MetricPoint:
             raise ValueError("dimension n must be at least 2")
         if not np.all((self.f > 0.0) & (self.fp > 0.0) & (self.fpp > 0.0) & (self.fppp > 0.0)):
             raise ValueError("metric point requires f, f', f'', f''' > 0")
+
+    def __getitem__(self, k) -> "MetricPoint":
+        """The sub-batch at index k of the leading axes; mp[None] makes a
+        point a batch of one."""
+        fields = (self.t, self.f, self.fp, self.fpp, self.fppp)
+        return MetricPoint(*(np.asarray(v)[k] for v in fields), n=self.n)
 
     def __hash__(self) -> int:
         # only a point is hashable, and oracle_for caches by point: a batch
@@ -292,6 +300,16 @@ def _bisectional(pair_data: tuple, mp: MetricPoint):
     central = h2sq * (g2 * g2) * bc_sq * bg_sq
     mixed = 2.0 * f2 * g2 * h3sq * (a_sq * bg_sq + alpha_sq * bc_sq + cross)
     return -(horiz + central + mixed)
+
+
+def _bisectional_ratio(pair_data: tuple, mp: MetricPoint):
+    """R = R(Y ^ JY, Xi ^ JXi) and R / (|Y|^2 |Xi|^2) from the _pair_data of
+    (Y, Xi), the ratio -inf where |Y|^2 |Xi|^2 is 0.  The norms come from
+    the pair data, not from a second pass over the frames."""
+    val = _bisectional(pair_data, mp)
+    denom = _norm_product(pair_data, mp)
+    interior = denom > 0.0
+    return val, np.where(interior, val / np.where(interior, denom, 1.0), -math.inf)
 
 
 def _cauchy_schwarz_defect(pair_data: tuple):
@@ -730,19 +748,66 @@ def oracle_for(mp: MetricPoint) -> CurvatureOracle:
 
 
 # ---------------------------------------------------------------------------
+# Sweep summary
+# ---------------------------------------------------------------------------
+
+
+SUMMARY = ("min_hbc", "max_hbc", "min_ricci_eigenvalue", "sectional_min", "sectional_max")
+
+
+def sweep_summary(mp: MetricPoint, seed: int) -> Iterator[tuple[float, ...]]:
+    """Yield the SUMMARY row of mp: one for a single point, one per t of
+    (T,) jets.  Every t sees the same 120 frame pairs, drawn from seed, and
+    their pair data are formed once.  The t go through in profile.blocks of
+    width max(120, nnz), one value per pair or per structural entry: a
+    block takes its rows of mp as (B, 1) jets, and the closed-form ratio
+    and one oracle build's sectional curvature run over them against the
+    (120,) pairs.  All of it is elementwise in t, so each t gets the bits
+    of the closed forms and of CurvatureOracle.sectional at that t alone."""
+    pairs = 120
+    F = random_frame_vector(np.random.default_rng(seed), mp.n, (pairs, 2))
+    Y, Xi = F[:, 0], F[:, 1]
+    pair_data = _pair_data(Y, Xi)
+    points = mp if np.ndim(mp.f) else mp[None]
+    for rows in profile.blocks(np.size(points.f), max(pairs, _pattern(2 * mp.n).rows.size)):
+        grid = points[rows, None]
+        _, hbc = _bisectional_ratio(pair_data, grid)
+        coef_h, coef_z = ricci_coefficients(grid)
+        ric_lo = np.minimum(-coef_h / grid.f**2, -coef_z / grid.g**2)[:, 0]
+        sec = CurvatureOracle(grid).sectional(Y, Xi)
+        columns = (hbc.min(axis=1), hbc.max(axis=1), ric_lo, sec.min(axis=1), sec.max(axis=1))
+        yield from (tuple(map(float, row)) for row in zip(*columns))
+
+
+# ---------------------------------------------------------------------------
 # Nonpositivity certificate
 # ---------------------------------------------------------------------------
 
 
+NONPOSITIVE_TOL = 1e-12  # R <= NONPOSITIVE_TOL
+STRICT_RATIO = 1e-10  # R / (|Y|^2 |Xi|^2) < -STRICT_RATIO at interior t
+CS_TOL = 1e-12  # Cauchy-Schwarz slack >= -CS_TOL
+
+
 @dataclass
 class CertificateReport:
-    passed: bool
     samples: int
     max_value: float
-    min_value: float
     worst_interior_ratio: float
     min_cs_slack: float
     failures: list
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    @property
+    def margin(self) -> float:
+        """Tolerance - error, the least over the three conditions, -0.0 at
+        equality in the strict one: +0.0 or more exactly when no sample failed."""
+        ratio = (-STRICT_RATIO - self.worst_interior_ratio) or -0.0
+        terms = (NONPOSITIVE_TOL - self.max_value, ratio, self.min_cs_slack + CS_TOL)
+        return float(np.min(terms))
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -752,9 +817,6 @@ class CertificateReport:
             f"worst interior ratio = {self.worst_interior_ratio:.3e}, "
             f"min CS slack = {self.min_cs_slack:.3e}"
         )
-
-
-STRICT_RATIO = 1e-10
 
 
 def hbc_certificate(
@@ -774,52 +836,42 @@ def hbc_certificate(
     draws fill the stream of one draw, every operation is elementwise per
     sample and each sum runs along a sample's own row, so the report has
     the bits of one batch over all samples, with temporaries of one block.
-    The norms of the ratio's |Y|^2 |Xi|^2 come from the pair data that the
-    bisectional formula reads, not from a second pass over the frames.
     """
     rng = np.random.default_rng(seed)
     ts = rng.uniform(0.05, p.A, samples)
     kinds = ("nonpositivity", "strict negativity", "cauchy-schwarz")
     max_value = worst_ratio = -math.inf
-    min_value = min_slack = math.inf
-    failures, passed = [], True
+    min_slack, failures = math.inf, []
     for rows in profile.blocks(samples, 4 * n):
         t = ts[rows]
         F = random_frame_vector(rng, n, (t.size, 2))
         Y, Xi = F[:, 0], F[:, 1]
-        # degenerate corners at every 97th sample: pure central and pure
-        # horizontal vectors
+        # a degenerate corner at every 97th sample: a pure central Y
         corner = slice(-rows.start % 97, None, 97)
         Y.u[corner], Y.beta[corner], Y.gamma[corner] = 0.0, 1.0, 0.0
         mp = MetricPoint.from_profile(p, t, n)
 
         pair_data = _pair_data(Y, Xi)
-        val = _bisectional(pair_data, mp)
-        denom = _norm_product(pair_data, mp)
-        interior = denom > 0.0
-        ratio = np.where(interior, val / np.where(interior, denom, 1.0), -math.inf)
+        val, ratio = _bisectional_ratio(pair_data, mp)
         slack = _cauchy_schwarz_defect(pair_data)
         # np.maximum and np.minimum keep a nan, as one max over all samples does
         max_value = np.maximum(max_value, val.max())
-        min_value = np.minimum(min_value, val.min())
         worst_ratio = np.maximum(worst_ratio, ratio.max())
         min_slack = np.minimum(min_slack, slack.min())
-        # each test is the negation of its pass condition, so a NaN fails
+        # each test is the negation of its pass condition, so a NaN fails;
+        # a ratio of -inf, where |Y|^2 |Xi|^2 = 0, never fails
         failed = np.stack(
-            [~(val <= 1e-12), interior & ~(ratio < -STRICT_RATIO), ~(slack >= -1e-12)], axis=-1
+            [~(val <= NONPOSITIVE_TOL), ~(ratio < -STRICT_RATIO), ~(slack >= -CS_TOL)], axis=-1
         )
         k, j = np.nonzero(failed)
-        passed = passed and not k.size
         columns = (val, ratio, slack)
         failures += [
             (kinds[c], rows.start + int(r), float(t[r]), float(columns[c][r]))
             for r, c in zip(k[: 10 - len(failures)], j)
         ]
     return CertificateReport(
-        passed=passed,
         samples=samples,
         max_value=float(max_value),
-        min_value=float(min_value),
         worst_interior_ratio=float(worst_ratio),
         min_cs_slack=float(min_slack),
         failures=failures,

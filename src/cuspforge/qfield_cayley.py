@@ -2,15 +2,15 @@
 transform route into rational unitary groups.
 
 Elements of Q(sqrt(-d)) are pairs of exact rationals, and QuadElem stays
-the scalar API.  Matrices over the field support exact inverse,
-determinant, and Hermitian-form identities with zero tolerance.  A matrix
+the scalar API.  Matrices over the field support exact inverse
+and Hermitian-form identities with zero tolerance.  A matrix
 is stored only as (X + Y sqrt(-d))/D with integer arrays X, Y and the
 least common denominator D, reduced by one gcd per result; its QuadElem
 entries are a read-only view.  Exact input, whether matrix entries,
 vectors or scalars, is checked and converted to that form in one place,
 _checked.  Sums and products are integer array
 operations, the unitarity test compares the pulled-back form with H, and
-inverse, determinant and the kernel behind fixed vectors share one
+the inverse and the kernel behind fixed vectors share one
 fraction-free Gauss-Jordan reduction over Z[sqrt(-d)] (Bareiss).  The
 Cayley transform S(N) = 2(I+N)^{-1} - I swaps the unitary group of a
 diagonal form B with the linear space of matrices satisfying
@@ -226,7 +226,7 @@ def _times_conj(X, Y, px: int, py: int, d: int) -> tuple:
 
 def _gauss_jordan(
     X: list[list[int]], Y: list[list[int]], d: int, ncols: int
-) -> tuple[list[int], tuple[int, int], int]:
+) -> tuple[list[int], tuple[int, int]]:
     """Fraction-free Gauss-Jordan on X + Y w over Z[w], in place.
 
     X and Y are the rows of the real and w parts, each a list of Python
@@ -240,13 +240,9 @@ def _gauss_jordan(
     division by the integer norm of p (by p itself while p is rational),
     and a nonzero remainder raises.  Afterwards every pivot entry equals
     the last pivot p, so the reduced row echelon form is (X + Y w)/p.
-    Returns the pivot columns, p as (px, py), and the sign of the row
-    permutation: sign * p is the determinant of the leading square block
-    when it has full rank.
-    """
+    Returns the pivot columns and p as (px, py)."""
     nrows = len(X)
     px, py = 1, 0
-    sign = 1
     pivots: list[int] = []
     for col in range(ncols):
         row = len(pivots)
@@ -258,7 +254,6 @@ def _gauss_jordan(
         if piv != row:
             X[row], X[piv] = X[piv], X[row]
             Y[row], Y[piv] = Y[piv], Y[row]
-            sign = -sign
         rx, ry = X[row], Y[row]
         # divide by p as conj(p) over its norm, or by p itself while it is rational
         (qx, qy), norm = ((px, py), px * px + d * py * py) if py else ((1, 0), px)
@@ -278,7 +273,7 @@ def _gauss_jordan(
             X[i], Y[i] = [v // norm for v in nx], [v // norm for v in ny]
         px, py = rx[col], ry[col]
         pivots.append(col)
-    return pivots, (px, py), sign
+    return pivots, (px, py)
 
 
 def _inverse_ints(X: np.ndarray, Y: np.ndarray, D: int, d: int) -> tuple:
@@ -286,7 +281,7 @@ def _inverse_ints(X: np.ndarray, Y: np.ndarray, D: int, d: int) -> tuple:
     m = len(X)
     rows_x = [r + [int(i == j) for j in range(m)] for i, r in enumerate(X.tolist())]
     rows_y = [r + [0] * m for r in Y.tolist()]
-    pivots, (px, py), _ = _gauss_jordan(rows_x, rows_y, d, m)
+    pivots, (px, py) = _gauss_jordan(rows_x, rows_y, d, m)
     if len(pivots) < m:
         raise ZeroDivisionError("singular matrix")
     # the right block is p (X + Y w)^{-1}, and (X + Y w)/D inverts to D times that
@@ -400,14 +395,6 @@ class QuadMatrix:
 
     def inverse(self) -> "QuadMatrix":
         return QuadMatrix._reduced(*_inverse_ints(self.X, self.Y, self.D, self.d), self.d)
-
-    def det(self) -> QuadElem:
-        pivots, (px, py), sign = _gauss_jordan(self.X.tolist(), self.Y.tolist(), self.d, self.m)
-        if len(pivots) < self.m:
-            return qzero(self.d)
-        # det (X + Y w) = sign * p, and each of the m rows carries 1/D
-        Dm = self.D**self.m
-        return QuadElem(Fraction(sign * px, Dm), Fraction(sign * py, Dm), self.d)
 
     def to_complex(self) -> np.ndarray:
         # Python scalar arithmetic per entry: int / int rounds once, as
@@ -652,7 +639,7 @@ def _rref_kernel(A: QuadMatrix) -> list[list[QuadElem]]:
     """Exact kernel basis of A over Q(sqrt(-d))."""
     m, d = A.m, A.d
     X, Y = A.X.tolist(), A.Y.tolist()
-    pivots, (px, py), _ = _gauss_jordan(X, Y, d, m)
+    pivots, (px, py) = _gauss_jordan(X, Y, d, m)
     norm = px * px + d * py * py
     basis = []
     for fc in (c for c in range(m) if c not in pivots):

@@ -355,6 +355,33 @@ class TestRunSuite:
         assert not check.passed
         assert math.isnan(check.margin) or math.copysign(1.0, check.margin) < 0.0, check.margin
 
+    @pytest.mark.parametrize("case", ["passing", "failing", "at_threshold", "nan"])
+    def test_certificate_verdict_is_the_one_pass_rule(self, monkeypatch, case):
+        # rep.passed counts failed samples, and run_suite reads the margin
+        cfg = SuiteConfig(suite="curvature", samples=200)
+
+        def certificate():
+            return cv.hbc_certificate(build_cutoff(cfg.A, cfg.window), cfg.samples, cfg.n, cfg.seed)
+
+        if case == "failing":
+            monkeypatch.setattr(cv, "STRICT_RATIO", 10.0)
+        elif case == "at_threshold":
+            # the worst ratio meets the strict bound with equality
+            monkeypatch.setattr(cv, "STRICT_RATIO", -certificate().worst_interior_ratio)
+        elif case == "nan":
+            exact = cv._bisectional
+            monkeypatch.setattr(cv, "_bisectional", lambda pd, mp: exact(pd, mp) * np.nan)
+        rep = certificate()
+        name = "curvature.nonpositivity_certificate"
+        check = next(c for c in run_suite(cfg).checks if c.name == name)
+        assert check.passed == rep.passed == (case == "passing")
+        if case == "nan":
+            assert math.isnan(check.margin) and math.isnan(rep.margin)
+        else:
+            assert check.margin == rep.margin
+        if case == "at_threshold":
+            assert check.margin == 0.0 and math.copysign(1.0, check.margin) < 0.0
+
     def test_broken_ricci_coefficients_fail_the_ricci_check(self, monkeypatch):
         # 4 f f' in place of 4 f'^2 keeps the Einstein identity at f = exp and
         # makes Ricci more negative in the cosh region, so only the oracle's
@@ -659,9 +686,9 @@ class TestSweep:
         ts = np.linspace(0.5, 5.5, 5000)
         jets = default_profile.jet_at(ts)
         # the first call at n = 8 derives and caches the oracle's pattern
-        drain(cli._curvature_summary(cv.MetricPoint.from_jet(ts[:2], jets[:2], 8), 0))
+        drain(cv.sweep_summary(cv.MetricPoint.from_jet(ts[:2], jets[:2], 8), 0))
         mp = cv.MetricPoint.from_jet(ts, jets, 8)
-        assert traced_peak(lambda: drain(cli._curvature_summary(mp, 0))) <= 16 * 2**20
+        assert traced_peak(lambda: drain(cv.sweep_summary(mp, 0))) <= 16 * 2**20
 
     def test_rows_do_not_accumulate(self, tmp_path, traced_peak):
         # growth of the tracemalloc peak per step at n = 2 from 1,000 to
@@ -684,11 +711,11 @@ class TestSweep:
         monkeypatch.setattr(profile, "BLOCK_ELEMENTS", 2100)
         ts = np.linspace(0.5, 5.5, 60)
         jets = default_profile.jet_at(ts)
-        drain(cli._curvature_summary(cv.MetricPoint.from_jet(ts[:2], jets[:2], 8), 0))
+        drain(cv.sweep_summary(cv.MetricPoint.from_jet(ts[:2], jets[:2], 8), 0))
         calls = []
         pairs = cv._pairs
         monkeypatch.setattr(cv, "_pairs", lambda m: calls.append(m) or pairs(m))
-        drain(cli._curvature_summary(cv.MetricPoint.from_jet(ts, jets, 8), 0))
+        drain(cv.sweep_summary(cv.MetricPoint.from_jet(ts, jets, 8), 0))
         assert calls == [16] * 9
 
     def test_oracle_blocks_hold_at_most_block_elements(self, default_profile, monkeypatch):
@@ -703,7 +730,7 @@ class TestSweep:
                 sizes.append(self.RL.size)
 
         monkeypatch.setattr(cv, "CurvatureOracle", Recording)
-        drain(cli._curvature_summary(cv.MetricPoint.from_jet(ts, default_profile.jet_at(ts), 8), 0))
+        drain(cv.sweep_summary(cv.MetricPoint.from_jet(ts, default_profile.jet_at(ts), 8), 0))
         assert sum(sizes) == 1000 * 288 and max(sizes) <= profile.BLOCK_ELEMENTS
 
     def test_l_axis_rows_do_not_accumulate(self, tmp_path, traced_peak):

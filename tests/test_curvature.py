@@ -65,6 +65,17 @@ class TestMetricPoint:
                     default_profile, t, n
                 )
 
+    def test_rows_of_a_batch_equal_from_profile(self, default_profile):
+        # the sweep and the Ricci route slice one batch of jets into blocks
+        ts = np.random.default_rng(9).uniform(0.0, 6.0, 300)
+        mp = MetricPoint.from_profile(default_profile, ts, 3)
+        for rows in (*profile.blocks(300, 1000), slice(299, None), [250, 3]):
+            got, want = mp[rows], MetricPoint.from_profile(default_profile, ts[rows], 3)
+            for name in ("t", "f", "fp", "fpp", "fppp"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert mp[5] == MetricPoint.from_profile(default_profile, float(ts[5]), 3)
+        assert mp[5][None].f.shape == (1,) and mp[5][None].f[0] == mp.f[5]
+
     def test_cosh_model_rejects_origin(self):
         with pytest.raises(ValueError):
             MetricPoint.cosh_model(0.0, 3)
@@ -279,8 +290,7 @@ def per_sample_certificate(p, samples, n, seed, strict_ratio=1e-10):
     rng = np.random.default_rng(seed)
     ts = rng.uniform(0.05, p.A, samples)
     failures = []
-    max_val, min_val = -math.inf, math.inf
-    worst_ratio, min_slack = -math.inf, math.inf
+    max_val, worst_ratio, min_slack = -math.inf, -math.inf, math.inf
     for k in range(samples):
         t = float(ts[k])
         mp = MetricPoint.from_profile(p, t, n)
@@ -289,7 +299,7 @@ def per_sample_certificate(p, samples, n, seed, strict_ratio=1e-10):
         if k % 97 == 0:
             Y = FrameVector(np.zeros(n - 1), 1.0, 0.0)
         val = bisectional(Y, Xi, mp)
-        max_val, min_val = max(max_val, val), min(min_val, val)
+        max_val = max(max_val, val)
         if val > 1e-12:
             failures.append(("nonpositivity", k, t, val))
         denom = Y.norm_sq(mp) * Xi.norm_sq(mp)
@@ -303,10 +313,8 @@ def per_sample_certificate(p, samples, n, seed, strict_ratio=1e-10):
         if slack < -1e-12:
             failures.append(("cauchy-schwarz", k, t, slack))
     return CertificateReport(
-        passed=not failures,
         samples=samples,
         max_value=max_val,
-        min_value=min_val,
         worst_interior_ratio=worst_ratio,
         min_cs_slack=min_slack,
         failures=failures[:10],
@@ -345,6 +353,20 @@ class TestCertificate:
         assert rep.worst_interior_ratio < 0.0
         assert rep.min_cs_slack >= -1e-12
         assert "pass" in rep.summary()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_margin_is_the_least_of_its_three_conditions(self, default_profile, n):
+        # at n = 2 the Cauchy-Schwarz slack sets it, about 2,400 times
+        # closer to failing than the ratio
+        rep = hbc_certificate(default_profile, 20_000, n=n, seed=3)
+        terms = (
+            curvature.NONPOSITIVE_TOL - rep.max_value,
+            -curvature.STRICT_RATIO - rep.worst_interior_ratio,
+            rep.min_cs_slack + curvature.CS_TOL,
+        )
+        assert rep.passed and rep.margin == min(terms) > 0.0
+        if n == 2:
+            assert rep.margin == terms[2] < 1e-5 < terms[1]
 
     def test_temporaries_do_not_grow_with_samples(self, default_profile, traced_peak):
         # 3.4 MiB measured, where one batch over all samples peaks at 109 MiB;

@@ -9,6 +9,7 @@ or goes with its tests, unless RESERVED names it with the reason it stays.
 A use is a loaded Name or Attribute outside the definition itself: a Name
 or a module attribute such as cv.ricci reaches the module-level definition,
 any other attribute such as orc.ricci reaches the methods of that name.
+An attribute of another library, such as np.linalg.det, reaches nothing.
 """
 
 import ast
@@ -85,6 +86,21 @@ def _aliases(tree: ast.AST) -> dict:
     return out
 
 
+def _foreign(tree: ast.AST) -> set:
+    """Local names bound by imports of modules outside the package, such as
+    np for numpy and Fraction for fractions.Fraction."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {a.asname or a.name.partition(".")[0] for a in node.names
+                    if a.name.partition(".")[0] != "cuspforge"}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+            node.module.partition(".")[0] != "cuspforge"
+        ):
+            out |= {a.asname or a.name for a in node.names}
+    return out
+
+
 def _dotted(node: ast.AST):
     if isinstance(node, ast.Name):
         return node.id
@@ -101,7 +117,7 @@ def uses() -> list:
     out = []
     for path in USERS:
         tree = ast.parse(path.read_text())
-        aliases = _aliases(tree)
+        aliases, foreign = _aliases(tree), _foreign(tree)
         module = path.stem if path in SOURCES else None
 
         def visit(node, scope, enclosing):
@@ -114,7 +130,7 @@ def uses() -> list:
                 owner = _dotted(node.value)
                 if owner in aliases:
                     out.append((("module", aliases[owner], node.attr), enclosing))
-                else:
+                elif owner is None or owner.partition(".")[0] not in foreign:
                     out.append((("method", node.attr), enclosing))
             for child in ast.iter_child_nodes(node):
                 visit(child, scope, enclosing)

@@ -1,6 +1,7 @@
 """Tests for the normalized bump integral S and its integral."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,19 @@ def test_node_kernel_matches_bump_bitwise():
     zero = sm._node_bump(np.zeros((2, sm.ORDER)))
     assert np.array_equal(zero, sm.bump(np.zeros((2, sm.ORDER))))
     assert not np.signbit(zero).any()
+
+
+def test_zero_where_the_bump_underflows():
+    # below about 1e-3 the bump is 0 to rounding, and so are its two
+    # derivatives; their factors in 1/r overflow there and must not meet
+    # that 0, and the quadrature's nodes must not warn
+    x = np.array([1e-100, 1e-200, 1e-308, 5e-324, 1.0 - 1e-16])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jets, steps = sm.step_jet(x), sm.step(x)
+        assert np.array_equal(sm.step_jet(1e-308), np.zeros(3))
+    assert np.array_equal(jets, np.zeros((5, 3)))
+    assert np.array_equal(steps, [0.0, 0.0, 0.0, 0.0, 1.0])
 
 
 @pytest.mark.parametrize("r", [0.05, 0.2, 1.0 / 3.0, 2.5])
