@@ -86,8 +86,7 @@ class SuiteConfig:
         ):
             raise ValueError(f"window must be two finite numbers, got {w!r}")
         object.__setattr__(self, "window", tuple(w))
-        if not qc._is_squarefree(self.d):
-            raise ValueError(f"d = {self.d} is not a squarefree positive integer")
+        qc.check_field(self.d)
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if self.samples < 1:
@@ -242,9 +241,30 @@ def _curvature_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
     F = cv.random_frame_vector(rng, cfg.n, (40, max(2, min(cfg.samples, 400) // 40), 2))
     Y, Xi = F[:, :, 0], F[:, :, 1]
     mp = cv.MetricPoint.from_profile(p, t_nodes[:, None], cfg.n)
-    ref = cv.CurvatureOracle(mp).bisectional(Y, Xi)
+    nodes = cv.CurvatureOracle(mp)
+    ref = nodes.bisectional(Y, Xi)
     worst = float(np.max(np.abs(cv.bisectional(Y, Xi, mp) - ref) / (1.0 + np.abs(ref))))
     yield 1e-6 - worst, {"max_relative_error": worst}
+
+    # hs_blocks' entries against the oracle's R at the same nodes, on the
+    # wedges of X = e_1, JX, Z and JZ, each R divided by its four vectors'
+    # squared norms: G on (X ^ JX, Z ^ JZ), F on (X ^ Z, JX ^ JZ).  One
+    # evaluation takes the six entries G00, G01, G11, F00, F01 and F11, its
+    # (Y, Z, W, V) picked from (X, JX, Z, JZ); no draws, so no other check moves
+    e1 = np.eye(1, cfg.n - 1) * [[1.0], [1j]]
+    basis = cv.FrameVector(np.vstack([e1, 0.0 * e1]), np.array([0.0, 0, 1, 0]), np.array([0.0, 0, 0, 1]))
+    picks = ([0, 0, 2, 0, 0, 1], [1, 1, 3, 2, 2, 3], [0, 2, 2, 0, 1, 1], [1, 3, 3, 2, 3, 3])
+    f2, g2 = mp.f * mp.f, mp.g * mp.g
+    oracle_route = nodes.evaluate(*(basis[k] for k in picks)) / np.hstack(
+        [f2 * f2, f2 * g2, g2 * g2] + [f2 * g2] * 3
+    )
+    bl = cv.hs_blocks(mp)
+    entries = (bl.G[0, 0], bl.G[0, 1], bl.G[1, 1], bl.F[0, 0], bl.F[0, 1], bl.F[1, 1])
+    closed = np.hstack([np.broadcast_to(e, f2.shape) for e in entries])
+    error = np.abs(closed - oracle_route) / (1.0 + np.abs(oracle_route))
+    g_err, f_err = float(np.max(error[:, :3])), float(np.max(error[:, 3:]))
+    # at most 1.1e-14 measured, at n = 2, 3, 5, 8 and 16
+    yield _least(1e-12 - g_err, 1e-12 - f_err), {"G_relative_error": g_err, "F_relative_error": f_err}
 
     cert = cv.hbc_certificate(p, cfg.samples, n=cfg.n, seed=cfg.seed)
     witness = ("max_value", "worst_interior_ratio", "min_cs_slack", "failures")
@@ -365,10 +385,18 @@ def _cayley_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
     )
 
     H = qc.polarized_form_matrix(cfg.n, cfg.d)
-    vq = [qc.QuadElem(Fraction(1), Fraction(1, 2), cfg.d)] + [
-        qc.qzero(cfg.d) for _ in range(cfg.n - 2)
-    ]
-    Mh = qc.heisenberg_matrix_exact(Fraction(2, 3), vq, cfg.d)
+    zeros = [qc.qzero(cfg.d)] * cfg.n
+    vq = [qc.QuadElem(Fraction(1), Fraction(1, 2), cfg.d)] + zeros[: cfg.n - 2]
+    # Mh conjugated by C = J0 T J0, J0 swapping the two null coordinates and T
+    # a second translation, so that Mh fixes no coordinate axis: from n = 3
+    # the first vector of ker(Mh - I) has positive H-square, and the search
+    # must run its Gram-Schmidt step
+    vt = ([qc.QuadElem(Fraction(1, 2), Fraction(0), cfg.d), qc.qone(cfg.d)] + zeros)[: cfg.n - 1]
+    T = qc.heisenberg_matrix_exact(Fraction(1, 2), vt, cfg.d)
+    T_inv = qc.heisenberg_matrix_exact(Fraction(-1, 2), [-e for e in vt], cfg.d)
+    J0 = qc.QuadMatrix(qc.QuadMatrix.identity(cfg.n + 1, cfg.d).entries[[1, 0, *range(2, cfg.n + 1)]])
+    C, C_inv = J0 @ T @ J0, J0 @ T_inv @ J0
+    Mh = C @ qc.heisenberg_matrix_exact(Fraction(2, 3), vq, cfg.d) @ C_inv
     try:
         vfix = qc.unipotent_fixed_vector(Mh, H)
         sq = qc.form_value(H, vfix, vfix)
@@ -479,6 +507,7 @@ _SUITES = {
     "curvature": (_curvature_checks, (
         Check("curvature.space_form_blocks", ("hs_blocks", "CurvatureOracle.sectional")),
         Check("curvature.formula_vs_oracle", ("bisectional", "CurvatureOracle.bisectional")),
+        Check("curvature.block_operator", ("hs_blocks", "CurvatureOracle.evaluate")),
         Check("curvature.nonpositivity_certificate", ("hbc_certificate",),
               "samples the one closed form bisectional at random points"),
         Check("curvature.ricci_bounds", ("ricci", "CurvatureOracle.ricci")),

@@ -240,11 +240,12 @@ def hs_blocks(mp: MetricPoint) -> CurvatureBlocks:
 
     G = [[-4 (f'/f)^2, -2 f''/f], [-2 f''/f, -3 f''/f - f'''/f']] and F has
     all four entries equal to -f''/f.  With f = exp both collapse to the
-    constant-curvature values G = [[-4, -2], [-2, -4]], F = -ones.
+    constant-curvature values G = [[-4, -2], [-2, -4]], F = -ones.  For a
+    batch mp the two block axes come first.
     """
     h1sq, h2sq, k = _warp_squares(mp)
     G = np.array([[-h1sq, -2.0 * k], [-2.0 * k, -h2sq]])
-    F = np.full((2, 2), -k)
+    F = np.array([[-k, -k], [-k, -k]])
     return CurvatureBlocks(G=G, F=F)
 
 
@@ -413,7 +414,7 @@ class _Pattern(NamedTuple):
     bracket: tuple  # G slots and coefficients of c[I, J] @ G0
     dt: np.ndarray  # G slot of G1
     scale: np.ndarray  # jets index of M_l
-    ric: tuple  # R slots and signs of the Ricci trace, per diagonal entry of Ric
+    ric: tuple  # RL slots of R_ijij and jets index of M_j, per diagonal entry Ric[i, i]
     kl: np.ndarray  # R slot of R_ijkl, per RL entry
     lk: np.ndarray  # R slot of R_ijlk
     rows: np.ndarray  # pair index ij
@@ -453,13 +454,14 @@ def _pattern(m: int) -> _Pattern:
 
     A term is kept unless one of its factors is structurally zero; no value
     is ever compared with 0.  Each sum of the build (the Koszul sum, the
-    products of Christoffel symbols, the bracket term, the Ricci trace) is a
-    set of padded slots per nonzero that holds its terms in the order of the
-    summed index, the order in which a dense contraction adds them, so the
-    values equal a dense build's bit for bit.  Slots point into the value
-    vectors of CurvatureOracle.__init__: jets[3 d + q] is the d-th
-    t-derivative of the metric coefficient q (1, f^2 or g^2), G holds G0,
-    then G1, then one 0, and R the entries of R_up, then one 0.  Read-only,
+    products of Christoffel symbols, the bracket term) is a set of padded
+    slots per nonzero that holds its terms in the order of the summed index,
+    the order in which a dense contraction adds them, so the values equal a
+    dense build's bit for bit; the Ricci trace adds RL's diagonal in the
+    same order.  Slots point into the value vectors of
+    CurvatureOracle.__init__: jets[3 d + q] is the d-th t-derivative of the
+    metric coefficient q (1, f^2 or g^2), G holds G0, then G1, then one 0,
+    R the entries of R_up, then one 0, and RL the operator.  Read-only,
     because every oracle of this m shares them.
     """
     I, J, _, _ = _pairs(m)
@@ -505,20 +507,9 @@ def _pattern(m: int) -> _Pattern:
     dt = np.full(entries.size, zg)
     dt[np.searchsorted(entries, keys_dt)] = ng + d
 
-    # Ric[i, i] sums R_iji^j over j in order, where the row (j, i) is -(i, j);
-    # only the diagonal is kept, where every term of the trace lands
+    # RL[ij, kl] = (R_ijkl - R_ijlk) / 2 over the pairs k < l
     r, k, l = np.unravel_index(entries, (p, m, m))
     zr = entries.size
-    top = np.flatnonzero((l == J[r]) & (k == I[r]))
-    bottom = np.flatnonzero((l == I[r]) & (k == J[r]))
-    dst = np.concatenate([I[r[top]], J[r[bottom]]])
-    order = np.lexsort((np.concatenate([J[r[top]], I[r[bottom]]]), dst))
-    sign = np.repeat([1.0, -1.0], [top.size, bottom.size])
-    ric = _slots(
-        np.arange(m), dst[order], (np.concatenate([top, bottom])[order], sign[order]), (zr, 1.0)
-    )
-
-    # RL[ij, kl] = (R_ijkl - R_ijlk) / 2 over the pairs k < l
     off = np.flatnonzero(k != l)
     keys_rl = r[off] * p + pair[np.minimum(k, l)[off], np.maximum(k, l)[off]]
     rl = _unique(keys_rl)
@@ -526,6 +517,12 @@ def _pattern(m: int) -> _Pattern:
     ahead = k[off] < l[off]
     kl[np.searchsorted(rl, keys_rl[ahead])] = off[ahead]
     lk[np.searchsorted(rl, keys_rl[~ahead])] = off[~ahead]
+
+    # Ric[i, i] sums RL[ij, ij] / M_j over j != i in order, the s-th such j
+    # being s + (s >= i): RL holds R_ijij = R_jiji there for every pair
+    s, ri = np.ogrid[: m - 1, :m]
+    rj = s + (s >= ri)
+    diagonal = pair[np.minimum(ri, rj), np.maximum(ri, rj)] * (p + 1)
 
     pattern = _Pattern(
         koszul=(np.stack([src, src + 3]), coef),  # the t-derivative reads one order up
@@ -535,7 +532,7 @@ def _pattern(m: int) -> _Pattern:
         bracket=tuple(_slots(entries, keys_c, (e, cv[up][q]), (zg, 0.0))),
         dt=dt,
         scale=kind[l],
-        ric=tuple(ric),
+        ric=(np.searchsorted(rl, diagonal), kind[rj]),
         kl=kl,
         lk=lk,
         rows=rl // p,
@@ -568,9 +565,10 @@ class CurvatureOracle:
         RL[ij, kl] = (R_ijkl - R_ijlk) / 2    for i < j and k < l,
 
     so that R(Y, Z, W, V) = (y ^ z)^T RL (w ^ v) with
-    (y ^ z)_ij = y_i z_j - y_j z_i, and Ric, the diagonal of the Ricci
-    matrix in the frame B, which is all of it: the trace puts no term off
-    the diagonal.
+    (y ^ z)_ij = y_i z_j - y_j z_i.  RL is the one operator it keeps; Ric,
+    the diagonal of the Ricci matrix in the frame B, is read off RL's
+    diagonal, Ric[i, i] = sum_{j != i} RL[ij, ij] / M_j, and is all of it:
+    the trace puts no term off the diagonal.
 
     RL is held in coordinate form: RL[..., e] is the entry (rows[e],
     cols[e]), over the structural nonzeros that _pattern derives once per m
@@ -580,9 +578,9 @@ class CurvatureOracle:
 
     Of a frame's coordinates only the d/dt one, gamma g, depends on t.  So
     an evaluation takes the wedges of the t-free coordinates, with gamma in
-    the d/dt slot, and the oracle carries g instead: RLg[..., e] is
-    RL[..., e] g^k_e, where k_e in {0, 1, 2} counts the pairs (0, j) among
-    (rows[e], cols[e]).  Then
+    the d/dt slot, and each evaluation carries g on the operator instead:
+    RLg[..., e] is RL[..., e] g^k_e, where k_e in {0, 1, 2} counts the pairs
+    (0, j) among (rows[e], cols[e]).  Then
 
         R(Y, Z, W, V) = sum_e RLg_e (y ^ z)[rows_e] (w ^ v)[cols_e]
 
@@ -637,14 +635,13 @@ class CurvatureOracle:
         src, coef = pat.bracket
         R_up += (coef * G.take(src, axis=-1)).sum(axis=-2)
         R_up -= G.take(pat.dt, axis=-1)
-        # Ric[i, i] = sum_j R_iji^j, then R_ijkl = R_ijk^l M_l
-        src, sign = pat.ric
-        self.Ric = (sign * R.take(src, axis=-1)).sum(axis=-2)
+        # R_ijkl = R_ijk^l M_l
         R_up *= jets.take(pat.scale, axis=-1)
         self.RL = 0.5 * (R.take(pat.kl, axis=-1) - R.take(pat.lk, axis=-1))
         self.rows, self.cols = pat.rows, pat.cols
-        powers = np.asarray(g)[..., None] ** np.arange(3.0)  # 1, g, g^2
-        self.RLg = self.RL * powers.take(pat.dt_pairs, axis=-1)
+        # Ric[i, i] = sum_j R_ijij / M_j, read off RL's diagonal
+        slots, metric = pat.ric
+        self.Ric = (self.RL.take(slots, axis=-1) / jets.take(metric, axis=-1)).sum(axis=-2)
 
     def frame_coords(self, fv: FrameVector) -> np.ndarray:
         """Coordinates in the frame B, of shape (..., 2n) for a batch (...)."""
@@ -659,7 +656,9 @@ class CurvatureOracle:
         products are formed once and every block contracts them.  A
         block's rows are those of one call, and each row sums on its own,
         so they keep its bits."""
-        RLg, frames = self.RLg, (Y, Z, W, V)
+        pat = _pattern(2 * self.mp.n)
+        powers = np.asarray(self.mp.g)[..., None] ** np.arange(3.0)  # 1, g, g^2
+        RLg, frames = self.RL * powers.take(pat.dt_pairs, axis=-1), (Y, Z, W, V)
         shape = np.broadcast_shapes(RLg.shape[:-1], *(fv.u.shape[:-1] for fv in frames))
         if not shape:
             return (_pair_products(*frames) * RLg).sum(axis=-1)[()]

@@ -54,7 +54,9 @@ def _is_squarefree(d: int) -> bool:
     return ok and (m == 1 or math.isqrt(m) ** 2 != m)
 
 
-def _check_field(d: int) -> None:
+def check_field(d: int) -> None:
+    """Raise ValueError unless d is a squarefree positive integer, so that
+    Q(sqrt(-d)) is an imaginary quadratic field."""
     if not _is_squarefree(d):
         raise ValueError(f"d = {d} is not a squarefree positive integer")
 
@@ -70,7 +72,7 @@ class QuadElem:
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", _frac(self.a))
         object.__setattr__(self, "b", _frac(self.b))
-        _check_field(self.d)
+        check_field(self.d)
 
     def _coerce(self, other) -> "QuadElem":
         if isinstance(other, QuadElem):
@@ -329,7 +331,7 @@ class QuadMatrix:
 
     @classmethod
     def diagonal(cls, diag: Sequence[RationalLike], d: int) -> "QuadMatrix":
-        _check_field(d)
+        check_field(d)
         fracs = [_frac(v) for v in diag]
         m = len(fracs)
         if m == 0:
@@ -509,7 +511,7 @@ def constraint_fill(
             if not (0 <= i and i + lo <= j < m):
                 need = "i < j" if lo else "i <= j"
                 raise ValueError(f"{name} key {(i, j)} is not free: need 0 <= {need} < {m}")
-    _check_field(d)
+    check_field(d)
     x = {ij: _frac(v) for ij, v in x_upper.items()}
     y = {ij: _frac(v) for ij, v in y_upper.items()}
     D = math.lcm(*(f.denominator for f in (*x.values(), *y.values())))

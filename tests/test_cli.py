@@ -427,6 +427,33 @@ class TestRunSuite:
         assert check.witness["oracle_deviation"] > 1e-8
         assert not check.passed and check.margin < 0.0
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+    def test_block_operator_check_agrees_at_every_n(self, n):
+        # hs_blocks against the oracle on the normalized wedges: 1.1e-14 at most,
+        # a hundredth of the tolerance
+        report = run_suite(SuiteConfig(suite="curvature", samples=200, n=n))
+        check = next(c for c in report.checks if c.name == "curvature.block_operator")
+        assert check.passed and check.margin > 0.9e-12
+        assert set(check.witness) == {"G_relative_error", "F_relative_error"}
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("d", [1, 7])
+    def test_fixed_vector_check_needs_the_search(self, monkeypatch, d, n):
+        # the check's translation fixes no coordinate axis, so the first
+        # vector of ker(M - I) has positive H-square: returning it fails
+        def first_kernel_vector(M, H):
+            return qc._rref_kernel(M - qc.QuadMatrix.identity(M.m, M.d))[0]
+
+        def fixed_check():
+            report = run_suite(SuiteConfig(suite="cayley", samples=20, n=n, d=d))
+            return next(c for c in report.checks if c.name == "cayley.fixed_vectors")
+
+        assert fixed_check().passed
+        monkeypatch.setattr(qc, "unipotent_fixed_vector", first_kernel_vector)
+        check = fixed_check()
+        assert check.witness == {"heisenberg_case": False, "identity_case": True}
+        assert not check.passed and check.margin < 0.0
+
     def test_deterministic_for_fixed_seed(self):
         def stripped(r: Report) -> dict:
             d = json.loads(r.to_json())
@@ -458,7 +485,7 @@ CUSPFORGE_MODULES = [
 class TestCheckTable:
     def test_check_names_are_unique(self):
         names = [c.name for c in ALL_CHECKS]
-        assert len(set(names)) == len(names) == 19
+        assert len(set(names)) == len(names) == 20
 
     @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda c: c.name)
     def test_two_routes_or_a_reason_for_one(self, check):

@@ -736,6 +736,27 @@ class TestOracleBuild:
         held = [v for v in vars(orc).values() if isinstance(v, np.ndarray)]
         assert held and max(a.size for a in held) <= 2 * 1216 + 32
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_keeps_one_operator_and_reads_ricci_off_its_diagonal(self, default_profile, n):
+        # RL, with rows and cols, is the only array of operator size, and
+        # Ric[i, i] is the sum over j != i, in order, of RL's diagonal entry
+        # at the pair of i and j over M_j
+        I, J = np.triu_indices(2 * n, 1)
+        pair = {(i, j): k for k, (i, j) in enumerate(zip(I, J))}
+        for mp in reference_points(default_profile, n):
+            orc = CurvatureOracle(mp)
+            wide = [k for k, v in vars(orc).items() if np.shape(v)[-1:] == orc.RL.shape]
+            assert wide == ["RL", "rows", "cols"]
+            diagonal = dict(zip(orc.rows[orc.rows == orc.cols], orc.RL[orc.rows == orc.cols]))
+            assert sorted(diagonal) == list(range(I.size))
+            M = [1.0] + [mp.f * mp.f] * (2 * n - 2) + [mp.g * mp.g]
+            for i in range(2 * n):
+                terms = [diagonal[pair[min(i, j), max(i, j)]] / M[j] for j in range(2 * n) if j != i]
+                total = terms[0]
+                for term in terms[1:]:
+                    total += term
+                assert orc.Ric[i] == total
+
     def test_large_n_agrees_with_closed_form_without_dense_arrays(self, default_profile):
         # at n = 32 (p = 2,016) a dense operator on pairs is 32 MiB and each
         # (p, m, m) build temporary 66 MiB; the build traces far less, the

@@ -1,0 +1,88 @@
+"""The mutant table: one-line mutants of the closed forms, each with the
+check that must fail under it, or the item that is to kill it.
+
+Each entry replaces one name where its caller reads it (cli imports
+bundle_curvature by name, so that mutant patches cli's copy) and runs
+run_suite on one suite at the default config.  The table is a ratchet: an
+entry marked killed whose check passes fails its test, and so does an
+entry marked "survives" under which any check fails; the change that
+kills a survivor updates its entry.
+"""
+
+from typing import Callable, NamedTuple
+
+import numpy as np
+import pytest
+
+from cuspforge import cli, psh
+from cuspforge import curvature as cv
+from cuspforge import qfield_cayley as qc
+from cuspforge.cli import SuiteConfig, run_suite
+
+
+def _m1(hs_blocks):
+    # G's off-diagonal -2 f''/f becomes -2 f'''/f'; the two agree where
+    # f = exp and where f = cosh
+    def mutant(mp):
+        blocks = hs_blocks(mp)
+        G = blocks.G.copy()
+        G[0, 1] = G[1, 0] = -2.0 * mp.fppp / mp.fp
+        return cv.CurvatureBlocks(G=G, F=blocks.F)
+
+    return mutant
+
+
+def _m2(phi_cusp):
+    # |v|^2 becomes |v|^2 / 2
+    return lambda a, v, cp: phi_cusp(a, v, cp) - 0.5 * float(np.vdot(v, v).real)
+
+
+def _m3(bundle_curvature):
+    # -2 pi / l becomes -pi / l
+    return lambda cp: 0.5 * bundle_curvature(cp)
+
+
+def _swapped_coef_z(ricci_coefficients):
+    # (2n+1) f^2 f' f''' + f f'^2 f'' in place of (2n+1) f f'^2 f'' + f^2 f' f'''
+    def mutant(mp):
+        coef_h, _ = ricci_coefficients(mp)
+        f, fp, fpp, fppp = mp.f, mp.fp, mp.fpp, mp.fppp
+        return coef_h, (2 * mp.n + 1) * f * f * fp * fppp + f * fp * fp * fpp
+
+    return mutant
+
+
+def _first_kernel_vector(unipotent_fixed_vector):
+    # skips the search for a nonpositive H-square: the first vector of
+    # ker(M - I), which is e_0 whenever M fixes that axis
+    return lambda M, H: qc._rref_kernel(M - qc.QuadMatrix.identity(M.m, M.d))[0]
+
+
+class Mutant(NamedTuple):
+    name: str
+    suite: str
+    owner: object
+    attr: str
+    mutate: Callable
+    verdict: str  # the check that must fail, or "survives: item N"
+
+
+MUTANTS = [
+    Mutant("M1", "curvature", cv, "hs_blocks", _m1, "curvature.block_operator"),
+    Mutant("M2", "psh", psh, "phi_cusp", _m2, "survives: item 5"),
+    Mutant("M3", "bundle", cli, "bundle_curvature", _m3, "survives: items 5 and 20"),
+    Mutant("swapped_coef_z", "curvature", cv, "ricci_coefficients", _swapped_coef_z,
+           "curvature.ricci_bounds"),
+    Mutant("fixed_vector_shortcut", "cayley", qc, "unipotent_fixed_vector",
+           _first_kernel_vector, "cayley.fixed_vectors"),
+]
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
+def test_mutant_verdict(monkeypatch, mutant):
+    monkeypatch.setattr(mutant.owner, mutant.attr, mutant.mutate(getattr(mutant.owner, mutant.attr)))
+    failed = [c.name for c in run_suite(SuiteConfig(suite=mutant.suite)).checks if not c.passed]
+    if mutant.verdict.startswith("survives"):
+        assert not failed, f"{mutant.name} is killed by {failed}: update its entry"
+    else:
+        assert mutant.verdict in failed, f"{mutant.name} survives {mutant.verdict}"

@@ -10,6 +10,10 @@ A use is a loaded Name or Attribute outside the definition itself: a Name
 or a module attribute such as cv.ricci reaches the module-level definition,
 any other attribute such as orc.ricci reaches the methods of that name.
 An attribute of another library, such as np.linalg.det, reaches nothing.
+
+No module of src/cuspforge reaches another's private names: it loads no
+_-prefixed attribute of a package module and imports none by name.  The
+private module _smoothstep itself may be imported.
 """
 
 import ast
@@ -170,3 +174,31 @@ def test_reserved_names_are_defined_and_unused():
     assert not stale, f"reserved names no longer defined: {sorted(stale)}"
     assert not promoted, f"reserved names now in use, take them out of RESERVED: {sorted(promoted)}"
     assert all(reason.strip() for reason in RESERVED.values())
+
+
+def private_reaches() -> list:
+    """(module, reached name) per load of an _-prefixed attribute of a
+    package module, and per import of an _-prefixed name from one, in
+    SOURCES; `from . import _smoothstep` imports a module, not a name."""
+    out = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        aliases = _aliases(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                owner = aliases.get(_dotted(node.value))
+                if owner and node.attr[0] == "_":
+                    out.append((path.stem, f"{owner}.{node.attr}"))
+            elif isinstance(node, ast.ImportFrom):
+                source = node.module if node.level else node.module.removeprefix("cuspforge.")
+                if source in MODULES:
+                    out += [(path.stem, f"{source}.{a.name}") for a in node.names if a.name[0] == "_"]
+    return out
+
+
+def test_no_module_reaches_another_modules_private_names():
+    reaches = private_reaches()
+    assert not reaches, (
+        f"(module, private name of another module) pairs: {reaches}; make the name "
+        f"public or keep its use inside its module"
+    )
