@@ -124,12 +124,18 @@ def step_jet(x: np.ndarray | float) -> np.ndarray:
     derivatives over the mass, all zero outside (0, 1)."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape + (3,))
-    e = bump(x)
-    live = e > 0.0  # past the bump's underflow, the factors in 1/r overflow
-    xi, e = x[live], e[live]
+    flat = x.reshape(-1)
+    (inside,) = np.nonzero((flat > 0.0) & (flat < 1.0))
+    e = _node_bump(flat[inside])
+    alive = e > 0.0  # past the bump's underflow, the factors in 1/r overflow
+    live, e = inside[alive], e[alive]
+    xi = flat[live]
     r = xi * (1.0 - xi)
     rp = 1.0 - 2.0 * xi
     q1 = rp / r**2
     q2 = (-2.0 * r - 2.0 * rp**2) / r**3
-    out[live] = np.stack([e, q1 * e, (q2 + q1**2) * e], axis=-1)
-    return out / (2.0 * _prefix(_node_bump)[-1])
+    jet = np.empty((e.size, 3))
+    jet[:, 0], jet[:, 1], jet[:, 2] = e, q1 * e, (q2 + q1**2) * e
+    jet /= 2.0 * _prefix(_node_bump)[-1]
+    out.reshape(-1, 3)[live] = jet
+    return out

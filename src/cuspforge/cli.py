@@ -387,27 +387,30 @@ def _cayley_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
     H = qc.polarized_form_matrix(cfg.n, cfg.d)
     zeros = [qc.qzero(cfg.d)] * cfg.n
     vq = [qc.QuadElem(Fraction(1), Fraction(1, 2), cfg.d)] + zeros[: cfg.n - 2]
-    # Mh conjugated by C = J0 T J0, J0 swapping the two null coordinates and T
-    # a second translation, so that Mh fixes no coordinate axis: from n = 3
-    # the first vector of ker(Mh - I) has positive H-square, and the search
-    # must run its Gram-Schmidt step
+    # the translation by (2/3, vq) and the central one by 2/3, conjugated by
+    # C = J0 T J0, J0 swapping the two null coordinates and T a second
+    # translation, so that they fix no coordinate axis: the first vector of
+    # ker(M - I) has positive H-square from n = 3 for the first and from
+    # n = 2 for the second, so the search must run its Gram-Schmidt step
     vt = ([qc.QuadElem(Fraction(1, 2), Fraction(0), cfg.d), qc.qone(cfg.d)] + zeros)[: cfg.n - 1]
     T = qc.heisenberg_matrix_exact(Fraction(1, 2), vt, cfg.d)
     T_inv = qc.heisenberg_matrix_exact(Fraction(-1, 2), [-e for e in vt], cfg.d)
     J0 = qc.QuadMatrix(qc.QuadMatrix.identity(cfg.n + 1, cfg.d).entries[[1, 0, *range(2, cfg.n + 1)]])
     C, C_inv = J0 @ T @ J0, J0 @ T_inv @ J0
-    Mh = C @ qc.heisenberg_matrix_exact(Fraction(2, 3), vq, cfg.d) @ C_inv
-    try:
-        vfix = qc.unipotent_fixed_vector(Mh, H)
-        sq = qc.form_value(H, vfix, vfix)
-        fixed_ok = (
-            Mh.apply(vfix) == vfix
-            and sq.is_rational()
-            and sq.a <= 0
-            and qc.in_unitary_group(Mh, H)
-        )
-    except ValueError:
-        fixed_ok = False
+    fixed_ok = True
+    for v in (vq, zeros[: cfg.n - 1]):
+        M = C @ qc.heisenberg_matrix_exact(Fraction(2, 3), v, cfg.d) @ C_inv
+        try:
+            vfix = qc.unipotent_fixed_vector(M, H)
+            sq = qc.form_value(H, vfix, vfix)
+            fixed_ok &= (
+                M.apply(vfix) == vfix
+                and sq.is_rational()
+                and sq.a <= 0
+                and qc.in_unitary_group(M, H)
+            )
+        except ValueError:
+            fixed_ok = False
     vfix = qc.unipotent_fixed_vector(qc.QuadMatrix.identity(cfg.n + 1, cfg.d), H)
     ident_ok = qc.form_value(H, vfix, vfix).a <= 0
     yield (

@@ -193,9 +193,20 @@ class FrameVector:
 
 
 def _hdot(v: np.ndarray, w: np.ndarray):
-    """Real part of sum(conj(w) v) over the last axis, in real products, so
-    that a batch row rounds exactly like a single vector."""
-    return np.sum(w.real * v.real + w.imag * v.imag, axis=-1)
+    """Real part of sum(conj(w) v) over the last axis, in real products
+    added column by column, in index order from 0.0, so that a batch row
+    rounds exactly like a single vector.
+
+    Below 8 terms that is np.sum's order, so its bits; from 8 terms np.sum
+    adds in eight interleaved partial sums instead.  A row holds the n - 1
+    horizontal terms, and on rows that short numpy's cost per row, in a
+    sum or a product over them, outweighs the arithmetic: a column is a
+    whole batch."""
+    total = 0.0
+    for k in range(v.shape[-1]):
+        vk, wk = v[..., k], w[..., k]
+        total = total + (wk.real * vk.real + wk.imag * vk.imag)
+    return total
 
 
 def random_frame_vector(rng: np.random.Generator, n: int, shape: tuple = ()) -> FrameVector:
@@ -207,7 +218,8 @@ def random_frame_vector(rng: np.random.Generator, n: int, shape: tuple = ()) -> 
     the same stream as the same vectors drawn one at a time.
     """
     z = rng.standard_normal(tuple(shape) + (2 * n,))
-    u = z[..., : n - 1] + 1j * z[..., n - 1 : 2 * n - 2]
+    u = np.empty(z.shape[:-1] + (n - 1,), dtype=complex)
+    u.real, u.imag = z[..., : n - 1], z[..., n - 1 : 2 * n - 2]
     return FrameVector(u, z[..., -2][()], z[..., -1][()])
 
 
@@ -257,7 +269,10 @@ def _pair_data(Y: FrameVector, Xi: FrameVector):
     and Xtilde, so all of them vanish with the horizontal parts."""
     b, c, beta, gamma = Y.beta, Y.gamma, Xi.beta, Xi.gamma
     v, w = Y.u, Xi.u
-    re, im = _hdot(v, w), np.sum(w.real * v.imag - w.imag * v.real, axis=-1)
+    re, im = _hdot(v, w), 0.0
+    for k in range(v.shape[-1]):  # by column, as in _hdot
+        vk, wk = v[..., k], w[..., k]
+        im = im + (wk.real * vk.imag - wk.imag * vk.real)
     cross = 2.0 * ((b * beta + c * gamma) * re + (c * beta - b * gamma) * im)
     a_sq, alpha_sq = _hdot(v, v), _hdot(w, w)
     return a_sq, alpha_sq, b * b + c * c, beta * beta + gamma * gamma, cross, re * re + im * im
@@ -430,19 +445,18 @@ def _unique(keys: np.ndarray) -> np.ndarray:
 
 
 def _slots(entries: np.ndarray, keys: np.ndarray, fields: tuple, fill: tuple) -> list[np.ndarray]:
-    """Spread terms over the (w, entries.size) slots of the sorted keys
-    `entries`, w the most terms of one entry: the terms of an entry fill its
-    column in the order given, and an empty slot holds `fill`, one value per
-    field."""
-    col = np.searchsorted(entries, keys)
-    order = np.argsort(col, kind="stable")
-    col = col[order]
-    counts = np.bincount(col, minlength=entries.size)
-    row = np.arange(col.size) - (np.cumsum(counts) - counts)[col]
+    """Scatter the terms, one per key, over the slots of the sorted keys
+    `entries`: one array per field, where an entry with no term holds
+    `fill`, one value per field.  Raises if a key repeats, since the build
+    gathers one term per entry and does not sum (no key repeats at
+    n = 2 to 32)."""
+    slot = np.searchsorted(entries, keys)
+    if np.bincount(slot, minlength=entries.size).max(initial=0) > 1:
+        raise ValueError("a structural entry has more than one term")
     out = []
     for field, empty in zip(fields, fill):
-        a = np.full((counts.max(initial=0), entries.size), empty, dtype=field.dtype)
-        a[row, col] = field[order]
+        a = np.full(entries.size, empty, dtype=field.dtype)
+        a[slot] = field
         out.append(a)
     return out
 
@@ -454,15 +468,19 @@ def _pattern(m: int) -> _Pattern:
 
     A term is kept unless one of its factors is structurally zero; no value
     is ever compared with 0.  Each sum of the build (the Koszul sum, the
-    products of Christoffel symbols, the bracket term) is a set of padded
-    slots per nonzero that holds its terms in the order of the summed index,
-    the order in which a dense contraction adds them, so the values equal a
-    dense build's bit for bit; the Ricci trace adds RL's diagonal in the
-    same order.  Slots point into the value vectors of
-    CurvatureOracle.__init__: jets[3 d + q] is the d-th t-derivative of the
-    metric coefficient q (1, f^2 or g^2), G holds G0, then G1, then one 0,
-    R the entries of R_up, then one 0, and RL the operator.  Read-only,
-    because every oracle of this m shares them.
+    products of Christoffel symbols, the bracket term) has at most one term
+    per nonzero (checked at n = 2 to 32), so it is a one-term gather, one
+    slot per nonzero; _slots raises if a second term ever appears.  A
+    one-term sum is its term, so RL equals a dense build's bit for bit:
+    only a Christoffel symbol of -0.0 keeps the sign that numpy's sum from
+    +0.0 would drop, and R_up, accumulated from +0.0, cannot see it.  The
+    Ricci trace adds its m - 1 entries of RL's diagonal in the order of the
+    summed index, the order in which a dense contraction adds them.  Slots
+    point into the value vectors of CurvatureOracle.__init__: jets[3 d + q]
+    is the d-th t-derivative of the metric coefficient q (1, f^2 or g^2),
+    G holds G0, then G1, then one 0, R the entries of R_up, then one 0,
+    and RL the operator.  Read-only, because every oracle of this m shares
+    them.
     """
     I, J, _, _ = _pairs(m)
     p = I.size
@@ -574,7 +592,14 @@ class CurvatureOracle:
     cols[e]), over the structural nonzeros that _pattern derives once per m
     (1,216 of the 246,016 entries at n = 16).  The values are computed only
     there, and equal those of a dense build bit for bit, which is exactly 0
-    off the pattern.
+    off the pattern.  Each sum of the build has one term per nonzero, so
+    the build is one-term gathers and elementwise products; only the Ricci
+    trace sums, over its m - 1 terms in index order.  The build holds the
+    entries on its arrays' first axis and the batch after them, so a
+    gather copies whole batch rows, and it moves the batch axes to the
+    front once, at the end.  The norms of sectional and
+    holomorphic_sectional come from FrameVector.inner, whose horizontal
+    sums run by column, in index order (see _hdot).
 
     Of a frame's coordinates only the d/dt one, gamma g, depends on t.  So
     an evaluation takes the wedges of the t-free coordinates, with gamma in
@@ -604,44 +629,48 @@ class CurvatureOracle:
         pat = _pattern(2 * mp.n)
         f, fp, fpp = mp.f, mp.fp, mp.fpp
         g, gp, gpp = mp.g, mp.gp, mp.gpp
-        # 1, f^2 and g^2, then their first and their second t-derivatives
+        # 1, f^2 and g^2, then their first and their second t-derivatives, on
+        # the first axis, like every array of the build
         jets = np.stack(
             np.broadcast_arrays(
                 1.0, f * f, g * g,
                 0.0, 2.0 * f * fp, 2.0 * g * gp,
                 0.0, 2.0 * fp * fp + 2.0 * f * fpp, 2.0 * gp * gp + 2.0 * g * gpp,
-            ),
-            axis=-1,
+            )
         )
-        batch = jets.shape[:-1]
+        batch = jets.shape[1:]
+        per_entry = (...,) + (None,) * len(batch)  # a coefficient vector against the batch
 
         # 2 M_k Gamma_ij^k and its t-derivative, then 2 M_k and 2 M'_k
         src, coef = pat.koszul
-        K = (coef * jets.take(src, axis=-1)).sum(axis=-2)
-        two_m = 2.0 * jets.take(pat.upper, axis=-1)
-        ng = K.shape[-1]
-        G = np.zeros(batch + (2 * ng + 1,))
-        G0 = np.divide(K[..., 0, :], two_m[..., 0, :], out=G[..., :ng])
-        np.divide(K[..., 1, :] - two_m[..., 1, :] * G0, two_m[..., 0, :], out=G[..., ng:-1])
+        K = coef[per_entry] * jets.take(src, axis=0)
+        two_m = 2.0 * jets.take(pat.upper, axis=0)
+        ng = K.shape[1]
+        G = np.zeros((2 * ng + 1,) + batch)
+        G0 = np.divide(K[0], two_m[0], out=G[:ng])
+        np.divide(K[1] - two_m[1] * G0, two_m[0], out=G[ng:-1])
 
         # R_up[ij, k, l] = R_ijk^l: G0[I] @ G0[J] - G0[J] @ G0[I] + c[I, J] @ G0,
         # minus G1 on the rows (0, j)
-        R = np.zeros(batch + (pat.dt.size + 1,))
-        R_up = R[..., :-1]
+        R = np.zeros((pat.dt.size + 1,) + batch)
+        R_up = R[:-1]
         a, b = pat.ab
-        R_up += (G.take(a, axis=-1) * G.take(b, axis=-1)).sum(axis=-2)
+        R_up += G.take(a, axis=0) * G.take(b, axis=0)
         a, b = pat.ba
-        R_up -= (G.take(a, axis=-1) * G.take(b, axis=-1)).sum(axis=-2)
+        R_up -= G.take(a, axis=0) * G.take(b, axis=0)
         src, coef = pat.bracket
-        R_up += (coef * G.take(src, axis=-1)).sum(axis=-2)
-        R_up -= G.take(pat.dt, axis=-1)
+        R_up += coef[per_entry] * G.take(src, axis=0)
+        R_up -= G.take(pat.dt, axis=0)
         # R_ijkl = R_ijk^l M_l
-        R_up *= jets.take(pat.scale, axis=-1)
-        self.RL = 0.5 * (R.take(pat.kl, axis=-1) - R.take(pat.lk, axis=-1))
-        self.rows, self.cols = pat.rows, pat.cols
+        R_up *= jets.take(pat.scale, axis=0)
+        RL = 0.5 * (R.take(pat.kl, axis=0) - R.take(pat.lk, axis=0))
         # Ric[i, i] = sum_j R_ijij / M_j, read off RL's diagonal
         slots, metric = pat.ric
-        self.Ric = (self.RL.take(slots, axis=-1) / jets.take(metric, axis=-1)).sum(axis=-2)
+        Ric = (RL.take(slots, axis=0) / jets.take(metric, axis=0)).sum(axis=0)
+        # the batch axes first, in C order, for evaluations' sums along a row
+        self.RL = np.ascontiguousarray(np.moveaxis(RL, 0, -1))
+        self.Ric = np.ascontiguousarray(np.moveaxis(Ric, 0, -1))
+        self.rows, self.cols = pat.rows, pat.cols
 
     def frame_coords(self, fv: FrameVector) -> np.ndarray:
         """Coordinates in the frame B, of shape (..., 2n) for a batch (...)."""

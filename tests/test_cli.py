@@ -436,11 +436,12 @@ class TestRunSuite:
         assert check.passed and check.margin > 0.9e-12
         assert set(check.witness) == {"G_relative_error", "F_relative_error"}
 
-    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("d", [1, 7])
     def test_fixed_vector_check_needs_the_search(self, monkeypatch, d, n):
-        # the check's translation fixes no coordinate axis, so the first
-        # vector of ker(M - I) has positive H-square: returning it fails
+        # the check's translations fix no coordinate axis, so the first
+        # vector of ker(M - I) has positive H-square for one of them at every
+        # n: returning it fails
         def first_kernel_vector(M, H):
             return qc._rref_kernel(M - qc.QuadMatrix.identity(M.m, M.d))[0]
 

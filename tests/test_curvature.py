@@ -428,7 +428,8 @@ class TestFrameDraw:
 
 class TestBatchedEvaluation:
     """A batch of rows evaluates bitwise like the same rows one at a time;
-    n = 9 crosses numpy's 8-element pairwise-summation block."""
+    n = 9 crosses numpy's 8-element pairwise-summation block, and at n = 9
+    and 16 a horizontal row holds 8 and 15 terms."""
 
     ROWS = 500
 
@@ -441,7 +442,7 @@ class TestBatchedEvaluation:
         Y.u[::97], Y.beta[::97], Y.gamma[::97] = 0.0, 1.0, 0.0
         return ts, Y, Xi
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    @pytest.mark.parametrize("n", [2, 3, 5, 9, 16])
     def test_closed_forms_match_per_row(self, default_profile, n):
         ts, Y, Xi = self.draw(default_profile, n, seed=40 + n)
         jets = default_profile.jet_at(ts)
@@ -461,6 +462,9 @@ class TestBatchedEvaluation:
         for batched, per_row in cases:
             assert batched.shape == (self.ROWS,)
             assert np.array_equal(batched, [per_row(*r) for r in rows])
+        per_row = [_pair_data(y, xi) for y, xi, _ in rows]
+        for k, batched in enumerate(_pair_data(Y, Xi)):
+            assert np.array_equal(batched, [data[k] for data in per_row])
 
     @pytest.mark.parametrize("n", [2, 3, 9])
     def test_norm_product_matches_norms(self, default_profile, n):
@@ -756,6 +760,37 @@ class TestOracleBuild:
                 for term in terms[1:]:
                     total += term
                 assert orc.Ric[i] == total
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9, 16])
+    def test_each_sum_of_the_build_has_one_term(self, n):
+        # the terms of every entry of the Koszul sum, of G0[I] @ G0[J],
+        # G0[J] @ G0[I] and c[I, J] @ G0, counted from the bracket table and
+        # the metric's shape alone: none has two, and the pattern's one-term
+        # gathers hold every term
+        m = 2 * n
+        c = np.zeros((m, m, m))
+        h = np.arange(1, m - 1, 2)
+        c[h, h + 1, m - 1] = c[h + 1, h, m - 1] = 1.0
+        varies = np.ones(m)
+        varies[0] = 0.0  # only d/dt's coefficient 1 is constant
+        idx = np.arange(m)
+        K = c + np.einsum("ikj->ijk", c) + np.einsum("jki->ijk", c)
+        K[0, idx, idx] += varies
+        K[idx, 0, idx] += varies
+        K[idx, idx, 0] += varies
+        G0 = (K > 0).astype(float)
+        I, J = np.triu_indices(m, 1)
+        ab = np.einsum("iks,jsl->ijkl", G0, G0, optimize=True)[I, J]
+        ba = np.einsum("jks,isl->ijkl", G0, G0, optimize=True)[I, J]
+        bracket = np.einsum("ijq,qkl->ijkl", c, G0, optimize=True)[I, J]
+        pat = curvature._pattern(m)
+        empty = 2 * pat.upper.shape[-1]  # the G slot that holds 0
+        assert K.max() == 1 and K.sum() == pat.koszul[1].size
+        assert ab.max() == 1 and ab.sum() == np.count_nonzero(pat.ab[0] != empty)
+        assert ba.max() == 1 and ba.sum() == np.count_nonzero(pat.ba[0] != empty)
+        assert bracket.max() == 1 and bracket.sum() == np.count_nonzero(pat.bracket[1])
+        with pytest.raises(ValueError, match="more than one term"):
+            curvature._slots(np.arange(3), np.array([0, 2, 2]), (np.arange(3),), (0,))
 
     def test_large_n_agrees_with_closed_form_without_dense_arrays(self, default_profile):
         # at n = 32 (p = 2,016) a dense operator on pairs is 32 MiB and each

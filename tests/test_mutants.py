@@ -14,6 +14,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
+from cuspforge import _smoothstep as sm
 from cuspforge import cli, psh
 from cuspforge import curvature as cv
 from cuspforge import qfield_cayley as qc
@@ -52,6 +53,32 @@ def _swapped_coef_z(ricci_coefficients):
     return mutant
 
 
+def _flipped_imaginary_sum(pair_data):
+    # the mixed term reads -y for y in <u_Y, u_Xi> = a alpha (x + i y)
+    def mutant(Y, Xi):
+        a_sq, alpha_sq, bc_sq, bg_sq, cross, dde = pair_data(Y, Xi)
+        im = cv._hdot(Y.u, 1j * Xi.u)  # Re(conj(i w) v) = Im(conj(w) v)
+        cross = cross - 4.0 * (Y.gamma * Xi.beta - Y.beta * Xi.gamma) * im
+        return a_sq, alpha_sq, bc_sq, bg_sq, cross, dde
+
+    return mutant
+
+
+def _halved_rp_sq(step_jet):
+    # S''' = (q2 + q1^2) S' with q2's -2 r'^2 / r^3 read as -r'^2 / r^3, for
+    # r = x (1 - x); the two agree at x = 1/2.  Flipping the sign of q1^2
+    # instead makes f''' negative in the window, which build_cutoff rejects
+    def mutant(x):
+        jet = step_jet(x)
+        x = np.asarray(x, dtype=float)
+        r, rp = x * (1.0 - x), 1.0 - 2.0 * x
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            jet[..., 2] += np.where(jet[..., 0] > 0.0, rp * rp / r**3 * jet[..., 0], 0.0)
+        return jet
+
+    return mutant
+
+
 def _first_kernel_vector(unipotent_fixed_vector):
     # skips the search for a nonpositive H-square: the first vector of
     # ker(M - I), which is e_0 whenever M fixes that axis
@@ -75,6 +102,9 @@ MUTANTS = [
            "curvature.ricci_bounds"),
     Mutant("fixed_vector_shortcut", "cayley", qc, "unipotent_fixed_vector",
            _first_kernel_vector, "cayley.fixed_vectors"),
+    Mutant("flipped_imaginary_sum", "curvature", cv, "_pair_data", _flipped_imaginary_sum,
+           "curvature.formula_vs_oracle"),
+    Mutant("halved_rp_sq", "profile", sm, "step_jet", _halved_rp_sq, "survives: item 1"),
 ]
 
 
