@@ -437,17 +437,11 @@ def _cayley_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
 def _psh_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
     pr = psh.RegMaxParams(eta=0.5)
     rng = np.random.default_rng(cfg.seed + 41)
-    defects = []
-    for _ in range(min(cfg.samples, 1000)):
-        x, y = rng.uniform(-3, 3, 2)
-        M = psh.reg_max(float(x), float(y), pr)
-        z = float(y + x) / 2
-        defects += [
-            abs(M - psh.reg_max(float(y), float(x), pr)),
-            max(x, y) - M,
-            abs(psh.reg_max(z, z + 3 * pr.eta, pr) - (z + 3 * pr.eta)),
-        ]
-    worst = float(np.max(defects))
+    # one draw of (N, 2) is the stream of N draws of 2
+    x, y = rng.uniform(-3, 3, (min(cfg.samples, 1000), 2)).T
+    M, z = psh.reg_max(x, y, pr), (y + x) / 2
+    collapse = psh.reg_max(z, z + 3 * pr.eta, pr) - (z + 3 * pr.eta)
+    worst = float(np.max([np.abs(M - psh.reg_max(y, x, pr)), np.maximum(x, y) - M, np.abs(collapse)]))
     diag = psh.reg_max(0.0, 0.0, pr)
     yield (
         1e-9 - worst if 0.0 < diag < 2.0 * pr.eta else -1.0,
@@ -481,14 +475,12 @@ def _psh_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
     min_eig = float(np.min(eigs))
     yield _strict(min_eig), {"min_eigenvalue": min_eig}
 
-    eta = 0.5
-    pp = psh.RegMaxParams(eta=eta)
     phi2 = lambda t: 10.0 - 3.0 * t
     psi2 = lambda t: 2.0 * t
     band = psh.GlueBand(
         inner=[0.1, 0.3], outer=[2.4, 2.7, 3.0], in_region=lambda t: t < 2.8
     )
-    glued = psh.glue_exhaustion(phi2, psi2, band, pp)
+    glued = psh.glue_exhaustion(phi2, psi2, band, pr)
     outer_dev = float(np.max([abs(glued(t) - psi2(t)) for t in band.outer]))
     inner_ok = all(glued(t) >= phi2(t) for t in band.inner)
     yield (

@@ -71,6 +71,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+# g^4 = (f f')^4, the scale of the curvature terms, overflows past this log g:
+# t of about 88.7 where f = exp
+_LOG_G_MAX = np.log(np.finfo(float).max) / 4.0
+
+
 @dataclass(frozen=True)
 class MetricPoint:
     """Profile jet at t together with the dimension n.
@@ -93,6 +98,12 @@ class MetricPoint:
             raise ValueError("dimension n must be at least 2")
         if not np.all((self.f > 0.0) & (self.fp > 0.0) & (self.fpp > 0.0) & (self.fppp > 0.0)):
             raise ValueError("metric point requires f, f', f'', f''' > 0")
+        over = np.log(self.f) + np.log(self.fp) >= _LOG_G_MAX  # log g overflows nothing
+        if np.any(over):
+            t = float(np.min(np.where(over, self.t, math.inf)))
+            raise OverflowError(
+                f"curvature at t = {t:.6g}: g^4 = (f f')^4 overflows; keep A below about 88.7"
+            )
 
     def __getitem__(self, k) -> "MetricPoint":
         """The sub-batch at index k of the leading axes; mp[None] makes a
@@ -722,12 +733,9 @@ class CurvatureOracle:
         return self.evaluate(X, Y, X, Y) / area_sq
 
     def holomorphic_sectional(self, X: FrameVector):
-        """R(X, JX, X, JX) / |X|^4 (X and JX are orthogonal)."""
-        nsq = X.norm_sq(self.mp)
-        if np.any(nsq <= 0.0):
-            raise ValueError("zero vector")
-        JX = X.J()
-        return self.evaluate(X, JX, X, JX) / (nsq * nsq)
+        """sectional(X, JX): <X, JX> is exactly 0 and |JX|^2 = |X|^2 bit for
+        bit, so this is R(X, JX, X, JX) / |X|^4."""
+        return self.sectional(X, X.J())
 
     def ricci(self, Xi: FrameVector):
         """Sum of R(Xi, b, Xi, b) over the 2n orthonormal frame directions."""

@@ -13,7 +13,7 @@ the cusp with a punctured disk times C^(n-1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,13 +45,14 @@ class CuspParams:
     """Center period l > 0, horoball depth t0, ambient dimension n.
 
     The depth t0 must be finite with lambda(t0) = exp(-2 pi e^(-2 t0) / l)
-    > 0, since h_norm divides by it; a t0 so negative that e^(-2 t0)
-    overflows counts as lambda(t0) = 0.
+    > 0, since h_norm divides by it (by lam, computed here); a t0 so
+    negative that e^(-2 t0) overflows counts as lambda(t0) = 0.
     """
 
     l: float
     t0: float
     n: int
+    lam: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.l > 0.0:
@@ -66,6 +67,7 @@ class CuspParams:
             lam = 0.0
         if not lam > 0.0:  # lambda(t0) <= 1 for l > 0
             raise ValueError(f"t0 = {self.t0} and l = {self.l} give lambda(t0) = {lam}, not > 0")
+        object.__setattr__(self, "lam", lam)
 
 
 def lattice_act(g: HeisenbergElement, p: BundlePoint, cp: CuspParams) -> BundlePoint:
@@ -87,14 +89,13 @@ def h_norm(p: BundlePoint, cp: CuspParams) -> float:
     action cancel against the expansion of |v + w|^2 in the weight.
     """
     nv2 = float(np.vdot(p.v, p.v).real)
-    lam = lambda_const(cp.t0, cp.l)
     try:
         weight = math.exp(math.pi * nv2 / cp.l)
     except OverflowError:
         raise OverflowError(
             f"h_norm: exp(pi |v|^2 / l) overflows at l = {cp.l:g} and |v|^2 = {nv2:.6g}"
         ) from None
-    return weight * float(abs(p.a)) / lam
+    return weight * float(abs(p.a)) / cp.lam
 
 
 def bundle_curvature(cp: CuspParams) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Plurisubharmonicity toolkit: regularized maximum, convex gluing
 function, cusp exhaustion function, and a numeric complex-Hessian test.
 
-The regularized maximum is a two-variable mollification of max with a
-compactly supported kernel at scale eta; it dominates max, collapses to
-the larger argument once the gap exceeds 2 eta, and is symmetric and
-convex, which is what makes piecewise definitions of plurisubharmonic
-functions glue.  The convex gluing function chi is built from level-set
+The regularized maximum M = E max(x + eta U, y + eta V) mollifies max with
+a compactly supported kernel at scale eta.  For lo <= hi the sorted
+arguments it is hi + eta E((lo - hi) / eta + U - V)^+, a sum of hinges, so
+it dominates max exactly and equals it once the gap reaches (32/17) eta; it
+is symmetric and convex, which is what makes piecewise definitions of
+plurisubharmonic functions glue.  The convex gluing function chi is built from level-set
 data so that chi(psi) dominates phi sample by sample, with chi(0) = 0
 exact and nondecreasing slopes.
 """
@@ -37,33 +38,30 @@ class RegMaxParams:
             raise ValueError("eta must be positive")
 
 
-# the kernel on 33 nodes per axis; symmetric interior nodes keep its mean
-# exactly zero
-_KERNEL_U = np.arange(-16, 17) / 17.0
-_KERNEL_W = bump((_KERNEL_U + 1.0) / 2.0)
+# the kernel on the 33 nodes k/17, |k| <= 16; symmetric interior nodes keep
+# its mean exactly zero.  U - V, for U and V independent draws from it, takes
+# the offsets d/17, |d| <= 32, with the autocorrelation of the weights
+_KERNEL_W = bump((np.arange(-16, 17) / 17.0 + 1.0) / 2.0)
 _KERNEL_W = _KERNEL_W / _KERNEL_W.sum()
+_DIFF_U = np.arange(-32, 33) / 17.0
+_DIFF_W = np.correlate(_KERNEL_W, _KERNEL_W, "full")
 
 
-def reg_max(x: float, y: float, p: RegMaxParams) -> float:
-    """Mollified maximum M(x, y) at kernel scale eta.
+def reg_max(x, y, p: RegMaxParams):
+    """Mollified maximum M(x, y) = E max(x + eta U, y + eta V) at kernel
+    scale eta, elementwise over arrays; a float pair gives a float.
 
-    Exceeds max(x, y); equals y whenever y >= x + 2 eta; symmetric,
-    monotone, and convex as a mixture of shifted maxima.  Past the
-    collapse threshold every kernel point selects the dominant argument
-    and the kernel mean vanishes, so the identity M = max is returned
-    directly there instead of through quadrature roundoff.  The
-    quadrature takes its arguments in sorted order, so swapping them
-    gives the same bits.
+    With lo <= hi the sorted arguments and delta = (lo - hi) / eta, the
+    kernel's zero mean makes M = hi + eta E(delta + U - V)^+, one sum of 65
+    hinges along the last axis, so a batch entry keeps the bits of its pair
+    alone.  The hinges are >= 0 and vanish once hi - lo >= (32/17) eta, so
+    M >= max(x, y), and M = max(x, y) past that gap, hold exactly.  M is
+    symmetric bit for bit, monotone and convex.
     """
-    if x > y:
-        x, y = y, x
-    if y >= x + 2.0 * p.eta:
-        return y
-    ax = x + p.eta * _KERNEL_U
-    ay = y + p.eta * _KERNEL_U
-    grid = np.maximum(ax[:, None], ay[None, :])
-    # the kernel mean can round one ulp below y; M >= max(x, y) holds exactly
-    return max(float(_KERNEL_W @ grid @ _KERNEL_W), y)
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    hinges = np.maximum(((lo - hi) / p.eta)[..., None] + _DIFF_U, 0.0)
+    M = hi + p.eta * (hinges * _DIFF_W).sum(axis=-1)
+    return float(M) if M.ndim == 0 else M
 
 
 # ---------------------------------------------------------------------------

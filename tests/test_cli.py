@@ -168,8 +168,10 @@ class TestConfigUsageErrors:
         "argv",
         [
             ["verify", "profile", "--A", "700"],
+            ["verify", "curvature", "--A", "90"],
             ["verify", "psh", "--t0", "-5"],
             ["sweep", "A", "--from", "800", "--to", "800", "--steps", "1"],
+            ["sweep", "A", "--from", "180", "--to", "180", "--steps", "1"],
             ["sweep", "t", "--from", "0.5", "--to", "1", "--steps", "2", "--A", "1e6"],
         ],
     )
@@ -186,6 +188,7 @@ class TestConfigUsageErrors:
         [
             (["verify", "bundle", "--l", "0.05"], "l = 0.05", "exp(pi |v|^2 / l)"),
             (["verify", "profile", "--A", "700"], "A = 700", "exp(2 psi)"),
+            (["verify", "curvature", "--A", "90"], "t = 90", "(f f')^4"),
         ],
     )
     def test_overflow_names_key_and_step(self, tmp_path, capsys, argv, key, step):
@@ -271,7 +274,9 @@ def no_unitary_approximant(monkeypatch):
 
 def reg_max_far_above_the_diagonal(monkeypatch):
     reg_max = psh.reg_max
-    monkeypatch.setattr(psh, "reg_max", lambda x, y, p: 5.0 if x == y == 0.0 else reg_max(x, y, p))
+    monkeypatch.setattr(
+        psh, "reg_max", lambda x, y, p: np.where((x == 0.0) & (y == 0.0), 5.0, reg_max(x, y, p))[()]
+    )
 
 
 def nan_glued_at_an_outer_point(monkeypatch):

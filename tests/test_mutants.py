@@ -9,6 +9,7 @@ entry marked "survives" under which any check fails; the change that
 kills a survivor updates its entry.
 """
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -19,6 +20,8 @@ from cuspforge import cli, psh
 from cuspforge import curvature as cv
 from cuspforge import qfield_cayley as qc
 from cuspforge.cli import SuiteConfig, run_suite
+from cuspforge.cusp_bundle import BundlePoint
+from cuspforge.heisenberg_siegel import hermitian_product
 
 
 def _m1(hs_blocks):
@@ -85,6 +88,43 @@ def _first_kernel_vector(unipotent_fixed_vector):
     return lambda M, H: qc._rref_kernel(M - qc.QuadMatrix.identity(M.m, M.d))[0]
 
 
+def _unscaled_gap(reg_max):
+    # delta = lo - hi with the 1 / eta dropped: M = hi + eta (M_1 - hi) for
+    # M_1 the maximum at eta = 1; the two agree at eta = 1
+    def mutant(x, y, p):
+        hi = np.maximum(x, y)
+        return hi + p.eta * (reg_max(x, y, psh.RegMaxParams(eta=1.0)) - hi)
+
+    return mutant
+
+
+def _one_draw_kernel(reg_max):
+    # E(delta + U)^+ over the kernel of one draw U, where the difference
+    # U - V of two independent draws belongs: still symmetric, above max,
+    # equal to max past the band, and above the diagonal by less than 2 eta
+    def mutant(x, y, p):
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        hinges = np.maximum(((lo - hi) / p.eta)[..., None] + np.arange(-16, 17) / 17.0, 0.0)
+        return hi + p.eta * (hinges * psh._KERNEL_W).sum(axis=-1)
+
+    return mutant
+
+
+def _doubled_weight(h_norm):
+    # the weight exp(2 pi |v|^2 / l) in place of exp(pi |v|^2 / l)
+    return lambda p, cp: h_norm(p, cp) * math.exp(math.pi * float(np.vdot(p.v, p.v).real) / cp.l)
+
+
+def _flipped_pairing(lattice_act):
+    # + <v, w> in place of - <v, w> in the exponent of the action
+    def mutant(g, p, cp):
+        moved = lattice_act(g, p, cp)
+        shift = np.exp((4.0 * math.pi / cp.l) * hermitian_product(p.v, g.v))
+        return BundlePoint(complex(shift) * moved.a, moved.v)
+
+    return mutant
+
+
 class Mutant(NamedTuple):
     name: str
     suite: str
@@ -105,6 +145,11 @@ MUTANTS = [
     Mutant("flipped_imaginary_sum", "curvature", cv, "_pair_data", _flipped_imaginary_sum,
            "curvature.formula_vs_oracle"),
     Mutant("halved_rp_sq", "profile", sm, "step_jet", _halved_rp_sq, "survives: item 1"),
+    Mutant("unscaled_gap", "psh", psh, "reg_max", _unscaled_gap, "psh.reg_max_properties"),
+    Mutant("one_draw_kernel", "psh", psh, "reg_max", _one_draw_kernel, "survives: item 16"),
+    Mutant("doubled_weight", "bundle", cli, "h_norm", _doubled_weight, "bundle.h_norm_invariance"),
+    Mutant("flipped_pairing", "bundle", cli, "lattice_act", _flipped_pairing,
+           "bundle.h_norm_invariance"),
 ]
 
 
