@@ -24,6 +24,7 @@ import sys
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, asdict, replace
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 from typing import get_type_hints
@@ -108,6 +109,13 @@ class SuiteConfig:
 
     def cusp_params(self) -> CuspParams:
         return CuspParams(l=self.l, t0=self.t0, n=self.n)
+
+    @cached_property
+    def cutoff(self) -> profile.CutoffProfile:
+        """The cutoff profile at (A, window), built on first use and kept
+        with this config, so the suites of one run share one build; raises
+        ProfileError as build_cutoff does."""
+        return build_cutoff(self.A, self.window)
 
 
 # each int or float field of SuiteConfig is a config key with a flag of the
@@ -197,7 +205,7 @@ def _strict(value: float) -> float:
 
 
 def _profile_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
-    p = build_cutoff(cfg.A, cfg.window)
+    p = cfg.cutoff
     margins = p.positivity_margins()
     names = ("f", "fp", "fpp", "fppp")
     yield _strict(margins.min()), {k: float(v) for k, v in zip(names, margins)}
@@ -218,7 +226,7 @@ def _profile_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
 
 
 def _curvature_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
-    p = build_cutoff(cfg.A, cfg.window)
+    p = cfg.cutoff
 
     mp_exp = cv.MetricPoint.exp_model(0.0, cfg.n)
     bl = cv.hs_blocks(mp_exp)
@@ -463,16 +471,15 @@ def _psh_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
 
     cp = cfg.cusp_params()
     rng = np.random.default_rng(cfg.seed + 47)
-    eigs = []
+    centres = []
     for _ in range(100):
         v = rng.standard_normal(cfg.n - 1) + 1j * rng.standard_normal(cfg.n - 1)
         nv = float(np.linalg.norm(v))
         if nv > 0:
             v *= float(rng.uniform(0, 3.0)) / nv
-        z0 = np.concatenate([[0.0 + 0.0j], v])
-        rep = psh.complex_hessian(lambda z: psh.phi_cusp_ambient(z, cp), z0)
-        eigs.append(rep.min_eigenvalue)
-    min_eig = float(np.min(eigs))
+        centres.append(np.concatenate([[0.0 + 0.0j], v]))
+    rep = psh.complex_hessian(lambda z: psh.phi_cusp_ambient(z, cp), np.array(centres))
+    min_eig = float(np.min(rep.min_eigenvalue))
     yield _strict(min_eig), {"min_eigenvalue": min_eig}
 
     phi2 = lambda t: 10.0 - 3.0 * t
@@ -596,7 +603,7 @@ def run_sweep(axis: str, start: float, stop: float, steps: int, cfg: SuiteConfig
         outside = ~((0.0 < values) & (values <= cfg.A))
         if outside.any():
             raise ValueError(f"t = {values[outside][0]} outside (0, A]")
-        mp = cv.MetricPoint.from_profile(build_cutoff(cfg.A, cfg.window), values, cfg.n)
+        mp = cv.MetricPoint.from_profile(cfg.cutoff, values, cfg.n)
         summary = cv.sweep_summary(mp, cfg.seed)
     elif axis == "A":
         if np.any(values <= 0):
@@ -609,14 +616,14 @@ def run_sweep(axis: str, start: float, stop: float, steps: int, cfg: SuiteConfig
         # and lambda is computed as the rows are written
         replace(cfg, l=float(values[0]))
         keys = ((l, lambda_const(cfg.t0, l)) for l in map(float, values))
-        mp = cv.MetricPoint.from_profile(build_cutoff(cfg.A, cfg.window), cfg.A / 2.0, cfg.n)
+        mp = cv.MetricPoint.from_profile(cfg.cutoff, cfg.A / 2.0, cfg.n)
         # the summary does not depend on l
         summary = itertools.repeat(next(cv.sweep_summary(mp, cfg.seed)))
     elif axis == "n":
         ns = [int(round(v)) for v in values.tolist()]
         if min(ns) < 2:
             raise ValueError("n must be at least 2")
-        p = build_cutoff(cfg.A, cfg.window)
+        p = cfg.cutoff
         keys = zip(ns)
         points = [cv.MetricPoint.from_profile(p, cfg.A / 2.0, n) for n in ns]
         summary = itertools.chain.from_iterable(cv.sweep_summary(mp, cfg.seed) for mp in points)

@@ -14,10 +14,12 @@ exact and nondecreasing slopes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import profile
 from ._smoothstep import bump, step_integral
 from .cusp_bundle import BundlePoint, CuspParams, h_norm
 
@@ -194,58 +196,108 @@ def build_chi(
 
 @dataclass
 class HessianReport:
+    """The Levi form at one centre; at a batch of centres every field
+    gains a leading axis, and min_eigenvalue is an array."""
+
     matrix: np.ndarray
     eigenvalues: np.ndarray
-    min_eigenvalue: float
+    min_eigenvalue: float | np.ndarray
 
 
-def _raw_hessian(fn: Callable[[np.ndarray], float], z0: np.ndarray, h: float) -> np.ndarray:
-    m = z0.size
+@lru_cache(maxsize=8)
+def _stencil(m: int) -> tuple:
+    """The index tables of one stencil table in C^m: the unit steps dirs
+    along the 2m real coordinates r_a, the kept pairs a < b with their steps
+    plus and minus, the split points of the table's rows, and the strict
+    lower triangle (k, j)."""
     dirs = np.zeros((2 * m, m), dtype=complex)
     for j in range(m):
         dirs[2 * j, j] = 1.0
         dirs[2 * j + 1, j] = 1.0j
-    # one stencil table over the 2m real coordinates r_a: the centre, z0 +- h e_a
-    # and z0 +- h (e_a +- e_b) for a < b, leaving out the (Re z_j, Im z_j) pairs,
-    # which only feed Im H[j, j]: it stays exactly 0, as for a Hermitian matrix
+    # the (Re z_j, Im z_j) pairs are left out: they only feed Im H[j, j],
+    # which stays exactly 0, as for a Hermitian matrix
     a, b = np.triu_indices(2 * m, 1)
     keep = (a % 2 == 1) | (b != a + 1)
     a, b = a[keep], b[keep]
-    plus, minus = dirs[a] + dirs[b], dirs[a] - dirs[b]
-    table = [z0[None], z0 + h * dirs, z0 - h * dirs]
-    table += [z0 + h * plus, z0 + h * minus, z0 - h * minus, z0 - h * plus]
-    vals = np.array([fn(p) for p in np.concatenate(table)])
-    f0, fp, fm, pp, pm, mp, mm = np.split(vals, np.cumsum([len(t) for t in table[:-1]]))
+    cuts = np.cumsum([1, 2 * m, 2 * m] + [a.size] * 3)
+    return dirs, a, b, dirs[a] + dirs[b], dirs[a] - dirs[b], cuts, np.tril_indices(m, -1)
 
-    # d^2 fn / d r_a d r_b on and above the diagonal
-    second = np.zeros((2 * m, 2 * m))
-    np.fill_diagonal(second, (fp - 2.0 * f0 + fm) / h**2)
-    second[a, b] = (pp - pm - mp + mm) / (4.0 * h**2)
-    xx, yy = second[0::2, 0::2], second[1::2, 1::2]
-    xy, yx = second[0::2, 1::2], second[1::2, 0::2]
+
+def _raw_hessian(fn: Callable[[np.ndarray], float], z0: np.ndarray, h: list[float]) -> np.ndarray:
+    """Unextrapolated Levi forms at the centres z0, shape (b, m), with steps h."""
+    b_rows, m = z0.shape
+    dirs, a, b, plus, minus, cuts, (k, j) = _stencil(m)
+    # one stencil table per centre over the 2m real coordinates: the centre,
+    # z0 +- h e_a and z0 +- h (e_a +- e_b) for the kept pairs a < b
+    c, s = z0[:, None], np.array(h)[:, None, None]
+    table = np.concatenate(
+        [c, c + s * dirs, c - s * dirs, c + s * plus, c + s * minus, c - s * minus, c - s * plus],
+        axis=1,
+    )
+    vals = np.array([fn(p) for p in table.reshape(-1, m)]).reshape(b_rows, -1)
+    f0, fp, fm, pp, pm, mp, mm = np.split(vals, cuts, axis=1)
+
+    # d^2 fn / d r_a d r_b on and above the diagonal; h**2 as Python floats,
+    # so that a centre keeps the bits of a lone call
+    h2 = np.array([x**2 for x in h])[:, None]
+    second = np.zeros((b_rows, 2 * m, 2 * m))
+    diag = np.arange(2 * m)
+    second[:, diag, diag] = (fp - 2.0 * f0 + fm) / h2
+    second[:, a, b] = (pp - pm - mp + mm) / (4.0 * h2)
+    xx, yy = second[:, 0::2, 0::2], second[:, 1::2, 1::2]
+    xy, yx = second[:, 0::2, 1::2], second[:, 1::2, 0::2]
     H = 0.25 * (xx + yy) + 0.25j * (xy - yx)
-    k, j = np.tril_indices(m, -1)
-    H[k, j] = np.conj(H[j, k])
+    H[:, k, j] = np.conj(H[:, j, k])
     return H
 
 
-def complex_hessian(fn: Callable[[np.ndarray], float], z0: Sequence[complex]) -> HessianReport:
-    """Mixed second derivatives d^2 fn / dz_j dzbar_k at z0.
+def complex_hessian(
+    fn: Callable[[np.ndarray], float], z0: Sequence[complex] | np.ndarray
+) -> HessianReport:
+    """Mixed second derivatives d^2 fn / dz_j dzbar_k at one centre z0 of
+    shape (m,), or at each of a batch of centres of shape (B, m).
 
     Central differences in the four real directions per index pair, read
     from one stencil table per step size with each point evaluated once,
-    one Richardson halving.  The matrix is exactly Hermitian by
-    construction: the lower triangle is the conjugate of the upper one, the
-    diagonal is real, and the Richardson step commutes with conjugation.
-    The step is 1e-4 (1 + |z0|).
+    one Richardson halving.  The step is 1e-4 (1 + |z0|) per centre.  fn
+    takes one point of shape (m,) and is called once per table row:
+    2 (8 m^2 - 4 m + 1) times per centre.  The centres go through in
+    profile.blocks, a block's width being one centre's two tables in float64
+    elements, so a block's tables hold about BLOCK_ELEMENTS elements, or one
+    centre's where those are more.  Every step is elementwise or per
+    centre, so a centre keeps the bits of a lone call in any block.
+
+    The matrix is exactly Hermitian by construction: the lower triangle is
+    the conjugate of the upper one, the diagonal is real, and the Richardson
+    step commutes with conjugation.  A single centre gives a float
+    min_eigenvalue; a batch gives matrix (B, m, m), eigenvalues (B, m) and
+    min_eigenvalue (B,).  Raises ValueError on a centre without coordinates,
+    an empty batch or a centre that is not finite.
     """
-    z0 = np.asarray(z0, dtype=complex).reshape(-1)
-    h = 1e-4 * (1.0 + float(np.linalg.norm(z0)))
-    coarse = _raw_hessian(fn, z0, h)
-    fine = _raw_hessian(fn, z0, h / 2.0)
-    H = (4.0 * fine - coarse) / 3.0
+    z = np.asarray(z0, dtype=complex)
+    if z.ndim > 2:
+        raise ValueError(f"z0 must be one centre (m,) or a batch (B, m), got shape {z.shape}")
+    centres = z if z.ndim == 2 else z.reshape(1, -1)
+    count, m = centres.shape
+    if m == 0:
+        raise ValueError("a centre needs at least one coordinate")
+    if count == 0:
+        raise ValueError("the batch holds no centres")
+    finite = np.isfinite(centres).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"centre {int(np.argmin(finite))} is not finite")
+    steps = [1e-4 * (1.0 + float(np.linalg.norm(c))) for c in centres]
+    width = 4 * m * (8 * m * m - 4 * m + 1)  # two tables of m complex values a row
+    H = np.empty((count, m, m), dtype=complex)
+    for rows in profile.blocks(count, width):
+        h = steps[rows]
+        coarse = _raw_hessian(fn, centres[rows], h)
+        fine = _raw_hessian(fn, centres[rows], [x / 2.0 for x in h])
+        H[rows] = (4.0 * fine - coarse) / 3.0
     eigs = np.linalg.eigvalsh(H)
-    return HessianReport(matrix=H, eigenvalues=eigs, min_eigenvalue=float(eigs[0]))
+    if z.ndim < 2:
+        return HessianReport(matrix=H[0], eigenvalues=eigs[0], min_eigenvalue=float(eigs[0, 0]))
+    return HessianReport(matrix=H, eigenvalues=eigs, min_eigenvalue=eigs[:, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -555,6 +555,31 @@ class TestMainVerify:
         assert data["suite"] == "bundle"
         assert data["passed"] is True
 
+    def test_one_cutoff_build_per_run(self, monkeypatch, capsys):
+        # the profile and curvature suites share the config's one build, and
+        # each main call builds its own
+        calls = []
+
+        def counting(A, window):
+            calls.append((A, window))
+            return build_cutoff(A, window)
+
+        monkeypatch.setattr(cli, "build_cutoff", counting)
+        assert main(["verify", "all", "--samples", "50"]) == 0
+        assert calls == [(6.0, (1.0, 5.0))]
+        assert main(["verify", "all", "--samples", "50"]) == 0
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("suite", ["profile", "curvature", "all"])
+    def test_infeasible_window_exits_two(self, tmp_path, capsys, suite):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"window": [5.8, 5.9]}))
+        assert main(["verify", suite, "--config", str(cfg_file)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert lines[0].startswith("error: ") and "widen the window" in lines[0]
+
     def test_cayley_runs_witness_counts_the_approximations(self, tmp_path, monkeypatch):
         calls = []
 

@@ -67,6 +67,16 @@ def _flipped_imaginary_sum(pair_data):
     return mutant
 
 
+def _tripled_w_sq(bisectional):
+    # the |W|^2 term 2 g^2 a^2 alpha^2 |W|^2 read with 3 g^2; W = 0 at n = 2,
+    # where the two agree
+    def mutant(pair_data, mp):
+        a_sq, alpha_sq, _, _, _, dde = pair_data
+        return bisectional(pair_data, mp) - mp.g * mp.g * np.maximum(0.0, a_sq * alpha_sq - dde)
+
+    return mutant
+
+
 def _halved_rp_sq(step_jet):
     # S''' = (q2 + q1^2) S' with q2's -2 r'^2 / r^3 read as -r'^2 / r^3, for
     # r = x (1 - x); the two agree at x = 1/2.  Flipping the sign of q1^2
@@ -143,6 +153,8 @@ MUTANTS = [
     Mutant("fixed_vector_shortcut", "cayley", qc, "unipotent_fixed_vector",
            _first_kernel_vector, "cayley.fixed_vectors"),
     Mutant("flipped_imaginary_sum", "curvature", cv, "_pair_data", _flipped_imaginary_sum,
+           "curvature.formula_vs_oracle"),
+    Mutant("tripled_w_sq", "curvature", cv, "_bisectional", _tripled_w_sq,
            "curvature.formula_vs_oracle"),
     Mutant("halved_rp_sq", "profile", sm, "step_jet", _halved_rp_sq, "survives: item 1"),
     Mutant("unscaled_gap", "psh", psh, "reg_max", _unscaled_gap, "psh.reg_max_properties"),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspforge import profile
 from cuspforge._smoothstep import bump
 from cuspforge.cusp_bundle import CuspParams
 from cuspforge.psh import (
@@ -421,6 +422,53 @@ class TestComplexHessian:
             assert rep.matrix.tobytes() == ref_matrix.tobytes()
             assert rep.eigenvalues.tobytes() == ref_eigs.tobytes()
             assert np.array_equal(rep.matrix, rep.matrix.conj().T)
+
+    @pytest.mark.parametrize("per_block, sizes", [(1, [1] * 7), (3, [3, 3, 1])])
+    @pytest.mark.parametrize("n, calls", [(2, 50), (3, 122), (6, 530)])
+    def test_batch_matches_lone_calls(self, rng, monkeypatch, n, calls, per_block, sizes):
+        # a block's width is one centre's two stencil tables in float64
+        # elements, so these blocks hold 1 or 3 of the 7 centres and the
+        # seams fall inside the batch
+        monkeypatch.setattr(profile, "BLOCK_ELEMENTS", per_block * 2 * calls * n)
+        seen = []
+        blocks = profile.blocks
+        monkeypatch.setattr(
+            profile, "blocks", lambda count, width: [seen.append(r) or r for r in blocks(count, width)]
+        )
+        cp = CuspParams(l=2.0 * math.pi, t0=0.0, n=n)
+        centres = 0.4 * (rng.standard_normal((7, n)) + 1j * rng.standard_normal((7, n)))
+        centres[2, 0] = 0.0
+        shapes = []
+
+        def fn(z):
+            shapes.append(z.shape)
+            return phi_cusp_ambient(z, cp)
+
+        rep = complex_hessian(fn, centres)
+        assert [len(range(7)[r]) for r in seen] == sizes
+        assert shapes == [(n,)] * (7 * calls)
+        assert rep.matrix.shape == (7, n, n) and rep.eigenvalues.shape == (7, n)
+        for i, z0 in enumerate(centres):
+            lone = complex_hessian(lambda z: phi_cusp_ambient(z, cp), z0)
+            assert rep.matrix[i].tobytes() == lone.matrix.tobytes()
+            assert rep.eigenvalues[i].tobytes() == lone.eigenvalues.tobytes()
+            assert rep.min_eigenvalue[i] == lone.min_eigenvalue
+
+    @pytest.mark.parametrize(
+        "z0, message",
+        [
+            ([], "at least one coordinate"),
+            (np.zeros((0, 3), dtype=complex), "no centres"),
+            ([0.1, complex(np.nan, 0.0)], "centre 0 is not finite"),
+            ([[0.1, 0.2j], [0.3, np.inf]], "centre 1 is not finite"),
+            (np.zeros((2, 2, 2)), "one centre"),
+        ],
+    )
+    def test_rejects_malformed_centres(self, z0, message):
+        calls = []
+        with pytest.raises(ValueError, match=message):
+            complex_hessian(lambda z: calls.append(z) or 0.0, z0)
+        assert not calls
 
 
 def pairwise_raw_hessian(fn, z0, h):
