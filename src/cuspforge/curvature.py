@@ -98,11 +98,20 @@ class MetricPoint:
             raise ValueError("dimension n must be at least 2")
         if not np.all((self.f > 0.0) & (self.fp > 0.0) & (self.fpp > 0.0) & (self.fppp > 0.0)):
             raise ValueError("metric point requires f, f', f'', f''' > 0")
-        over = np.log(self.f) + np.log(self.fp) >= _LOG_G_MAX  # log g overflows nothing
+        log_g = np.log(self.f) + np.log(self.fp)  # log g overflows nothing
+        over = log_g >= _LOG_G_MAX
         if np.any(over):
             t = float(np.min(np.where(over, self.t, math.inf)))
             raise OverflowError(
                 f"curvature at t = {t:.6g}: g^4 = (f f')^4 overflows; keep A below about 88.7"
+            )
+        # below the least normal float g^2 loses its digits, and the
+        # curvature terms read NaN: t below about 1.5e-154 where f = cosh
+        under = 2.0 * log_g < np.log(np.finfo(float).tiny)
+        if np.any(under):
+            t = float(np.min(np.where(under, self.t, math.inf)))
+            raise ValueError(
+                f"curvature at t = {t:.6g}: g^2 = (f f')^2 underflows; keep t above about 1.5e-154"
             )
 
     def __getitem__(self, k) -> "MetricPoint":

@@ -206,47 +206,38 @@ class HessianReport:
 
 @lru_cache(maxsize=8)
 def _stencil(m: int) -> tuple:
-    """The index tables of one stencil table in C^m: the unit steps dirs
-    along the 2m real coordinates r_a, the kept pairs a < b with their steps
-    plus and minus, the split points of the table's rows, and the strict
-    lower triangle (k, j)."""
-    dirs = np.zeros((2 * m, m), dtype=complex)
-    for j in range(m):
-        dirs[2 * j, j] = 1.0
-        dirs[2 * j + 1, j] = 1.0j
-    # the (Re z_j, Im z_j) pairs are left out: they only feed Im H[j, j],
-    # which stays exactly 0, as for a Hermitian matrix
-    a, b = np.triu_indices(2 * m, 1)
-    keep = (a % 2 == 1) | (b != a + 1)
-    a, b = a[keep], b[keep]
-    cuts = np.cumsum([1, 2 * m, 2 * m] + [a.size] * 3)
-    return dirs, a, b, dirs[a] + dirs[b], dirs[a] - dirs[b], cuts, np.tril_indices(m, -1)
+    """The directions of one stencil table in C^m and the pairs j < k.
+
+    The m^2 complex lines are e_j, then e_j + e_k and e_j + i e_k for the
+    pairs; each line w is stepped along w and along i w, so a table holds
+    the centre and z0 +- h u for the 2 m^2 directions u: 4 m^2 + 1 rows,
+    and 2 (4 m^2 + 1) fn calls per centre over the two step sizes of
+    complex_hessian, which says why the step is 3e-4 (1 + |z0|)."""
+    j, k = np.triu_indices(m, 1)
+    eye = np.eye(m, dtype=complex)
+    lines = np.concatenate([eye, eye[j] + eye[k], eye[j] + 1j * eye[k]])
+    return np.concatenate([lines, 1j * lines]), j, k
 
 
 def _raw_hessian(fn: Callable[[np.ndarray], float], z0: np.ndarray, h: list[float]) -> np.ndarray:
     """Unextrapolated Levi forms at the centres z0, shape (b, m), with steps h."""
     b_rows, m = z0.shape
-    dirs, a, b, plus, minus, cuts, (k, j) = _stencil(m)
-    # one stencil table per centre over the 2m real coordinates: the centre,
-    # z0 +- h e_a and z0 +- h (e_a +- e_b) for the kept pairs a < b
+    dirs, j, k = _stencil(m)
     c, s = z0[:, None], np.array(h)[:, None, None]
-    table = np.concatenate(
-        [c, c + s * dirs, c - s * dirs, c + s * plus, c + s * minus, c - s * minus, c - s * plus],
-        axis=1,
-    )
-    vals = np.array([fn(p) for p in table.reshape(-1, m)]).reshape(b_rows, -1)
-    f0, fp, fm, pp, pm, mp, mm = np.split(vals, cuts, axis=1)
-
-    # d^2 fn / d r_a d r_b on and above the diagonal; h**2 as Python floats,
-    # so that a centre keeps the bits of a lone call
+    table = np.concatenate([c, c + s * dirs, c - s * dirs], axis=1)
+    f0, fp, fm = np.split(np.array([fn(p) for p in table.reshape(-1, m)]).reshape(b_rows, -1),
+                          [1, 1 + len(dirs)], axis=1)
+    # the Levi form on a line w is a quarter of fn's Laplacian there,
+    # L(w) = sum_jk H_jk w_j conj(w_k); h**2 as Python floats, so that a
+    # centre keeps the bits of a lone call
     h2 = np.array([x**2 for x in h])[:, None]
-    second = np.zeros((b_rows, 2 * m, 2 * m))
-    diag = np.arange(2 * m)
-    second[:, diag, diag] = (fp - 2.0 * f0 + fm) / h2
-    second[:, a, b] = (pp - pm - mp + mm) / (4.0 * h2)
-    xx, yy = second[:, 0::2, 0::2], second[:, 1::2, 1::2]
-    xy, yx = second[:, 0::2, 1::2], second[:, 1::2, 0::2]
-    H = 0.25 * (xx + yy) + 0.25j * (xy - yx)
+    along, across = np.split((fp - 2.0 * f0 + fm) / h2, 2, axis=1)
+    diag, re, im = np.split(0.25 * (along + across), [m, m + j.size], axis=1)
+    # L(e_j + e_k) and L(e_j + i e_k) are H_jj + H_kk + 2 Re H_jk and + 2 Im H_jk
+    both = diag[:, j] + diag[:, k]
+    H = np.zeros((b_rows, m, m), dtype=complex)
+    H[:, range(m), range(m)] = diag
+    H[:, j, k] = 0.5 * (re - both) + 0.5j * (im - both)
     H[:, k, j] = np.conj(H[:, j, k])
     return H
 
@@ -257,15 +248,22 @@ def complex_hessian(
     """Mixed second derivatives d^2 fn / dz_j dzbar_k at one centre z0 of
     shape (m,), or at each of a batch of centres of shape (B, m).
 
-    Central differences in the four real directions per index pair, read
-    from one stencil table per step size with each point evaluated once,
-    one Richardson halving.  The step is 1e-4 (1 + |z0|) per centre.  fn
-    takes one point of shape (m,) and is called once per table row:
-    2 (8 m^2 - 4 m + 1) times per centre.  The centres go through in
-    profile.blocks, a block's width being one centre's two tables in float64
-    elements, so a block's tables hold about BLOCK_ELEMENTS elements, or one
-    centre's where those are more.  Every step is elementwise or per
-    centre, so a centre keeps the bits of a lone call in any block.
+    fn is plurisubharmonic exactly when it is subharmonic on every complex
+    line, and the Levi form on a line w is a quarter of fn's Laplacian
+    there.  The m^2 lines e_j, e_j + e_k and e_j + i e_k (j < k) give H_jj,
+    Re H_jk and Im H_jk; each Laplacian is two central second differences,
+    along w and along i w.  One stencil table per step size holds the centre
+    and its 4 m^2 neighbours, each evaluated once, and one Richardson
+    halving follows.  The step is 3e-4 (1 + |z0|) per centre: at 1e-4 the
+    rounding of fn's values, amplified by 1/h^2, outweighs the truncation
+    the halving leaves, and at 3e-4 the truncation shows only where fn's
+    sixth derivatives are large.  fn takes one point of shape (m,) and is
+    called once per table row: 2 (4 m^2 + 1) times per centre.  The centres
+    go through in profile.blocks, a block's width being one centre's two
+    tables in float64 elements, so a block's tables hold about
+    BLOCK_ELEMENTS elements, or one centre's where those are more.  Every
+    step is elementwise or per centre, so a centre keeps the bits of a lone
+    call in any block.
 
     The matrix is exactly Hermitian by construction: the lower triangle is
     the conjugate of the upper one, the diagonal is real, and the Richardson
@@ -286,8 +284,8 @@ def complex_hessian(
     finite = np.isfinite(centres).all(axis=1)
     if not finite.all():
         raise ValueError(f"centre {int(np.argmin(finite))} is not finite")
-    steps = [1e-4 * (1.0 + float(np.linalg.norm(c))) for c in centres]
-    width = 4 * m * (8 * m * m - 4 * m + 1)  # two tables of m complex values a row
+    steps = [3e-4 * (1.0 + float(np.linalg.norm(c))) for c in centres]
+    width = 4 * m * (4 * m * m + 1)  # two tables of m complex values a row
     H = np.empty((count, m, m), dtype=complex)
     for rows in profile.blocks(count, width):
         h = steps[rows]

@@ -173,6 +173,8 @@ class TestConfigUsageErrors:
             ["sweep", "A", "--from", "800", "--to", "800", "--steps", "1"],
             ["sweep", "A", "--from", "180", "--to", "180", "--steps", "1"],
             ["sweep", "t", "--from", "0.5", "--to", "1", "--steps", "2", "--A", "1e6"],
+            # g^2 = (f f')^2 below the least normal float, where rows read NaN
+            ["sweep", "t", "--from", "1e-300", "--to", "1", "--steps", "2"],
         ],
     )
     def test_out_of_range_runs_exit_two(self, tmp_path, capsys, argv):

@@ -80,6 +80,17 @@ class TestMetricPoint:
         with pytest.raises(ValueError):
             MetricPoint.cosh_model(0.0, 3)
 
+    def test_rejects_g_squared_below_least_normal(self, default_profile):
+        # g = f f' is about t near 0, and g^2 leaves the normal floats at
+        # t of about 1.49e-154; the error names the least such t of a batch
+        ts = np.array([1e-300, 1e-200, 1.4e-154, 1.5e-154, 0.5])
+        with pytest.raises(ValueError, match=r"t = 1e-300: g\^2 = \(f f'\)\^2 underflows"):
+            MetricPoint.from_profile(default_profile, ts, 3)
+        with pytest.raises(ValueError, match=r"t = 1.4e-154: g\^2"):
+            MetricPoint.from_profile(default_profile, 1.4e-154, 8)
+        mp = MetricPoint.from_profile(default_profile, ts[3:], 3)
+        assert np.all(np.isfinite(mp.g * mp.g)) and np.min(mp.g * mp.g) >= np.finfo(float).tiny
+
 
 class TestFrameVector:
     def test_J_squares_to_minus_one(self, rng):

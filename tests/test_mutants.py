@@ -120,6 +120,12 @@ def _one_draw_kernel(reg_max):
     return mutant
 
 
+def _conjugated_levi_form(raw_hessian):
+    # Im H_jk read with the opposite sign off the diagonal: the transpose
+    # of the Levi form, whose eigenvalues are the same
+    return lambda fn, z0, h: raw_hessian(fn, z0, h).conj()
+
+
 def _doubled_weight(h_norm):
     # the weight exp(2 pi |v|^2 / l) in place of exp(pi |v|^2 / l)
     return lambda p, cp: h_norm(p, cp) * math.exp(math.pi * float(np.vdot(p.v, p.v).real) / cp.l)
@@ -159,6 +165,8 @@ MUTANTS = [
     Mutant("halved_rp_sq", "profile", sm, "step_jet", _halved_rp_sq, "survives: item 1"),
     Mutant("unscaled_gap", "psh", psh, "reg_max", _unscaled_gap, "psh.reg_max_properties"),
     Mutant("one_draw_kernel", "psh", psh, "reg_max", _one_draw_kernel, "survives: item 16"),
+    Mutant("conjugated_levi_form", "psh", psh, "_raw_hessian", _conjugated_levi_form,
+           "survives: item 5"),
     Mutant("doubled_weight", "bundle", cli, "h_norm", _doubled_weight, "bundle.h_norm_invariance"),
     Mutant("flipped_pairing", "bundle", cli, "lattice_act", _flipped_pairing,
            "bundle.h_norm_invariance"),
