@@ -12,6 +12,7 @@ the cusp with a punctured disk times C^(n-1).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -31,13 +32,29 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class BundlePoint:
-    """Fiber coordinate a and base chart coordinate v."""
+    """Fiber coordinate a and base chart coordinate v, or a batch of them.
 
-    a: complex
+    For one point v is flattened, so any array of n - 1 entries makes
+    one.  An a of shape (N,) makes a batch of N points, whose v has shape
+    (N, n - 1): row i is the point (a[i], v[i]).
+    """
+
+    a: complex | np.ndarray
     v: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=complex).reshape(-1))
+        if isinstance(self.a, np.ndarray) and self.a.ndim:
+            a = np.asarray(self.a, dtype=complex)
+            v = np.asarray(self.v, dtype=complex)
+            if a.ndim != 1 or v.ndim != 2 or v.shape[0] != a.shape[0]:
+                raise ValueError(
+                    f"a batch of a of shape {a.shape} needs v of shape (N, n - 1) with N = "
+                    f"{a.shape[0]}, got {v.shape}"
+                )
+            object.__setattr__(self, "a", a)
+        else:
+            v = np.asarray(self.v, dtype=complex).reshape(-1)
+        object.__setattr__(self, "v", v)
 
 
 @dataclass(frozen=True)
@@ -75,27 +92,60 @@ def lattice_act(g: HeisenbergElement, p: BundlePoint, cp: CuspParams) -> BundleP
 
     n_(s,w) . (a, v) = (exp((2 pi / l)(-|w|^2/2 - i s - <v, w>)) a, w + v).
     The central element n_(l,0) acts trivially since exp(-2 pi i) = 1.
+
+    g and p are each one point or a batch of N (see HeisenbergElement and
+    BundlePoint), and a batch meets the other side row by row, or a lone
+    point meets every row.  Two lone points give a Python complex exponent,
+    which cmath.exp takes, and a point with a Python complex a; anything
+    else gives an array exponent, which np.exp takes, and a batch.  Row i
+    has the lone action's v to the bit, and its a to within an ulp, since
+    numpy's complex product fuses a multiply-add that Python's does not.
+    The lone case keeps cmath because numpy's cost per call on a 0-d array
+    would outweigh the action itself.  Where the factor exp(...)
+    overflows, exp(pi |v|^2 / l) overflows too, so h_norm of the point
+    acted on raises first.
     """
     pairing = hermitian_product(p.v, g.v)
-    nw2 = float(np.vdot(g.v, g.v).real)
+    nw2 = hermitian_product(g.v, g.v).real
     expo = (2.0 * math.pi / cp.l) * (-0.5 * nw2 - 1j * g.s - pairing)
-    return BundlePoint(complex(np.exp(expo)) * p.a, g.v + p.v)
+    exp = cmath.exp if isinstance(expo, complex) else np.exp
+    return BundlePoint(exp(expo) * p.a, g.v + p.v)
 
 
-def h_norm(p: BundlePoint, cp: CuspParams) -> float:
+def h_norm(p: BundlePoint, cp: CuspParams) -> float | np.ndarray:
     """Bundle-metric norm lambda(t0)^(-1) exp(pi |v|^2 / l) |a|.
 
     Invariant under lattice_act: the |w|^2/2 and Re<v,w> terms in the
     action cancel against the expansion of |v + w|^2 in the weight.
+
+    One point gives a float through math.exp, whose cost per call is a
+    small part of numpy's on a 0-d array; phi_cusp makes thousands of
+    such calls per run.  A batch of N points gives an (N,) array through
+    np.exp, row i within an ulp or two of the lone norm of row i (np.exp
+    and math.exp differ by at most an ulp).  Either raises OverflowError,
+    naming l and |v|^2 of the first such row, where the weight overflows.
     """
-    nv2 = float(np.vdot(p.v, p.v).real)
-    try:
-        weight = math.exp(math.pi * nv2 / cp.l)
-    except OverflowError:
-        raise OverflowError(
-            f"h_norm: exp(pi |v|^2 / l) overflows at l = {cp.l:g} and |v|^2 = {nv2:.6g}"
-        ) from None
-    return weight * float(abs(p.a)) / cp.lam
+    v = p.v
+    if v.ndim == 1:
+        nv2 = float(np.vdot(v, v).real)
+        try:
+            weight = math.exp(math.pi * nv2 / cp.l)
+        except OverflowError:
+            raise _weight_overflow(cp, nv2) from None
+        return weight * float(abs(p.a)) / cp.lam
+    nv2 = np.vecdot(v, v).real
+    with np.errstate(over="ignore"):
+        weight = np.exp(math.pi * nv2 / cp.l)
+    over = np.isinf(weight)
+    if over.any():
+        raise _weight_overflow(cp, float(nv2[over.argmax()]))
+    return weight * np.abs(p.a) / cp.lam
+
+
+def _weight_overflow(cp: CuspParams, nv2: float) -> OverflowError:
+    return OverflowError(
+        f"h_norm: exp(pi |v|^2 / l) overflows at l = {cp.l:g} and |v|^2 = {nv2:.6g}"
+    )
 
 
 def bundle_curvature(cp: CuspParams) -> np.ndarray:

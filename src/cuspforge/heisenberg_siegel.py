@@ -35,30 +35,55 @@ __all__ = [
 ]
 
 
-def hermitian_product(v: np.ndarray, w: np.ndarray) -> complex:
-    """Standard Hermitian product, linear in v, conjugate-linear in w."""
+def hermitian_product(v: np.ndarray, w: np.ndarray) -> complex | np.ndarray:
+    """Standard Hermitian product, linear in v, conjugate-linear in w.
+
+    Two 1-D vectors give a Python complex through np.vdot.  Where either
+    is an (N, k) batch, the two broadcast over the leading axis and the
+    product runs along the last one (np.vecdot, which sums each row as
+    np.vdot sums the pair): an (N,) complex array, row i bit-equal to the
+    lone product of row i.
+    """
+    if v.ndim > 1 or w.ndim > 1:
+        return np.vecdot(w, v)
     return complex(np.vdot(w, v))
 
 
 @dataclass(frozen=True, eq=False)
 class HeisenbergElement:
-    """A point n_(s,v) of the Heisenberg group.
+    """A point n_(s,v) of the Heisenberg group, or a batch of them.
 
-    s is the central coordinate, v the horizontal complex (n-1)-vector.
+    s is the central coordinate, v the horizontal complex (n-1)-vector;
+    v is flattened, so any array of n - 1 entries makes one point.  An s
+    of shape (N,) makes a batch of N elements, whose v has shape
+    (N, n - 1): row i is the element (s[i], v[i]).  Every entry of every
+    row must be finite.
     """
 
-    s: float
+    s: float | np.ndarray
     v: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.v, dtype=complex).reshape(-1)
+        if isinstance(self.s, np.ndarray) and self.s.ndim:
+            s = np.asarray(self.s, dtype=float)
+            v = np.asarray(self.v, dtype=complex)
+            if s.ndim != 1 or v.ndim != 2 or v.shape[0] != s.shape[0]:
+                raise ValueError(
+                    f"a batch of s of shape {s.shape} needs v of shape (N, n - 1) with N = "
+                    f"{s.shape[0]}, got {v.shape}"
+                )
+            object.__setattr__(self, "s", s)
+            finite = np.isfinite(s).all() and np.isfinite(v.view(float)).all()
+        else:
+            v = np.asarray(self.v, dtype=complex).reshape(-1)
+            finite = math.isfinite(self.s) and np.all(np.isfinite(v.view(float)))
         object.__setattr__(self, "v", v)
-        if not (math.isfinite(self.s) and np.all(np.isfinite(v.view(float)))):
+        if not finite:
             raise ValueError("HeisenbergElement entries must be finite")
 
     @property
     def n(self) -> int:
-        return self.v.shape[0] + 1
+        return self.v.shape[-1] + 1
 
 
 @dataclass(frozen=True, eq=False)

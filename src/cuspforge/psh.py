@@ -310,7 +310,7 @@ def phi_cusp(a: complex, v: np.ndarray, cp: CuspParams) -> float:
     summand is the square of the lattice-invariant norm on the disk
     bundle, so the function descends to the quotient.
     """
-    p = BundlePoint(a, np.asarray(v, dtype=complex))
+    p = BundlePoint(a, v)
     return float(np.vdot(p.v, p.v).real) + h_norm(p, cp) ** 2
 
 

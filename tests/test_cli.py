@@ -191,6 +191,8 @@ class TestConfigUsageErrors:
             (["verify", "bundle", "--l", "0.05"], "l = 0.05", "exp(pi |v|^2 / l)"),
             (["verify", "profile", "--A", "700"], "A = 700", "exp(2 psi)"),
             (["verify", "curvature", "--A", "90"], "t = 90", "(f f')^4"),
+            # |v|^2 reaches about 2,000 at n = 1024, past 709.8 l / pi at l = 2 pi
+            (["verify", "bundle", "--n", "1024"], "l = 6.28319", "exp(pi |v|^2 / l)"),
         ],
     )
     def test_overflow_names_key_and_step(self, tmp_path, capsys, argv, key, step):
@@ -320,6 +322,34 @@ class TestRunSuite:
         names = [c.name for c in report.checks]
         assert "bundle.h_norm_invariance" in names
         assert report.timings
+
+    def test_bundle_pairs_act_in_one_batch(self, monkeypatch):
+        # the 1,000 invariance pairs fill one block at the default config:
+        # one action and two norms, where one call per pair made 1,000 and 2,000
+        calls = {"lattice_act": 0, "h_norm": 0}
+        for name in calls:
+            def counting(*args, name=name, fn=getattr(cli, name)):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(cli, name, counting)
+        assert run_suite(SuiteConfig(suite="bundle")).passed
+        assert calls == {"lattice_act": 1, "h_norm": 2}
+
+    def test_bundle_report_does_not_depend_on_the_block_size(self, monkeypatch):
+        def report():
+            data = json.loads(run_suite(SuiteConfig(suite="bundle")).to_json())
+            data.pop("timings")
+            return data
+
+        whole = report()
+        rows = []
+        act = cli.lattice_act
+        monkeypatch.setattr(cli, "lattice_act", lambda g, p, cp: rows.append(p.a.size) or act(g, p, cp))
+        # 8 float64 normals a pair at n = 3: 250 pairs a block
+        monkeypatch.setattr(profile, "BLOCK_ELEMENTS", 2000)
+        assert report() == whole
+        assert rows == [250] * 4
 
     def test_nan_norm_fails_the_bundle_check(self, monkeypatch):
         monkeypatch.setattr(cli, "h_norm", lambda p, cp: math.nan)

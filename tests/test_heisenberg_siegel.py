@@ -92,6 +92,33 @@ class TestGroupLaw:
         with pytest.raises(ValueError):
             HeisenbergElement(0.0, np.array([1.0, math.inf]))
 
+    @pytest.mark.parametrize("entry", ["s", "re v", "im v"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_row_of_a_batch_raises(self, rng, entry, bad):
+        s = rng.standard_normal(5)
+        v = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+        HeisenbergElement(s, v)
+        if entry == "s":
+            s[3] = bad
+        else:
+            v[3, 1] += bad if entry == "re v" else 1j * bad
+        with pytest.raises(ValueError, match="must be finite"):
+            HeisenbergElement(s, v)
+
+    def test_batch_keeps_its_rows(self, rng):
+        s = rng.standard_normal(4)
+        v = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        g = HeisenbergElement(s, v)
+        assert g.v.shape == (4, 2) and g.s.shape == (4,) and g.n == 3
+        np.testing.assert_array_equal(g.v, v)
+        # one point still flattens its v, whatever its shape
+        assert HeisenbergElement(0.5, v[:1]).v.shape == (2,)
+
+    @pytest.mark.parametrize("v_shape", [(3, 2), (4,), (4, 2, 1)])
+    def test_batch_shape_mismatch_raises(self, v_shape):
+        with pytest.raises(ValueError, match="needs v of shape"):
+            HeisenbergElement(np.zeros(4), np.zeros(v_shape))
+
 
 class TestMatrixModel:
     """The matrix model must be a faithful homomorphism into the unitary group of H."""
@@ -143,6 +170,20 @@ class TestHermitianForm:
         )
         assert hermitian_product(v, z * w) == pytest.approx(
             np.conj(z) * hermitian_product(v, w), rel=1e-12
+        )
+
+    def test_batch_rows_are_lone_products(self, rng):
+        # np.vecdot sums each row as np.vdot sums the lone pair: bit-equal
+        v, w = (rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3)) for _ in range(2))
+        lone = [hermitian_product(v[i], w[i]) for i in range(50)]
+        assert all(type(z) is complex for z in lone)
+        np.testing.assert_array_equal(hermitian_product(v, w), lone)
+        # a lone vector meets every row of a batch
+        np.testing.assert_array_equal(
+            hermitian_product(v, w[0]), [hermitian_product(v[i], w[0]) for i in range(50)]
+        )
+        np.testing.assert_array_equal(
+            hermitian_product(v[0], w), [hermitian_product(v[0], w[i]) for i in range(50)]
         )
 
     def test_form_signature_on_flag_basis(self):

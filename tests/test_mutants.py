@@ -127,16 +127,27 @@ def _conjugated_levi_form(raw_hessian):
 
 
 def _doubled_weight(h_norm):
-    # the weight exp(2 pi |v|^2 / l) in place of exp(pi |v|^2 / l)
-    return lambda p, cp: h_norm(p, cp) * math.exp(math.pi * float(np.vdot(p.v, p.v).real) / cp.l)
+    # the weight exp(2 pi |v|^2 / l) in place of exp(pi |v|^2 / l), row by
+    # row: |v|^2 along the last axis of one point or of a batch
+    return lambda p, cp: h_norm(p, cp) * np.exp(math.pi * np.vecdot(p.v, p.v).real / cp.l)
 
 
 def _flipped_pairing(lattice_act):
-    # + <v, w> in place of - <v, w> in the exponent of the action
+    # + <v, w> in place of - <v, w> in the exponent of the action, row by row
     def mutant(g, p, cp):
         moved = lattice_act(g, p, cp)
         shift = np.exp((4.0 * math.pi / cp.l) * hermitian_product(p.v, g.v))
-        return BundlePoint(complex(shift) * moved.a, moved.v)
+        return BundlePoint(shift * moved.a, moved.v)
+
+    return mutant
+
+
+def _dropped_central_phase(lattice_act):
+    # the action without the -i s term in its exponent, row by row; the
+    # bundle checks read only |a|, which the phase leaves as it is
+    def mutant(g, p, cp):
+        moved = lattice_act(g, p, cp)
+        return BundlePoint(np.exp((2.0j * math.pi / cp.l) * g.s) * moved.a, moved.v)
 
     return mutant
 
@@ -170,6 +181,8 @@ MUTANTS = [
     Mutant("doubled_weight", "bundle", cli, "h_norm", _doubled_weight, "bundle.h_norm_invariance"),
     Mutant("flipped_pairing", "bundle", cli, "lattice_act", _flipped_pairing,
            "bundle.h_norm_invariance"),
+    Mutant("dropped_central_phase", "bundle", cli, "lattice_act", _dropped_central_phase,
+           "survives: item 16"),
 ]
 
 
