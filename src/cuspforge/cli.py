@@ -336,7 +336,7 @@ def _bundle_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
     yield 1e-12 - worst, {"max_relative_drift": worst}
 
     curv = bundle_curvature(cp)
-    eigs = np.linalg.eigvalsh(0.5 * (curv + curv.T))
+    eigs = np.linalg.eigvalsh(curv)
     yield _strict(-np.max(eigs)), {"eigenvalues": [float(e) for e in eigs]}
 
     lam = lambda_const(cfg.t0, cfg.l)

@@ -19,8 +19,8 @@ Two independent curvature routes are implemented and cross-checked.
 
 * Closed forms: the 2x2 blocks G and F of the curvature operator on the
   wedges spanned by a horizontal unit X and Z, the full holomorphic
-  bisectional curvature R(Y ^ JY, Xi ^ JXi) expanded through the splitting
-  Xtilde = d X + e JX + W, and the Ricci quadratic form.
+  bisectional curvature R(Y ^ JY, Xi ^ JXi) and its trace, the Ricci form,
+  all in the coefficients h = 2 (f'/f)^2, m = f''/f, z = 3 f''/f + f'''/f'.
 
 * An oracle: the Koszul formula evaluated on the frame
   (d/dt, X_1, JX_1, ..., X_{n-1}, JX_{n-1}, Z) with the Heisenberg bracket
@@ -260,24 +260,25 @@ class CurvatureBlocks:
     F: np.ndarray
 
 
-def _warp_squares(mp: MetricPoint):
-    """(h1^2, h2^2, h3^2) = (4 (f'/f)^2, 3 f''/f + f'''/f', f''/f)."""
+def _curvature_coefficients(mp: MetricPoint):
+    """(h, m, z) = (2 (f'/f)^2, f''/f, 3 f''/f + f'''/f'): every closed
+    form below is built from these three.  With f = exp they are (2, 1, 4)."""
     r = mp.fp / mp.f
-    k = mp.fpp / mp.f
-    return 4.0 * (r * r), 3.0 * k + mp.fppp / mp.fp, k
+    m = mp.fpp / mp.f
+    return 2.0 * (r * r), m, 3.0 * m + mp.fppp / mp.fp
 
 
 def hs_blocks(mp: MetricPoint) -> CurvatureBlocks:
     """Blocks of the curvature operator in the normalized wedge basis.
 
-    G = [[-4 (f'/f)^2, -2 f''/f], [-2 f''/f, -3 f''/f - f'''/f']] and F has
-    all four entries equal to -f''/f.  With f = exp both collapse to the
-    constant-curvature values G = [[-4, -2], [-2, -4]], F = -ones.  For a
-    batch mp the two block axes come first.
+    G = [[-2h, -2m], [-2m, -z]] and F = -m ones, in the coefficients
+    h = 2 (f'/f)^2, m = f''/f, z = 3 f''/f + f'''/f'.  With f = exp they
+    are the constant-curvature values G = [[-4, -2], [-2, -4]], F = -ones.
+    For a batch mp the two block axes come first.
     """
-    h1sq, h2sq, k = _warp_squares(mp)
-    G = np.array([[-h1sq, -2.0 * k], [-2.0 * k, -h2sq]])
-    F = np.array([[-k, -k], [-k, -k]])
+    h, m, z = _curvature_coefficients(mp)
+    G = np.array([[-2.0 * h, -2.0 * m], [-2.0 * m, -z]])
+    F = np.array([[-m, -m], [-m, -m]])
     return CurvatureBlocks(G=G, F=F)
 
 
@@ -310,18 +311,17 @@ def bisectional(Y: FrameVector, Xi: FrameVector, mp: MetricPoint):
     """Holomorphic bisectional curvature R(Y ^ JY, Xi ^ JXi).
 
     Writing Y = a X + b Z + c JZ and Xi = alpha Xtilde + beta Z + gamma JZ
-    with X, Xtilde horizontal unit vectors, and Xtilde = d X + e JX + W,
+    with X, Xtilde horizontal unit vectors, and d + i e = mu(X, Xtilde),
 
-      -R = a^2 alpha^2 ((d^2 + e^2) f^4 h1^2 + 2 g^2 |W|^2)
-           + h2^2 g^4 (b^2 + c^2)(beta^2 + gamma^2)
-           + 2 f^2 g^2 h3^2 (a^2 (beta^2 + gamma^2) + alpha^2 (b^2 + c^2)
-              + 2 a alpha (b beta + c gamma) mu(X, Xtilde)
-              + 2 a alpha (c beta - b gamma) mu(X, J Xtilde)),
+      -R = h f^4 a^2 alpha^2 (1 + d^2 + e^2)
+           + z g^4 (b^2 + c^2)(beta^2 + gamma^2)
+           + 2 m f^2 g^2 (a^2 (beta^2 + gamma^2) + alpha^2 (b^2 + c^2)
+              + 2 a alpha (b beta + c gamma) d + 2 a alpha (c beta - b gamma) e)
 
-    which is nonpositive, and zero only for Y = 0 or Xi = 0.  Here |W| is
-    measured in the fixed inner product mu (so d^2 + e^2 + |W|^2 = 1); the
-    W coefficient is pinned against the Koszul oracle, which also fixes the
-    constant-curvature limit f = exp to the space-form values.
+    in the coefficients (h, m, z) of hs_blocks, with a^2 alpha^2 (d^2 + e^2)
+    = |<u_Y, u_Xi>|^2 in mu.  For m, z >= 0 each term is nonnegative, the
+    last by Cauchy-Schwarz, so R <= 0, and R = 0 only for Y = 0 or Xi = 0.
+    The Koszul oracle pins every sign.
     """
     return _bisectional(_pair_data(Y, Xi), mp)
 
@@ -329,12 +329,11 @@ def bisectional(Y: FrameVector, Xi: FrameVector, mp: MetricPoint):
 def _bisectional(pair_data: tuple, mp: MetricPoint):
     """bisectional from the _pair_data of (Y, Xi)."""
     f2, g2 = mp.f * mp.f, mp.g * mp.g
-    h1sq, h2sq, h3sq = _warp_squares(mp)
+    h, m, z = _curvature_coefficients(mp)
     a_sq, alpha_sq, bc_sq, bg_sq, cross, dde = pair_data
-    # a^2 alpha^2 |W|^2 = a^2 alpha^2 - a^2 alpha^2 (d^2 + e^2)
-    horiz = dde * (f2 * f2) * h1sq + 2.0 * g2 * np.maximum(0.0, a_sq * alpha_sq - dde)
-    central = h2sq * (g2 * g2) * bc_sq * bg_sq
-    mixed = 2.0 * f2 * g2 * h3sq * (a_sq * bg_sq + alpha_sq * bc_sq + cross)
+    horiz = h * (f2 * f2) * (a_sq * alpha_sq + dde)
+    central = z * (g2 * g2) * bc_sq * bg_sq
+    mixed = 2.0 * f2 * g2 * m * (a_sq * bg_sq + alpha_sq * bc_sq + cross)
     return -(horiz + central + mixed)
 
 
@@ -359,10 +358,10 @@ def _cauchy_schwarz_defect(pair_data: tuple):
 def ricci(Xi: FrameVector, mp: MetricPoint):
     """Ricci quadratic form of mu_{f,g}.
 
-    Ricci(Xi, Xi) = -(2 f f'' + 4 f'^2 + 2 (n-2) f'^2) alpha^2
-                    - ((2n+1) f f'^2 f'' + f^2 f' f''') (beta^2 + gamma^2)
-    with alpha^2 the squared Euclidean norm of the horizontal part.  With
-    f = exp this is the Einstein identity Ricci = -(2n+2) |Xi|^2.
+    Ricci(Xi, Xi) = -f^2 (n h + 2 m) alpha^2 - g^2 (z + 2 (n-1) m) (beta^2 + gamma^2)
+    with alpha^2 the squared Euclidean norm of the horizontal part, (h, m, z)
+    those of hs_blocks: the trace sum_i R(Xi ^ JXi, e_i ^ J e_i) over a
+    unitary frame.  With f = exp it is Einstein, Ricci = -(2n+2) |Xi|^2.
     """
     alpha_sq = _hdot(Xi.u, Xi.u)
     coef_h, coef_z = ricci_coefficients(mp)
@@ -370,16 +369,16 @@ def ricci(Xi: FrameVector, mp: MetricPoint):
 
 
 def ricci_coefficients(mp: MetricPoint):
-    """(coef_h, coef_z) with Ricci = -coef_h alpha^2 - coef_z (beta^2 + gamma^2).
+    """(coef_h, coef_z) = (f^2 (n h + 2 m), g^2 (z + 2 (n-1) m)), so that
+    Ricci = -coef_h alpha^2 - coef_z (beta^2 + gamma^2).
 
-    Horizontal and central vectors are Ricci eigenvectors with eigenvalues
+    The trace of bisectional over the unitary frame e_j / f (j < n), Z / g:
+    horizontal and central vectors are Ricci eigenvectors with eigenvalues
     -coef_h / f^2 and -coef_z / g^2 per unit metric norm.
     """
+    h, m, z = _curvature_coefficients(mp)
     n = mp.n
-    fp_sq = mp.fp * mp.fp
-    coef_h = 2.0 * mp.f * mp.fpp + 4.0 * fp_sq + 2.0 * (n - 2) * fp_sq
-    coef_z = (2 * n + 1) * mp.f * fp_sq * mp.fpp + mp.f * mp.f * mp.fp * mp.fppp
-    return coef_h, coef_z
+    return mp.f * mp.f * (n * h + 2.0 * m), mp.g * mp.g * (z + 2.0 * (n - 1) * m)
 
 
 # ---------------------------------------------------------------------------

@@ -212,11 +212,29 @@ class TestRicci:
         mp = MetricPoint.cosh_model(0.7, 3)
         H = FrameVector(np.array([1.0, 0.0]), 0.0, 0.0)
         C = FrameVector(np.zeros(2), 1.0, 0.0)
+        # the raw-jet expression, an independent reference for the trace
         coef_h = 2.0 * mp.f * mp.fpp + 4.0 * mp.fp**2 + 2.0 * mp.fp**2
         coef_z = 7.0 * mp.f * mp.fp**2 * mp.fpp + mp.f**2 * mp.fp * mp.fppp
         assert ricci(H, mp) == pytest.approx(-coef_h, rel=1e-14)
         assert ricci(C, mp) == pytest.approx(-coef_z, rel=1e-14)
-        assert ricci_coefficients(mp) == (coef_h, coef_z)
+        # the trace in the coefficients h, m, z, bit for bit
+        r, m = mp.fp / mp.f, mp.fpp / mp.f
+        h, z = 2.0 * (r * r), 3.0 * m + mp.fppp / mp.fp
+        f2, g2 = mp.f * mp.f, mp.g * mp.g
+        assert ricci_coefficients(mp) == (f2 * (3 * h + 2.0 * m), g2 * (z + 4.0 * m))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_trace_of_bisectional(self, rng, n):
+        # Kahler: Ricci(Y, Y) is the sum of R(Y ^ JY, e ^ Je) over the
+        # unitary frame e_j = unit_j / f, e_Z = Z / g; free jets, 200 draws
+        f, fp, fpp, fppp = rng.uniform(0.05, 3.0, (4, 200))
+        mp = MetricPoint(t=1.0, f=f, fp=fp, fpp=fpp, fppp=fppp, n=n)
+        Y = random_frame_vector(rng, n, (200,))
+        zero = np.zeros(200)
+        frame = [FrameVector(np.eye(n - 1)[j] / f[:, None], zero, zero) for j in range(n - 1)]
+        frame.append(FrameVector(np.zeros((200, n - 1)), 1.0 / mp.g, zero))
+        trace = sum(bisectional(Y, e, mp) for e in frame)
+        np.testing.assert_allclose(trace, ricci(Y, mp), rtol=1e-14, atol=0.0)
 
 
 class TestAuxiliaryIdentities:

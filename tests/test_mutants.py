@@ -68,11 +68,36 @@ def _flipped_imaginary_sum(pair_data):
 
 
 def _tripled_w_sq(bisectional):
-    # the |W|^2 term 2 g^2 a^2 alpha^2 |W|^2 read with 3 g^2; W = 0 at n = 2,
-    # where the two agree
+    # the horizontal term h f^4 a^2 alpha^2 (1 + d^2 + e^2) is
+    # 2 g^2 a^2 alpha^2 (2 (d^2 + e^2) + |W|^2) for Xtilde = d X + e JX + W;
+    # its |W|^2 share read with 3 g^2.  W = 0 at n = 2, where the two agree
     def mutant(pair_data, mp):
         a_sq, alpha_sq, _, _, _, dde = pair_data
-        return bisectional(pair_data, mp) - mp.g * mp.g * np.maximum(0.0, a_sq * alpha_sq - dde)
+        return bisectional(pair_data, mp) - mp.g * mp.g * (a_sq * alpha_sq - dde)
+
+    return mutant
+
+
+def _dropped_inner_product(bisectional):
+    # the horizontal term without its |<u_Y, u_Xi>|^2 part: h f^4 a^2 alpha^2
+    return lambda pair_data, mp: bisectional(pair_data[:5] + (0.0,), mp)
+
+
+def _z_over_f(coefficients):
+    # z = 3 f''/f + f'''/f' read with f'''/f; the two agree where f' = f,
+    # on all of [w1, A]
+    def mutant(mp):
+        h, m, _ = coefficients(mp)
+        return h, m, 3.0 * m + mp.fppp / mp.f
+
+    return mutant
+
+
+def _h_times_m(ricci_coefficients):
+    # the trace's 2 m read as h m; the two agree where f = f' = f''
+    def mutant(mp):
+        h, m, z = cv._curvature_coefficients(mp)
+        return mp.f * mp.f * (mp.n * h + h * m), mp.g * mp.g * (z + (mp.n - 1) * h * m)
 
     return mutant
 
@@ -173,6 +198,12 @@ MUTANTS = [
            "curvature.formula_vs_oracle"),
     Mutant("tripled_w_sq", "curvature", cv, "_bisectional", _tripled_w_sq,
            "curvature.formula_vs_oracle"),
+    Mutant("dropped_inner_product", "curvature", cv, "_bisectional", _dropped_inner_product,
+           "curvature.formula_vs_oracle"),
+    Mutant("z_over_f", "curvature", cv, "_curvature_coefficients", _z_over_f,
+           "curvature.block_operator"),
+    Mutant("h_times_m", "curvature", cv, "ricci_coefficients", _h_times_m,
+           "curvature.ricci_bounds"),
     Mutant("halved_rp_sq", "profile", sm, "step_jet", _halved_rp_sq, "survives: item 1"),
     Mutant("unscaled_gap", "psh", psh, "reg_max", _unscaled_gap, "psh.reg_max_properties"),
     Mutant("one_draw_kernel", "psh", psh, "reg_max", _one_draw_kernel, "survives: item 16"),
