@@ -23,7 +23,7 @@ import math
 import sys
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, fields, asdict, replace
+from dataclasses import dataclass, fields, asdict
 from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
@@ -60,6 +60,10 @@ def _is_finite_number(x) -> bool:
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """The validated config of one run.  `cutoff` and `cusp` are the run's
+    two built objects, made once and shared by its suites; as properties,
+    not fields, both stay out of to_dict and the config hash."""
+
     suite: str = "all"
     n: int = 3
     d: int = 1
@@ -88,8 +92,6 @@ class SuiteConfig:
             raise ValueError(f"window must be two finite numbers, got {w!r}")
         object.__setattr__(self, "window", tuple(w))
         qc.check_field(self.d)
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
         if self.samples < 1:
             raise ValueError("samples must be positive")
         if self.seed < 0:
@@ -98,17 +100,12 @@ class SuiteConfig:
             raise ValueError("eps outside the supported range [1e-12, 1e-2]")
         if not (0 < self.window[0] < self.window[1] < self.A):
             raise ValueError("window must sit strictly inside (0, A)")
-        if self.l <= 0:
-            raise ValueError("l must be positive")
-        self.cusp_params()  # rejects a t0 with lambda(t0) = 0
+        self.cusp  # rejects l <= 0, n < 2 and a t0 with lambda(t0) = 0
 
     def to_dict(self) -> dict:
         d = asdict(self)
         d["window"] = list(self.window)
         return d
-
-    def cusp_params(self) -> CuspParams:
-        return CuspParams(l=self.l, t0=self.t0, n=self.n)
 
     @cached_property
     def cutoff(self) -> profile.CutoffProfile:
@@ -116,6 +113,11 @@ class SuiteConfig:
         with this config, so the suites of one run share one build; raises
         ProfileError as build_cutoff does."""
         return build_cutoff(self.A, self.window)
+
+    @cached_property
+    def cusp(self) -> CuspParams:
+        """The cusp at (l, t0, n), built when the config is validated."""
+        return CuspParams(l=self.l, t0=self.t0, n=self.n)
 
 
 # each int or float field of SuiteConfig is a config key with a flag of the
@@ -313,12 +315,12 @@ def _curvature_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
 
 
 def _bundle_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
-    cp = cfg.cusp_params()
+    cp = cfg.cusp
     rng = np.random.default_rng(cfg.seed + 23)
     # the pairs' scalars first, then each row's 4(n - 1) normals (v and w,
     # real parts then imaginary) block by block: the draws, and so the
     # report, do not depend on the block size
-    count, k = min(cfg.samples, 1000), cfg.n - 1
+    count, k = min(cfg.samples, 1000), cp.n - 1
     radius, angle = rng.uniform(0.05, 0.9, count), rng.uniform(0, 2 * np.pi, count)
     s = rng.standard_normal(count)
     worst = -math.inf
@@ -339,12 +341,12 @@ def _bundle_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
     eigs = np.linalg.eigvalsh(curv)
     yield _strict(-np.max(eigs)), {"eigenvalues": [float(e) for e in eigs]}
 
-    lam = lambda_const(cfg.t0, cfg.l)
-    boundary = orbit_coords(0.0, np.zeros(cfg.n - 1), cfg.t0)
-    lam_q = abs(quotient_to_omega(boundary, cfg.l)[0])
+    lam = cp.lam  # the lambda h_norm divides by
+    boundary = orbit_coords(0.0, np.zeros(cp.n - 1), cp.t0)
+    lam_q = abs(quotient_to_omega(boundary, cp.l)[0])
     drift = abs(lam - lam_q)
     t_probe = 0.5 * cfg.A
-    elem = HeisenbergElement(0.3, np.zeros(cfg.n - 1))
+    elem = HeisenbergElement(0.3, np.zeros(cp.n - 1))
     a_disk, _ = cusp_to_disk(t_probe, elem, cfg.A)
     domain_err = None
     try:
@@ -475,11 +477,11 @@ def _psh_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
          "slopes": list(chi.slopes)},
     )
 
-    cp = cfg.cusp_params()
+    cp = cfg.cusp
     rng = np.random.default_rng(cfg.seed + 47)
     centres = []
     for _ in range(100):
-        v = rng.standard_normal(cfg.n - 1) + 1j * rng.standard_normal(cfg.n - 1)
+        v = rng.standard_normal(cp.n - 1) + 1j * rng.standard_normal(cp.n - 1)
         nv = float(np.linalg.norm(v))
         if nv > 0:
             v *= float(rng.uniform(0, 3.0)) / nv
@@ -617,10 +619,10 @@ def run_sweep(axis: str, start: float, stop: float, steps: int, cfg: SuiteConfig
         jets = np.array([_profile_for(A).jet_at(A / 2.0) for A in values.tolist()])
         summary = cv.sweep_summary(cv.MetricPoint.from_jet(values / 2.0, jets, cfg.n), cfg.seed)
     elif axis == "l":
-        # SuiteConfig's own checks reject l <= 0 and lambda(t0) = 0; lambda
-        # grows with l and the values ascend, so the first l decides for all,
-        # and lambda is computed as the rows are written
-        replace(cfg, l=float(values[0]))
+        # CuspParams rejects l <= 0 and lambda(t0) = 0; lambda grows with l
+        # and the values ascend, so the first l decides for all, and lambda
+        # is computed as the rows are written
+        CuspParams(l=float(values[0]), t0=cfg.t0, n=cfg.n)
         keys = ((l, lambda_const(cfg.t0, l)) for l in map(float, values))
         mp = cv.MetricPoint.from_profile(cfg.cutoff, cfg.A / 2.0, cfg.n)
         # the summary does not depend on l

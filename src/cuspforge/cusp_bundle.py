@@ -119,8 +119,8 @@ def h_norm(p: BundlePoint, cp: CuspParams) -> float | np.ndarray:
     action cancel against the expansion of |v + w|^2 in the weight.
 
     One point gives a float through math.exp, whose cost per call is a
-    small part of numpy's on a 0-d array; phi_cusp makes thousands of
-    such calls per run.  A batch of N points gives an (N,) array through
+    small part of numpy's on a 0-d array; phi_cusp_ambient makes thousands
+    of such calls per run.  A batch of N points gives an (N,) array through
     np.exp, row i within an ulp or two of the lone norm of row i (np.exp
     and math.exp differ by at most an ulp).  Either raises OverflowError,
     naming l and |v|^2 of the first such row, where the weight overflows.

@@ -303,21 +303,17 @@ def complex_hessian(
 # ---------------------------------------------------------------------------
 
 
-def phi_cusp(a: complex, v: np.ndarray, cp: CuspParams) -> float:
-    """|v|^2 plus the squared invariant fiber norm of (a, v).
+def phi_cusp_ambient(z: np.ndarray, cp: CuspParams) -> float:
+    """|v|^2 plus the squared invariant fiber norm of the joint vector
+    z = (a, v1, .., v_{n-1}).
 
     Equals |v|^2 + lambda(t0)^{-2} exp(2 pi |v|^2 / l) |a|^2; the second
     summand is the square of the lattice-invariant norm on the disk
     bundle, so the function descends to the quotient.
     """
-    p = BundlePoint(a, v)
-    return float(np.vdot(p.v, p.v).real) + h_norm(p, cp) ** 2
-
-
-def phi_cusp_ambient(z: np.ndarray, cp: CuspParams) -> float:
-    """phi_cusp as a function of the joint vector (a, v1, .., v_{n-1})."""
     z = np.asarray(z, dtype=complex).reshape(-1)
-    return phi_cusp(complex(z[0]), z[1:], cp)
+    p = BundlePoint(complex(z[0]), z[1:])
+    return float(np.vdot(p.v, p.v).real) + h_norm(p, cp) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from cuspforge import curvature as cv
 from cuspforge import profile
 from cuspforge import psh
 from cuspforge import qfield_cayley as qc
+from cuspforge.cusp_bundle import CuspParams
 from cuspforge.profile import GRID_POINTS, CutoffProfile, build_cutoff
 
 
@@ -71,9 +72,16 @@ class TestSuiteConfig:
         with pytest.raises(ValueError):
             SuiteConfig(l=-1.0)
 
-    def test_cusp_params_roundtrip(self):
-        cp = SuiteConfig(l=3.0, t0=0.5, n=4).cusp_params()
-        assert (cp.l, cp.t0, cp.n) == (3.0, 0.5, 4)
+    def test_cusp_is_one_cached_params(self):
+        from cuspforge.heisenberg_siegel import lambda_const
+
+        cfg = SuiteConfig(l=3.0, t0=0.5, n=4)
+        assert cfg.cusp is cfg.cusp
+        assert cfg.cusp == CuspParams(l=3.0, t0=0.5, n=4)
+        assert cfg.cusp.lam == lambda_const(0.5, 3.0)
+        # a property, not a field: the dict and the hash do not see it
+        assert "cusp" not in {f.name for f in dataclasses.fields(SuiteConfig)}
+        assert "cusp" not in cfg.to_dict()
 
 
 class TestConfigHash:
@@ -148,6 +156,9 @@ class TestConfigUsageErrors:
         (None, ["--l", "0.05"]),
         (None, ["--l", "1e-3"]),
         ("{not json", []),
+        (None, ["--l", "0"]),
+        (None, ["--l", "-1"]),
+        (None, ["--n", "1"]),
     ]
 
     @pytest.mark.parametrize("config,flags", CASES)
@@ -163,6 +174,8 @@ class TestConfigUsageErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in captured.err
+        if flags:
+            assert re.search(rf"\b{flags[0][2:]}\b", lines[0]), lines[0]
 
     @pytest.mark.parametrize(
         "argv",
@@ -602,6 +615,19 @@ class TestMainVerify:
         assert main(["verify", "all", "--samples", "50"]) == 0
         assert len(calls) == 2
 
+    def test_one_cusp_per_run(self, monkeypatch, capsys):
+        # the config validates its cusp, and the bundle and psh suites read
+        # that one
+        calls = []
+
+        def counting(**kwargs):
+            calls.append(kwargs)
+            return CuspParams(**kwargs)
+
+        monkeypatch.setattr(cli, "CuspParams", counting)
+        assert main(["verify", "all", "--samples", "50"]) == 0
+        assert calls == [{"l": 2.0 * math.pi, "t0": 0.0, "n": 3}]
+
     @pytest.mark.parametrize("suite", ["profile", "curvature", "all"])
     def test_infeasible_window_exits_two(self, tmp_path, capsys, suite):
         cfg_file = tmp_path / "cfg.json"
@@ -897,17 +923,18 @@ class TestSweep:
     def test_l_axis_validates_one_config_for_any_steps(self, tmp_path, monkeypatch):
         # lambda grows with l and the swept values ascend, so the first l
         # decides for all; a config per value took 0.24 of 0.43 s at 20,000
-        # steps
-        validated = []
+        # steps.  The run's one config is main's, and its cusp and the first
+        # l's are the two cusps validated
+        validated, cusps = [], []
         post_init = SuiteConfig.__post_init__
         monkeypatch.setattr(SuiteConfig, "__post_init__", lambda cfg: validated.append(cfg.l) or post_init(cfg))
-        counts = []
+        monkeypatch.setattr(cli, "CuspParams", lambda **kw: cusps.append(kw["l"]) or CuspParams(**kw))
         for steps in ("2", "50"):
             validated.clear()
+            cusps.clear()
             argv = ["sweep", "l", "--from", "1", "--to", "12", "--steps", steps]
             assert main([*argv, "--out", str(tmp_path / "sweep_l.csv")]) == 0
-            counts.append(len(validated))
-        assert counts[0] == counts[1]
+            assert validated == [2.0 * math.pi] and cusps == [2.0 * math.pi, 1.0]
 
     def test_single_point_sweep(self, tmp_path):
         out = tmp_path / "one.csv"

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from cuspforge import _smoothstep as sm
-from cuspforge import cli, psh
+from cuspforge import cli, cusp_bundle, psh
 from cuspforge import curvature as cv
 from cuspforge import qfield_cayley as qc
 from cuspforge.cli import SuiteConfig, run_suite
@@ -36,9 +36,13 @@ def _m1(hs_blocks):
     return mutant
 
 
-def _m2(phi_cusp):
-    # |v|^2 becomes |v|^2 / 2
-    return lambda a, v, cp: phi_cusp(a, v, cp) - 0.5 * float(np.vdot(v, v).real)
+def _m2(phi_cusp_ambient):
+    # |v|^2 becomes |v|^2 / 2, for v = z[1:] of the joint vector z = (a, v)
+    def mutant(z, cp):
+        v = np.asarray(z, dtype=complex).reshape(-1)[1:]
+        return phi_cusp_ambient(z, cp) - 0.5 * float(np.vdot(v, v).real)
+
+    return mutant
 
 
 def _m3(bundle_curvature):
@@ -177,6 +181,30 @@ def _dropped_central_phase(lattice_act):
     return mutant
 
 
+def _doubled_lambda_period(lambda_const):
+    # lambda(t0) at the period 2 l: a wrong lambda inside CuspParams, which
+    # h_norm divides by; the invariance check is blind to a constant factor
+    return lambda t0, l: lambda_const(t0, 2.0 * l)
+
+
+def _doubled_disk_angle(cusp_to_disk):
+    # (t e^(2 i s), v) in place of (t e^(i s), v); the disk check reads only |a|
+    def mutant(t, g, A):
+        a, v = cusp_to_disk(t, g, A)
+        return a * a / t, v
+
+    return mutant
+
+
+def _order_four_as_two(order_from_trace):
+    # the trace route reads the order of a fourth root of unity as 2
+    def mutant(alpha):
+        order = order_from_trace(alpha)
+        return 2 if order == 4 else order
+
+    return mutant
+
+
 class Mutant(NamedTuple):
     name: str
     suite: str
@@ -188,7 +216,7 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     Mutant("M1", "curvature", cv, "hs_blocks", _m1, "curvature.block_operator"),
-    Mutant("M2", "psh", psh, "phi_cusp", _m2, "survives: item 5"),
+    Mutant("M2", "psh", psh, "phi_cusp_ambient", _m2, "survives: item 5"),
     Mutant("M3", "bundle", cli, "bundle_curvature", _m3, "survives: items 5 and 20"),
     Mutant("swapped_coef_z", "curvature", cv, "ricci_coefficients", _swapped_coef_z,
            "curvature.ricci_bounds"),
@@ -214,6 +242,12 @@ MUTANTS = [
            "bundle.h_norm_invariance"),
     Mutant("dropped_central_phase", "bundle", cli, "lattice_act", _dropped_central_phase,
            "survives: item 16"),
+    Mutant("doubled_lambda_period", "bundle", cusp_bundle, "lambda_const", _doubled_lambda_period,
+           "bundle.disk_coordinates"),
+    Mutant("doubled_disk_angle", "bundle", cli, "cusp_to_disk", _doubled_disk_angle,
+           "survives: item 22"),
+    Mutant("order_four_as_two", "cayley", qc, "order_from_trace", _order_four_as_two,
+           "cayley.root_of_unity_orders"),
 ]
 
 

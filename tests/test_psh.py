@@ -18,7 +18,6 @@ from cuspforge.psh import (
     build_chi,
     complex_hessian,
     glue_exhaustion,
-    phi_cusp,
     phi_cusp_ambient,
     reg_max,
 )
@@ -539,7 +538,7 @@ def pairwise_complex_hessian(fn, z0):
 
 
 def cusp_levi_form(z, cp):
-    """The Levi form of phi_cusp at z = (a, v) in closed form: with
+    """The Levi form of phi_cusp_ambient at z = (a, v) in closed form: with
     c = 2 pi / l and E = exp(c |v|^2), H_aa = E / lambda^2, H_av_k =
     c E conj(a) v_k / lambda^2 and H_vv = I + |a|^2 E (c I + c^2 conj(v) v^T)
     / lambda^2."""
@@ -562,12 +561,19 @@ class TestPhiCusp:
         from cuspforge.heisenberg_siegel import lambda_const
 
         lam = lambda_const(CP.t0, CP.l)
-        assert phi_cusp(0.0, np.zeros(2), CP) == 0.0
-        assert phi_cusp(lam, np.zeros(2), CP) == pytest.approx(1.0, rel=1e-12)
+        assert phi_cusp_ambient(np.zeros(3), CP) == 0.0
+        assert phi_cusp_ambient([lam, 0.0, 0.0], CP) == pytest.approx(1.0, rel=1e-12)
 
-    def test_ambient_wrapper(self):
+    def test_closed_form_off_zero_section(self):
+        # |v|^2 + lambda^-2 exp(2 pi |v|^2 / l) |a|^2 at a != 0, on the
+        # joint vector and at a cusp other than CP's
+        from cuspforge.heisenberg_siegel import lambda_const
+
+        cp = CuspParams(l=3.0, t0=0.4, n=3)
         z = np.array([0.1 + 0.2j, 0.3, -0.4j])
-        assert phi_cusp_ambient(z, CP) == phi_cusp(complex(z[0]), z[1:], CP)
+        nv2 = 0.3**2 + 0.4**2
+        expect = nv2 + math.exp(2.0 * math.pi * nv2 / cp.l) * abs(z[0]) ** 2 / lambda_const(cp.t0, cp.l) ** 2
+        assert phi_cusp_ambient(z, cp) == pytest.approx(expect, rel=1e-14)
 
     def test_hessian_positive_on_zero_section(self, rng):
         for _ in range(15):
