@@ -7,9 +7,10 @@ along a parameter axis as CSV for external plotting.  Reports are
 deterministic for a fixed seed: everything except the timings field is
 byte-stable.
 
-`_SUITES` is the one table of checks: for each suite, the function that
-computes its results and the `Check`s they belong to, in report order.
-Each `Check` names the routes it compares, or says why it has only one.
+`_CHECKS` is the one table of checks, flat and in report order.  Each
+`Check` runs one function of the config, which returns its margin and
+witness, and names the routes it compares, or says why it has only one;
+its suite is its name up to the dot.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import math
 import sys
 import time
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, fields, asdict
 from functools import cached_property
 from fractions import Fraction
@@ -60,9 +61,10 @@ def _is_finite_number(x) -> bool:
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """The validated config of one run.  `cutoff` and `cusp` are the run's
-    two built objects, made once and shared by its suites; as properties,
-    not fields, both stay out of to_dict and the config hash."""
+    """The validated config of one run.  `cutoff`, `cusp`, `psi` and
+    `nodes` are the run's built objects, each made once and shared by the
+    checks that read it; as properties, not fields, they stay out of
+    to_dict and the config hash."""
 
     suite: str = "all"
     n: int = 3
@@ -119,6 +121,20 @@ class SuiteConfig:
         """The cusp at (l, t0, n), built when the config is validated."""
         return CuspParams(l=self.l, t0=self.t0, n=self.n)
 
+    @cached_property
+    def psi(self) -> profile.PsiSolution:
+        """psi solved on the cutoff from t_min = 0.05, read by both psi
+        checks."""
+        return solve_psi(self.cutoff, t_min=0.05)
+
+    @cached_property
+    def nodes(self) -> tuple[cv.MetricPoint, cv.CurvatureOracle]:
+        """The metric points at 40 nodes t from 0.05 to A, as a (40, 1)
+        batch, and their oracle, read by formula_vs_oracle and
+        block_operator; ricci_bounds reads its entry count."""
+        mp = cv.MetricPoint.from_profile(self.cutoff, np.linspace(0.05, self.A, 40)[:, None], self.n)
+        return mp, cv.CurvatureOracle(mp)
+
 
 # each int or float field of SuiteConfig is a config key with a flag of the
 # same name and type, in declaration order
@@ -156,16 +172,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(
-            self.to_json_dict(), sort_keys=True, indent=2, default=_unwrap_scalar
-        )
-
-
-def _unwrap_scalar(obj):
-    # numpy scalars reach witnesses through array reductions
-    if hasattr(obj, "item"):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
 def _config_hash(cfg: SuiteConfig) -> str:
@@ -175,24 +182,32 @@ def _config_hash(cfg: SuiteConfig) -> str:
 
 @dataclass(frozen=True)
 class Check:
-    """One entry of a suite: `routes` names, by function name, the
-    computations the check compares.  A check with a single route says in
-    `why_one_route` why it has no second one."""
+    """One entry of the report: `run` computes its (margin, witness) from
+    the config, and `routes` names, by function name, the computations it
+    compares.  A check with a single route says in `why_one_route` why it
+    has no second one."""
 
     name: str
+    run: Callable[[SuiteConfig], tuple[float, dict]]
     routes: tuple[str, ...]
     why_one_route: str = ""
 
+    @property
+    def suite(self) -> str:
+        return self.name.partition(".")[0]
+
 
 # ---------------------------------------------------------------------------
-# Check functions.  Each yields (margin, witness) for the checks of its
-# suite, in the order of the table below, and must be deterministic for a
-# fixed config; run_suite derives the pass flag from the margin alone.  The
-# margin is tolerance - error, the _least over the check's conditions, so a
-# check passes exactly when its margin is +0.0 or more, and a NaN fails.  A
-# strict condition v > 0 reads _strict(v), -0.0 at v = 0.  An exact
-# condition reads 0.0 when it holds and -1.0 when it fails; a check that
-# adds it to a numeric tolerance reads -1.0 when it fails.
+# Check functions.  One per check, named after it: each takes the config,
+# returns (margin, witness), and must be deterministic for a fixed config;
+# run_suite derives the pass flag from the margin alone.  A check draws from
+# its own seed offset and shares built objects only through the config's
+# cached properties, so it gives the same result run alone or in its suite.
+# The margin is tolerance - error, the _least over the check's conditions,
+# so a check passes exactly when its margin is +0.0 or more, and a NaN
+# fails.  A strict condition v > 0 reads _strict(v), -0.0 at v = 0.  An
+# exact condition reads 0.0 when it holds and -1.0 when it fails; a check
+# that adds it to a numeric tolerance reads -1.0 when it fails.
 # ---------------------------------------------------------------------------
 
 
@@ -206,30 +221,35 @@ def _strict(value: float) -> float:
     return float(value) or -0.0
 
 
-def _profile_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
-    p = cfg.cutoff
-    margins = p.positivity_margins()
+def _positive_derivatives(cfg: SuiteConfig) -> tuple[float, dict]:
+    margins = cfg.cutoff.positivity_margins()
     names = ("f", "fp", "fpp", "fppp")
-    yield _strict(margins.min()), {k: float(v) for k, v in zip(names, margins)}
-    j0 = p.jet_at(0.0)
-    jA = p.jet_at(cfg.A)
+    return _strict(margins.min()), {k: float(v) for k, v in zip(names, margins)}
+
+
+def _endpoint_jets_exact(cfg: SuiteConfig) -> tuple[float, dict]:
+    j0 = cfg.cutoff.jet_at(0.0)
+    jA = cfg.cutoff.jet_at(cfg.A)
     exact0 = tuple(j0) == (1.0, 0.0, 1.0, 0.0)
     exactA = jA[0] == jA[1] == jA[2] == jA[3]
     relA = abs(float(jA[0]) - math.exp(cfg.A)) / math.exp(cfg.A)
-    yield (
+    return (
         1e-10 - relA if exact0 and exactA else -1.0,
         {"jet0": [float(v) for v in j0], "jetA": [float(v) for v in jA]},
     )
-    sol = solve_psi(p, t_min=0.05)
-    res = sol.max_residual()
-    yield 1e-8 - res, {"residual": res}
-    idd = sol.identity_defect(cfg.window[1])
-    yield 1e-10 - idd, {"defect": idd}
 
 
-def _curvature_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
-    p = cfg.cutoff
+def _psi_residual(cfg: SuiteConfig) -> tuple[float, dict]:
+    res = cfg.psi.max_residual()
+    return 1e-8 - res, {"residual": res}
 
+
+def _psi_identity_exp_region(cfg: SuiteConfig) -> tuple[float, dict]:
+    idd = cfg.psi.identity_defect(cfg.window[1])
+    return 1e-10 - idd, {"defect": idd}
+
+
+def _space_form_blocks(cfg: SuiteConfig) -> tuple[float, dict]:
     mp_exp = cv.MetricPoint.exp_model(0.0, cfg.n)
     bl = cv.hs_blocks(mp_exp)
     dev = float(np.max(np.abs([bl.G - [[-4.0, -2.0], [-2.0, -4.0]], bl.F + 1.0])))
@@ -241,26 +261,29 @@ def _curvature_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
     s = oracle.sectional(X, Y)
     sec_lo, sec_hi = float(s.min()), float(s.max())
     band_lo, band_hi = -4.0 - 1e-8, -1.0 + 1e-8
-    yield (
+    return (
         _least(1e-12 - dev, 1e-8 - hsc_dev, sec_lo - band_lo, band_hi - sec_hi),
         {"block_deviation": dev, "hsc_deviation": hsc_dev, "sectional": [sec_lo, sec_hi]},
     )
 
+
+def _formula_vs_oracle(cfg: SuiteConfig) -> tuple[float, dict]:
     rng = np.random.default_rng(cfg.seed + 13)
-    t_nodes = np.linspace(0.05, cfg.A, 40)
     F = cv.random_frame_vector(rng, cfg.n, (40, max(2, min(cfg.samples, 400) // 40), 2))
     Y, Xi = F[:, :, 0], F[:, :, 1]
-    mp = cv.MetricPoint.from_profile(p, t_nodes[:, None], cfg.n)
-    nodes = cv.CurvatureOracle(mp)
+    mp, nodes = cfg.nodes
     ref = nodes.bisectional(Y, Xi)
     worst = float(np.max(np.abs(cv.bisectional(Y, Xi, mp) - ref) / (1.0 + np.abs(ref))))
-    yield 1e-6 - worst, {"max_relative_error": worst}
+    return 1e-6 - worst, {"max_relative_error": worst}
 
+
+def _block_operator(cfg: SuiteConfig) -> tuple[float, dict]:
     # hs_blocks' entries against the oracle's R at the same nodes, on the
     # wedges of X = e_1, JX, Z and JZ, each R divided by its four vectors'
     # squared norms: G on (X ^ JX, Z ^ JZ), F on (X ^ Z, JX ^ JZ).  One
     # evaluation takes the six entries G00, G01, G11, F00, F01 and F11, its
-    # (Y, Z, W, V) picked from (X, JX, Z, JZ); no draws, so no other check moves
+    # (Y, Z, W, V) picked from (X, JX, Z, JZ); no draws
+    mp, nodes = cfg.nodes
     e1 = np.eye(1, cfg.n - 1) * [[1.0], [1j]]
     basis = cv.FrameVector(np.vstack([e1, 0.0 * e1]), np.array([0.0, 0, 1, 0]), np.array([0.0, 0, 0, 1]))
     picks = ([0, 0, 2, 0, 0, 1], [1, 1, 3, 2, 2, 3], [0, 2, 2, 0, 1, 1], [1, 3, 3, 2, 3, 3])
@@ -274,12 +297,17 @@ def _curvature_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
     error = np.abs(closed - oracle_route) / (1.0 + np.abs(oracle_route))
     g_err, f_err = float(np.max(error[:, :3])), float(np.max(error[:, 3:]))
     # at most 1.1e-14 measured, at n = 2, 3, 5, 8 and 16
-    yield _least(1e-12 - g_err, 1e-12 - f_err), {"G_relative_error": g_err, "F_relative_error": f_err}
+    return _least(1e-12 - g_err, 1e-12 - f_err), {"G_relative_error": g_err, "F_relative_error": f_err}
 
-    cert = cv.hbc_certificate(p, cfg.samples, n=cfg.n, seed=cfg.seed)
+
+def _nonpositivity_certificate(cfg: SuiteConfig) -> tuple[float, dict]:
+    cert = cv.hbc_certificate(cfg.cutoff, cfg.samples, n=cfg.n, seed=cfg.seed)
     witness = ("max_value", "worst_interior_ratio", "min_cs_slack", "failures")
-    yield cert.margin, {key: getattr(cert, key) for key in witness}
+    return cert.margin, {key: getattr(cert, key) for key in witness}
 
+
+def _ricci_bounds(cfg: SuiteConfig) -> tuple[float, dict]:
+    p = cfg.cutoff
     rng = np.random.default_rng(cfg.seed + 17)
     draws = min(cfg.samples, 300)
     te = rng.uniform(cfg.window[1], cfg.A, draws)
@@ -299,22 +327,23 @@ def _curvature_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
     einstein = float(np.max(np.abs(ric_e + (2 * cfg.n + 2) * nsq) / np.maximum(1.0, nsq)))
     cosh_slack = float(np.max(ric_c + 2.0 * Xic.norm_sq(mpc)))
     # the oracle's Ricci trace at the same draws, in blocks of points: an
-    # oracle holds nnz values per point, as the point oracle above does
+    # oracle holds nnz values per point, the node oracle's entry count
+    nnz = cfg.nodes[1].rows.size
     ref = np.concatenate([
         cv.CurvatureOracle(mp[rows]).ricci(Xi[rows])
         for mp, Xi in ((mpe, Xie), (mpc, Xic), (mpg, Xig))
-        for rows in profile.blocks(draws, oracle.RL.size)
+        for rows in profile.blocks(draws, nnz)
     ])
     # relative, as Ricci is negative definite: at most 1.4e-12 measured, at
     # n = 2 for t down to 1e-8, where the oracle's terms cancel most
     oracle_dev = float(np.max(np.abs(np.concatenate([ric_e, ric_c, ric_g]) - ref) / np.abs(ref)))
-    yield (
+    return (
         _least(1e-8 - einstein, 1e-10 - cosh_slack, 1e-8 - oracle_dev),
         {"einstein_defect": einstein, "cosh_region_slack": cosh_slack, "oracle_deviation": oracle_dev},
     )
 
 
-def _bundle_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
+def _h_norm_invariance(cfg: SuiteConfig) -> tuple[float, dict]:
     cp = cfg.cusp
     rng = np.random.default_rng(cfg.seed + 23)
     # the pairs' scalars first, then each row's 4(n - 1) normals (v and w,
@@ -335,12 +364,16 @@ def _bundle_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
         # np.maximum keeps a nan, as one max over all pairs does
         worst = np.maximum(worst, np.max(drift))
     worst = float(worst)
-    yield 1e-12 - worst, {"max_relative_drift": worst}
+    return 1e-12 - worst, {"max_relative_drift": worst}
 
-    curv = bundle_curvature(cp)
-    eigs = np.linalg.eigvalsh(curv)
-    yield _strict(-np.max(eigs)), {"eigenvalues": [float(e) for e in eigs]}
 
+def _curvature_negative_definite(cfg: SuiteConfig) -> tuple[float, dict]:
+    eigs = np.linalg.eigvalsh(bundle_curvature(cfg.cusp))
+    return _strict(-np.max(eigs)), {"eigenvalues": [float(e) for e in eigs]}
+
+
+def _disk_coordinates(cfg: SuiteConfig) -> tuple[float, dict]:
+    cp = cfg.cusp
     lam = cp.lam  # the lambda h_norm divides by
     boundary = orbit_coords(0.0, np.zeros(cp.n - 1), cp.t0)
     lam_q = abs(quotient_to_omega(boundary, cp.l)[0])
@@ -353,13 +386,13 @@ def _bundle_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
         cusp_to_disk(cfg.A + 1.0, elem, cfg.A)
     except ValueError as e:
         domain_err = str(e)
-    yield (
+    return (
         _least(1e-12 - drift, 1e-12 - abs(abs(a_disk) - t_probe)) if domain_err is not None else -1.0,
         {"lambda": lam, "lambda_quotient_route": lam_q, "domain_error": domain_err},
     )
 
 
-def _cayley_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
+def _exact_unitarity(cfg: SuiteConfig) -> tuple[float, dict]:
     rng = np.random.default_rng(cfg.seed + 31)
 
     def draw() -> Fraction:
@@ -379,11 +412,13 @@ def _cayley_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
             all_exact &= qc.in_unitary_group(Mq, B.matrix(cfg.d))
             errors.append(np.max(np.abs(Mq.to_complex() - M)))
     worst_err = float(np.max(errors))
-    yield (
+    return (
         cfg.eps - worst_err if all_exact else -1.0,
         {"max_entry_error": worst_err, "eps": cfg.eps, "runs": len(errors)},
     )
 
+
+def _involution_and_fill(cfg: SuiteConfig) -> tuple[float, dict]:
     B = qc.HermitianDiagForm((Fraction(1), Fraction(2), Fraction(3)))
     S = qc.constraint_fill(
         {(0, 1): Fraction(1, 3), (0, 2): Fraction(-1, 5), (1, 2): Fraction(2, 7)},
@@ -395,11 +430,13 @@ def _cayley_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
     fill_ok = qc.in_cayley_image(S, B)
     M = qc.cayley(S)
     invol_ok = qc.cayley(M) == S and qc.in_unitary_group(M, B.matrix(cfg.d))
-    yield (
+    return (
         0.0 if fill_ok and invol_ok else -1.0,
         {"constraint_exact": fill_ok, "involution_exact": invol_ok},
     )
 
+
+def _fixed_vectors(cfg: SuiteConfig) -> tuple[float, dict]:
     H = qc.polarized_form_matrix(cfg.n, cfg.d)
     zeros = [qc.qzero(cfg.d)] * cfg.n
     vq = [qc.QuadElem(Fraction(1), Fraction(1, 2), cfg.d)] + zeros[: cfg.n - 2]
@@ -429,11 +466,13 @@ def _cayley_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
             fixed_ok = False
     vfix = qc.unipotent_fixed_vector(qc.QuadMatrix.identity(cfg.n + 1, cfg.d), H)
     ident_ok = qc.form_value(H, vfix, vfix).a <= 0
-    yield (
+    return (
         0.0 if fixed_ok and ident_ok else -1.0,
         {"heisenberg_case": fixed_ok, "identity_case": ident_ok},
     )
 
+
+def _root_of_unity_orders(cfg: SuiteConfig) -> tuple[float, dict]:
     orders, trace_orders = {}, {}
     ok = True
     cases = [("one", qc.qone(cfg.d), 1), ("minus_one", -qc.qone(cfg.d), 2)]
@@ -447,10 +486,10 @@ def _cayley_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
         orders[name] = qc.root_of_unity_power(qc.QuadMatrix([[alpha]]), [qc.qone(cfg.d)])
         trace_orders[name] = qc.order_from_trace(alpha)
         ok &= orders[name] == trace_orders[name] == want
-    yield 0.0 if ok else -1.0, {"orders": orders, "trace_orders": trace_orders}
+    return 0.0 if ok else -1.0, {"orders": orders, "trace_orders": trace_orders}
 
 
-def _psh_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
+def _reg_max_properties(cfg: SuiteConfig) -> tuple[float, dict]:
     pr = psh.RegMaxParams(eta=0.5)
     rng = np.random.default_rng(cfg.seed + 41)
     # one draw of (N, 2) is the stream of N draws of 2
@@ -459,11 +498,13 @@ def _psh_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
     collapse = psh.reg_max(z, z + 3 * pr.eta, pr) - (z + 3 * pr.eta)
     worst = float(np.max([np.abs(M - psh.reg_max(y, x, pr)), np.maximum(x, y) - M, np.abs(collapse)]))
     diag = psh.reg_max(0.0, 0.0, pr)
-    yield (
+    return (
         1e-9 - worst if 0.0 < diag < 2.0 * pr.eta else -1.0,
         {"worst_defect": worst, "diagonal_excess": diag},
     )
 
+
+def _chi_domination(cfg: SuiteConfig) -> tuple[float, dict]:
     rng = np.random.default_rng(cfg.seed + 43)
     radii = rng.uniform(0.05, 1.0, min(cfg.samples, 2000))
     phi_samples = [(float(r), 1.0 / float(r)) for r in radii]
@@ -471,12 +512,14 @@ def _psh_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
     chi = psh.build_chi(phi_samples, psi_samples)
     vals = chi(np.array([v for _, v in psi_samples]))
     margins = vals - np.array([v for _, v in phi_samples])
-    yield (
+    return (
         _strict(margins.min()) if chi(0.0) == 0.0 else -1.0,
         {"min_margin": float(margins.min()), "chi_at_zero": chi(0.0),
          "slopes": list(chi.slopes)},
     )
 
+
+def _phi_cusp_hessian(cfg: SuiteConfig) -> tuple[float, dict]:
     cp = cfg.cusp
     rng = np.random.default_rng(cfg.seed + 47)
     centres = []
@@ -488,82 +531,68 @@ def _psh_checks(cfg: SuiteConfig) -> Iterator[tuple[float, dict]]:
         centres.append(np.concatenate([[0.0 + 0.0j], v]))
     rep = psh.complex_hessian(lambda z: psh.phi_cusp_ambient(z, cp), np.array(centres))
     min_eig = float(np.min(rep.min_eigenvalue))
-    yield _strict(min_eig), {"min_eigenvalue": min_eig}
+    return _strict(min_eig), {"min_eigenvalue": min_eig}
 
+
+def _glue_outer_band(cfg: SuiteConfig) -> tuple[float, dict]:
     phi2 = lambda t: 10.0 - 3.0 * t
     psi2 = lambda t: 2.0 * t
     band = psh.GlueBand(
         inner=[0.1, 0.3], outer=[2.4, 2.7, 3.0], in_region=lambda t: t < 2.8
     )
-    glued = psh.glue_exhaustion(phi2, psi2, band, pr)
+    glued = psh.glue_exhaustion(phi2, psi2, band, psh.RegMaxParams(eta=0.5))
     outer_dev = float(np.max([abs(glued(t) - psi2(t)) for t in band.outer]))
     inner_ok = all(glued(t) >= phi2(t) for t in band.inner)
-    yield (
+    return (
         0.0 - outer_dev if inner_ok else -1.0,
         {"outer_deviation": outer_dev, "inner_dominates": inner_ok},
     )
 
 
-# The one table of checks: per suite, its check function and the checks
-# that function yields results for, in report order.
-_SUITES = {
-    "profile": (_profile_checks, (
-        Check("profile.positive_derivatives", ("CutoffProfile.positivity_margins",),
-              "samples f, f', f'', f''' on the build_cutoff grid only"),
-        Check("profile.endpoint_jets_exact", ("CutoffProfile.jet_at", "math.exp")),
-        Check("profile.psi_residual", ("solve_psi", "PsiSolution.max_residual")),
-        Check("profile.psi_identity_exp_region", ("solve_psi", "PsiSolution.identity_defect")),
-    )),
-    "curvature": (_curvature_checks, (
-        Check("curvature.space_form_blocks", ("hs_blocks", "CurvatureOracle.sectional")),
-        Check("curvature.formula_vs_oracle", ("bisectional", "CurvatureOracle.bisectional")),
-        Check("curvature.block_operator", ("hs_blocks", "CurvatureOracle.evaluate")),
-        Check("curvature.nonpositivity_certificate", ("hbc_certificate",),
-              "samples the one closed form bisectional at random points"),
-        Check("curvature.ricci_bounds", ("ricci", "CurvatureOracle.ricci")),
-    )),
-    "bundle": (_bundle_checks, (
-        Check("bundle.h_norm_invariance", ("h_norm", "lattice_act")),
-        Check("bundle.curvature_negative_definite", ("bundle_curvature",),
-              "reads the hard-coded -(2 pi / l) Id"),
-        Check("bundle.disk_coordinates", ("lambda_const", "quotient_to_omega")),
-    )),
-    "cayley": (_cayley_checks, (
-        Check("cayley.exact_unitarity", ("approximate_in_Ul", "in_unitary_group")),
-        Check("cayley.involution_and_fill", ("constraint_fill", "in_cayley_image")),
-        Check("cayley.fixed_vectors", ("unipotent_fixed_vector", "QuadMatrix.apply")),
-        Check("cayley.root_of_unity_orders", ("root_of_unity_power", "order_from_trace")),
-    )),
-    "psh": (_psh_checks, (
-        Check("psh.reg_max_properties", ("reg_max", "max")),
-        Check("psh.chi_domination", ("build_chi",), "runs on synthetic level sets"),
-        Check("psh.phi_cusp_hessian", ("complex_hessian",),
-              "trusts one finite-difference Hessian"),
-        Check("psh.glue_outer_band", ("glue_exhaustion",), "runs on synthetic linear candidates"),
-    )),
-}
-SUITES = (*_SUITES, "all")
+# The one table of checks, in report order; a check's suite is its name up
+# to the dot.
+_CHECKS = (
+    Check("profile.positive_derivatives", _positive_derivatives, ("CutoffProfile.positivity_margins",),
+          "samples f, f', f'', f''' on the build_cutoff grid only"),
+    Check("profile.endpoint_jets_exact", _endpoint_jets_exact, ("CutoffProfile.jet_at", "math.exp")),
+    Check("profile.psi_residual", _psi_residual, ("solve_psi", "PsiSolution.max_residual")),
+    Check("profile.psi_identity_exp_region", _psi_identity_exp_region,
+          ("solve_psi", "PsiSolution.identity_defect")),
+    Check("curvature.space_form_blocks", _space_form_blocks, ("hs_blocks", "CurvatureOracle.sectional")),
+    Check("curvature.formula_vs_oracle", _formula_vs_oracle, ("bisectional", "CurvatureOracle.bisectional")),
+    Check("curvature.block_operator", _block_operator, ("hs_blocks", "CurvatureOracle.evaluate")),
+    Check("curvature.nonpositivity_certificate", _nonpositivity_certificate, ("hbc_certificate",),
+          "samples the one closed form bisectional at random points"),
+    Check("curvature.ricci_bounds", _ricci_bounds, ("ricci", "CurvatureOracle.ricci")),
+    Check("bundle.h_norm_invariance", _h_norm_invariance, ("h_norm", "lattice_act")),
+    Check("bundle.curvature_negative_definite", _curvature_negative_definite, ("bundle_curvature",),
+          "reads the hard-coded -(2 pi / l) Id"),
+    Check("bundle.disk_coordinates", _disk_coordinates, ("lambda_const", "quotient_to_omega")),
+    Check("cayley.exact_unitarity", _exact_unitarity, ("approximate_in_Ul", "in_unitary_group")),
+    Check("cayley.involution_and_fill", _involution_and_fill, ("constraint_fill", "in_cayley_image")),
+    Check("cayley.fixed_vectors", _fixed_vectors, ("unipotent_fixed_vector", "QuadMatrix.apply")),
+    Check("cayley.root_of_unity_orders", _root_of_unity_orders, ("root_of_unity_power", "order_from_trace")),
+    Check("psh.reg_max_properties", _reg_max_properties, ("reg_max", "max")),
+    Check("psh.chi_domination", _chi_domination, ("build_chi",), "runs on synthetic level sets"),
+    Check("psh.phi_cusp_hessian", _phi_cusp_hessian, ("complex_hessian",),
+          "trusts one finite-difference Hessian"),
+    Check("psh.glue_outer_band", _glue_outer_band, ("glue_exhaustion",), "runs on synthetic linear candidates"),
+)
+SUITES = (*dict.fromkeys(check.suite for check in _CHECKS), "all")
 
 
 def run_suite(cfg: SuiteConfig) -> Report:
-    names = list(_SUITES) if cfg.suite == "all" else [cfg.suite]
     records: list[CheckRecord] = []
     timings: dict[str, float] = {}
-    for name in names:
-        check_fn, checks = _SUITES[name]
+    for check in _CHECKS:
+        if cfg.suite not in (check.suite, "all"):
+            continue
         start = time.perf_counter()
-        results = list(check_fn(cfg))
-        timings[name] = time.perf_counter() - start
-        if len(results) != len(checks):
-            # a program bug, not a usage error: main lets it propagate
-            raise RuntimeError(
-                f"the {name} suite gave {len(results)} results for {len(checks)} checks"
-            )
+        margin, witness = check.run(cfg)
+        timings[check.name] = time.perf_counter() - start
         # the one pass rule: +0.0 or more passes; -0.0 and a nan fail
-        records += [
-            CheckRecord(c.name, bool(margin >= 0.0) and math.copysign(1.0, margin) > 0.0, margin, witness)
-            for c, (margin, witness) in zip(checks, results)
-        ]
+        passed = bool(margin >= 0.0) and math.copysign(1.0, margin) > 0.0
+        records.append(CheckRecord(check.name, passed, margin, witness))
     return Report(
         suite=cfg.suite,
         config=cfg.to_dict(),
@@ -629,8 +658,8 @@ def run_sweep(axis: str, start: float, stop: float, steps: int, cfg: SuiteConfig
         summary = itertools.repeat(next(cv.sweep_summary(mp, cfg.seed)))
     elif axis == "n":
         ns = [int(round(v)) for v in values.tolist()]
-        if min(ns) < 2:
-            raise ValueError("n must be at least 2")
+        # CuspParams rejects n < 2; the values ascend, so the first n decides
+        CuspParams(l=cfg.l, t0=cfg.t0, n=ns[0])
         p = cfg.cutoff
         keys = zip(ns)
         points = [cv.MetricPoint.from_profile(p, cfg.A / 2.0, n) for n in ns]

@@ -83,6 +83,14 @@ class TestSuiteConfig:
         assert "cusp" not in {f.name for f in dataclasses.fields(SuiteConfig)}
         assert "cusp" not in cfg.to_dict()
 
+    def test_psi_and_nodes_are_cached_properties(self):
+        cfg = SuiteConfig(n=2)
+        assert cfg.psi is cfg.psi and cfg.nodes is cfg.nodes
+        mp, oracle = cfg.nodes
+        assert mp.f.shape == (40, 1) and oracle.mp is mp
+        field_names = {f.name for f in dataclasses.fields(SuiteConfig)}
+        assert not {"psi", "nodes"} & (field_names | set(cfg.to_dict()))
+
 
 class TestConfigHash:
     def test_stable(self):
@@ -526,11 +534,16 @@ class TestRunSuite:
             assert set(check) == {"name", "passed", "margin", "witness"}
 
 
-ALL_CHECKS = [check for _, checks in cli._SUITES.values() for check in checks]
+ALL_CHECKS = list(cli._CHECKS)
 CUSPFORGE_MODULES = [
     importlib.import_module(f"cuspforge.{info.name}")
     for info in pkgutil.iter_modules(cuspforge.__path__)
 ]
+
+
+@pytest.fixture(scope="module")
+def default_report() -> Report:
+    return run_suite(SuiteConfig())
 
 
 class TestCheckTable:
@@ -565,23 +578,20 @@ class TestCheckTable:
         assert callable(target), route
 
     def test_report_names_follow_the_table(self):
-        report = run_suite(SuiteConfig(samples=30))
-        assert [c.name for c in report.checks] == [c.name for c in ALL_CHECKS]
-        assert list(report.timings) == list(SUITES[:-1])
+        # a suite runs the checks its name prefixes, timed one by one
+        for suite in SUITES:
+            report = run_suite(SuiteConfig(suite=suite, samples=30))
+            names = [c.name for c in ALL_CHECKS if suite == "all" or c.name.startswith(suite + ".")]
+            assert [c.name for c in report.checks] == list(report.timings) == names
 
-    @pytest.mark.parametrize("extra", [-1, 1])
-    def test_result_count_mismatch_is_a_program_error(self, monkeypatch, extra):
-        check_fn, checks = cli._SUITES["bundle"]
-
-        def miscounted(cfg):
-            results = list(check_fn(cfg))
-            return results[:-1] if extra < 0 else [*results, results[-1]]
-
-        monkeypatch.setitem(cli._SUITES, "bundle", (miscounted, checks))
-        with pytest.raises(RuntimeError, match="bundle suite gave"):
-            run_suite(SuiteConfig(suite="bundle", samples=10))
-        with pytest.raises(RuntimeError):
-            main(["verify", "bundle", "--samples", "10"])
+    @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda c: c.name)
+    def test_check_alone_matches_its_record_in_verify_all(self, default_report, check):
+        # each check draws from its own seed offset and shares objects only
+        # through the config, so run alone on a fresh config it keeps its bits
+        record = next(r for r in default_report.checks if r.name == check.name)
+        margin, witness = check.run(SuiteConfig())
+        assert np.float64(margin).tobytes() == np.float64(record.margin).tobytes()
+        assert json.dumps(witness, sort_keys=True) == json.dumps(record.witness, sort_keys=True)
 
 
 class TestMainVerify:
@@ -614,6 +624,27 @@ class TestMainVerify:
         assert calls == [(6.0, (1.0, 5.0))]
         assert main(["verify", "all", "--samples", "50"]) == 0
         assert len(calls) == 2
+
+    def test_one_psi_solve_and_five_oracle_builds_per_run(self, monkeypatch, capsys):
+        # both psi checks read the config's one solve; formula_vs_oracle and
+        # block_operator share the node oracle, and the space-form point and
+        # ricci_bounds' three blocks build the other four
+        calls = {"solve_psi": 0, "oracle": 0}
+
+        def counting_solve(*args, **kwargs):
+            calls["solve_psi"] += 1
+            return profile.solve_psi(*args, **kwargs)
+
+        build = cv.CurvatureOracle.__init__
+
+        def counting_build(self, mp):
+            calls["oracle"] += 1
+            build(self, mp)
+
+        monkeypatch.setattr(cli, "solve_psi", counting_solve)
+        monkeypatch.setattr(cv.CurvatureOracle, "__init__", counting_build)
+        assert main(["verify", "all"]) == 0
+        assert calls == {"solve_psi": 1, "oracle": 5}
 
     def test_one_cusp_per_run(self, monkeypatch, capsys):
         # the config validates its cusp, and the bundle and psh suites read
@@ -958,7 +989,7 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "axis,lo,hi,message",
-        [("A", "3", "6", "no admissible profile at A = 3.0"), ("n", "1", "3", "n must be at least 2")],
+        [("A", "3", "6", "no admissible profile at A = 3.0"), ("n", "1", "3", "dimension n must be at least 2")],
         ids=["A", "n"],
     )
     def test_a_and_n_usage_errors_leave_no_file(self, tmp_path, capsys, axis, lo, hi, message):

@@ -254,7 +254,9 @@ MUTANTS = [
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
 def test_mutant_verdict(monkeypatch, mutant):
     monkeypatch.setattr(mutant.owner, mutant.attr, mutant.mutate(getattr(mutant.owner, mutant.attr)))
-    failed = [c.name for c in run_suite(SuiteConfig(suite=mutant.suite)).checks if not c.passed]
+    report = run_suite(SuiteConfig(suite=mutant.suite))
+    report.to_json()  # failing witnesses serialize too
+    failed = [c.name for c in report.checks if not c.passed]
     if mutant.verdict.startswith("survives"):
         assert not failed, f"{mutant.name} is killed by {failed}: update its entry"
     else:
