@@ -81,10 +81,6 @@ class HeisenbergElement:
         if not finite:
             raise ValueError("HeisenbergElement entries must be finite")
 
-    @property
-    def n(self) -> int:
-        return self.v.shape[-1] + 1
-
 
 @dataclass(frozen=True, eq=False)
 class SiegelPoint:
@@ -120,8 +116,7 @@ def to_matrix(g: HeisenbergElement) -> np.ndarray:
     entry (1,2) is -|v|^2/2 - i s, entries (1, 2+j) are -conj(v_j) and
     entries (2+j, 2) are v_j.
     """
-    n = g.n
-    m = np.eye(n + 1, dtype=complex)
+    m = np.eye(g.v.size + 2, dtype=complex)
     nv2 = float(np.vdot(g.v, g.v).real)
     m[0, 1] = -0.5 * nv2 - 1j * g.s
     m[0, 2:] = -np.conj(g.v)

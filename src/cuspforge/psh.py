@@ -309,11 +309,18 @@ def phi_cusp_ambient(z: np.ndarray, cp: CuspParams) -> float:
 
     Equals |v|^2 + lambda(t0)^{-2} exp(2 pi |v|^2 / l) |a|^2; the second
     summand is the square of the lattice-invariant norm on the disk
-    bundle, so the function descends to the quotient.
+    bundle, so the function descends to the quotient.  Raises
+    OverflowError, naming l and the norm, where that square overflows.
     """
     z = np.asarray(z, dtype=complex).reshape(-1)
     p = BundlePoint(complex(z[0]), z[1:])
-    return float(np.vdot(p.v, p.v).real) + h_norm(p, cp) ** 2
+    norm = h_norm(p, cp)
+    try:
+        return float(np.vdot(p.v, p.v).real) + norm**2
+    except OverflowError:
+        raise OverflowError(
+            f"phi_cusp_ambient: h_norm^2 overflows at l = {cp.l:g} and h_norm = {norm:.6g}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

@@ -347,9 +347,6 @@ class QuadMatrix:
         grid.flags.writeable = False
         return grid
 
-    def __getitem__(self, ij) -> QuadElem:
-        return QuadElem(Fraction(self.X[ij], self.D), Fraction(self.Y[ij], self.D), self.d)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuadMatrix):
             return NotImplemented
@@ -414,9 +411,6 @@ class QuadMatrix:
 
         rows = [[[s(x), s(y)] for x, y in zip(*xy)] for xy in zip(self.X, self.Y)]
         return json.dumps({"d": self.d, "m": self.m, "entries": rows})
-
-    def __repr__(self) -> str:
-        return f"QuadMatrix(m={self.m}, d={self.d})"
 
 
 @dataclass(frozen=True)

@@ -214,6 +214,8 @@ class TestConfigUsageErrors:
             (["verify", "curvature", "--A", "90"], "t = 90", "(f f')^4"),
             # |v|^2 reaches about 2,000 at n = 1024, past 709.8 l / pi at l = 2 pi
             (["verify", "bundle", "--n", "1024"], "l = 6.28319", "exp(pi |v|^2 / l)"),
+            # h_norm stays finite at l = 0.05 and |v| < 3, its square does not
+            (["verify", "psh", "--l", "0.05"], "l = 0.05", "h_norm^2"),
         ],
     )
     def test_overflow_names_key_and_step(self, tmp_path, capsys, argv, key, step):

@@ -109,7 +109,7 @@ class TestGroupLaw:
         s = rng.standard_normal(4)
         v = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         g = HeisenbergElement(s, v)
-        assert g.v.shape == (4, 2) and g.s.shape == (4,) and g.n == 3
+        assert g.v.shape == (4, 2) and g.s.shape == (4,)
         np.testing.assert_array_equal(g.v, v)
         # one point still flattens its v, whatever its shape
         assert HeisenbergElement(0.5, v[:1]).v.shape == (2,)

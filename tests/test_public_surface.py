@@ -1,76 +1,189 @@
-"""The public surface of the package.
+"""Reachability of the package's code, and the privacy of its modules.
 
-Every public function and class of src/cuspforge, and every public method,
-classmethod and property of those classes, must be reached by the program
-itself (a reported check or the CLI), by the benchmark, or by the acceptance
-gate.  A name that only other tests reach either becomes a route in a check
-or goes with its tests, unless RESERVED names it with the reason it stays.
+Every function of src/cuspforge counts: public or private, dunder, nested,
+property or cached property.  Each must run when the program runs, or be
+named in RESERVED with the reason it stays.  The program runs in one fresh
+interpreter under a sys.settrace global hook that records each code object
+it enters and returns None, so no line events are traced.  That
+interpreter runs ARGV through cli.main, each with its exit code checked,
+and one set of operations of each workload of perfbench/workloads.py, each
+checked ok.  A fresh interpreter is needed for two reasons: an lru_cache
+that earlier tests warmed would never enter its body, and some functions
+run only at import (_smoothstep.bump, through psh's _KERNEL_W).
 
-A use is a loaded Name or Attribute outside the definition itself: a Name
-or a module attribute such as cv.ricci reaches the module-level definition,
-any other attribute such as orc.ricci reaches the methods of that name.
-An attribute of another library, such as np.linalg.det, reaches nothing.
+A reason in RESERVED is one of three kinds, each with what it cites:
+- ("item", n): the ROADMAP item that claims the function;
+- ("error", test): an error path that the named test in tests/ reaches;
+- ("gate", test): the acceptance gate test (tests/test_acceptance.py) that
+  reaches it.  The gate is listed, not traced: it is pinned and takes
+  seconds.
 
 No module of src/cuspforge reaches another's private names: it loads no
 _-prefixed attribute of a package module and imports none by name.  The
 private module _smoothstep itself may be imported.
+
+Run as a script, `python tests/test_public_surface.py OUT_DIR` traces the
+program and writes the functions it entered to OUT_DIR/entered.json.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src" / "cuspforge").glob("*.py"))
-USERS = [
-    *SOURCES,
-    *sorted(p for p in (ROOT / "perfbench").glob("*.py") if p.name != "test_perfbench.py"),
-    ROOT / "tests" / "test_acceptance.py",
-]
+PACKAGE = ROOT / "src" / "cuspforge"
+SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = {p.stem for p in SOURCES}
+GATE = ROOT / "tests" / "test_acceptance.py"
+
+# (argv, exit code); each verify and sweep also gets --out in a scratch directory
+ARGV = [
+    # every suite; at --samples 20 psh.chi_domination builds a two-slope chi
+    (["verify", "all", "--samples", "20"], 0),
+    (["verify", "all", "--n", "2", "--samples", "20", "--d", "3"], 0),
+    *((["sweep", axis, "--from", lo, "--to", hi, "--steps", "2"], 0)
+      for axis, lo, hi in (("t", "0.5", "5.5"), ("A", "5", "9"), ("l", "1", "12"), ("n", "2", "5"))),
+    # overflow and underflow guards
+    (["verify", "curvature", "--A", "90"], 2),
+    (["verify", "bundle", "--l", "0.05"], 2),
+    (["verify", "psh", "--l", "0.05"], 2),
+    (["sweep", "t", "--from", "1e-300", "--to", "1", "--steps", "2"], 2),
+]
 
 RESERVED = {
-    "heisenberg_siegel.to_matrix": (
+    "heisenberg_siegel.to_matrix": ("item", 8,
         "the float route for the generators of the exact Heisenberg lattice "
-        "against heisenberg_matrix_exact (ROADMAP item 8)"
-    ),
-    "qfield_cayley.QuadElem.is_integral": (
-        "tests membership of the lattice generators in the ring of integers "
-        "(ROADMAP item 8)"
-    ),
-    "heisenberg_siegel.compose": (
+        "against heisenberg_matrix_exact"),
+    "qfield_cayley.QuadElem.is_integral": ("item", 8,
+        "tests membership of the lattice generators in the ring of integers"),
+    "heisenberg_siegel.compose": ("item", 16,
         "to be checked against lattice_act, whose action is a homomorphism, in "
-        "bundle.h_norm_invariance (ROADMAP item 16); a new check moves report bytes"
-    ),
-    "curvature.bianchi_check": (
-        "to become a Kahler-identity check on the oracle (ROADMAP item 16); a new "
-        "check moves report bytes"
-    ),
-    "profile.CutoffProfile.g_jet_at": (
+        "bundle.h_norm_invariance; a new check moves report bytes"),
+    "curvature.bianchi_check": ("item", 16,
+        "to become a Kahler-identity check on the oracle; a new check moves report bytes"),
+    "profile.CutoffProfile.g_jet_at": ("item", 14,
         "the benchmark traces it by name (perfbench/tracer.py, BENCHMARK.json); it "
-        "can go once the benchmark stops tracing it (ROADMAP item 14)"
-    ),
-    "qfield_cayley.QuadMatrix.inverse": (
+        "can go once the benchmark stops tracing it"),
+    "qfield_cayley.QuadMatrix.inverse": ("item", 14,
         "the benchmark traces it by name (perfbench/tracer.py, BENCHMARK.json); it "
-        "can go once the benchmark stops tracing it (ROADMAP item 14)"
+        "can go once the benchmark stops tracing it"),
+    **dict.fromkeys(
+        ("qfield_cayley.QuadElem.__add__", "qfield_cayley.QuadElem.__rsub__",
+         "qfield_cayley.QuadElem.__rtruediv__", "qfield_cayley.QuadElem.to_complex"),
+        ("item", 24, "the exact oracle over Q decides whether QuadElem keeps its arithmetic"),
+    ),
+    "psh.GlueError.__init__": ("error", "test_violated_margin_raises_with_witnesses",
+        "glue_exhaustion raises it with the band points that fail"),
+    "qfield_cayley.ApproximationError.__init__": ("error", "test_subnormal_eps_is_unreachable",
+        "approximate_in_Ul raises it when no grid reaches eps"),
+    "curvature.MetricPoint.__hash__": ("gate", "test_c01_hyperbolic_limit",
+        "keys oracle_for's cache (item 14)"),
+    "curvature.oracle_for": ("gate", "test_c01_hyperbolic_limit",
+        "the gate's cached oracle, which can go with its cache (item 14)"),
+    "curvature.MetricPoint.cosh_model": ("gate", "test_c04_ricci_bounds",
+        "the gate's cosh-model points (item 9)"),
+    "curvature.CertificateReport.passed": ("gate", "test_c03_nonpositivity_certificate",
+        "the gate's certificate verdict"),
+    "curvature.CertificateReport.summary": ("gate", "test_c03_nonpositivity_certificate",
+        "the gate's certificate line"),
+    **dict.fromkeys(
+        ("curvature.poly_P", "curvature.discriminant_inequality",
+         "curvature.CurvatureOracle.__call__", "curvature.FrameVector.__add__",
+         "curvature.FrameVector.__sub__", "curvature.FrameVector.__rmul__"),
+        ("gate", "test_c05_quartic_polynomial_identity",
+         "the gate's quartic identity and its frame arithmetic (item 13)"),
     ),
 }
 
 
 def definitions() -> dict:
-    """Qualified name -> (module, owning class or None, name) for each public
-    definition, with the module given by its file stem."""
+    """Qualified name -> (file name, first line, name) of every function
+    defined in SOURCES, the key a traced code object is matched by: a
+    decorated function's code starts at its first decorator."""
     found = {}
-    for path in SOURCES:
-        module = path.stem
-        for node in ast.parse(path.read_text()).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, prefix)
                 continue
-            found[f"{module}.{node.name}"] = (module, None, node.name)
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and item.name[0] != "_":
-                        found[f"{module}.{node.name}.{item.name}"] = (module, node.name, item.name)
+            qual = f"{prefix}.{child.name}"
+            if not isinstance(child, ast.ClassDef):
+                first = min([child.lineno, *(d.lineno for d in child.decorator_list)])
+                found[qual] = (path.name, first, child.name)
+            visit(child, qual)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text()), path.stem)
     return found
+
+
+def trace_program(out_dir: Path) -> list:
+    """[file name, first line, name] of each code object of src/cuspforge
+    entered while ARGV and one set of each workload's operations run; raises
+    AssertionError on a wrong exit code or a failed operation."""
+    entered = set()
+
+    def hook(frame, event, arg):
+        entered.add(frame.f_code)
+
+    sys.settrace(hook)
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import workloads
+
+    assert Path(workloads.cli.__file__).resolve().parent == PACKAGE, workloads.cli.__file__
+    wrong = []
+    for k, (argv, code) in enumerate(ARGV):
+        got, err = workloads._cli([*argv, "--out", str(out_dir / f"argv{k}.out")])
+        if got != code:
+            wrong.append(f"{' '.join(argv)}: exit {got}, not {code}; {err}")
+    for name, make in workloads.WORKLOADS.items():
+        failed = sum(not workloads.run_op(op).ok for op in make(0, out_dir))
+        if failed:
+            wrong.append(f"workload {name}: {failed} operations failed")
+    sys.settrace(None)
+    assert not wrong, "\n".join(wrong)
+    return [
+        [Path(c.co_filename).name, c.co_firstlineno, c.co_name]
+        for c in entered
+        if Path(c.co_filename).resolve().parent == PACKAGE
+    ]
+
+
+@pytest.fixture(scope="module")
+def unreached(tmp_path_factory) -> set:
+    """Qualified names of the functions a fresh traced interpreter never entered."""
+    out_dir = tmp_path_factory.mktemp("trace")
+    run = subprocess.run([sys.executable, __file__, str(out_dir)], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    entered = {tuple(key) for key in json.loads((out_dir / "entered.json").read_text())}
+    return {qual for qual, key in definitions().items() if key not in entered}
+
+
+def test_every_function_runs_or_is_reserved(unreached):
+    missing = unreached - set(RESERVED)
+    assert not missing, (
+        f"functions no CLI path or workload runs: {sorted(missing)}; make each a "
+        f"route in a check, delete it with its tests, or reserve it with a reason"
+    )
+
+
+def test_reserved_names_are_defined_and_unused(unreached):
+    stale = set(RESERVED) - set(definitions())
+    promoted = set(RESERVED) - unreached - stale
+    assert not stale, f"reserved names no longer defined: {sorted(stale)}"
+    assert not promoted, f"reserved names the program now runs, take them out of RESERVED: {sorted(promoted)}"
+    tests = {path: path.read_text() for path in (ROOT / "tests").glob("test_*.py")}
+    for qual, (kind, cite, why) in RESERVED.items():
+        assert kind in ("item", "error", "gate") and why.strip(), qual
+        cited = [text for path, text in tests.items() if kind == "error" or path == GATE]
+        assert kind == "item" or any(f"def {cite}(" in text for text in cited), (
+            f"{qual}: no test {cite} in {'tests/' if kind == 'error' else GATE.name}"
+        )
 
 
 def _aliases(tree: ast.AST) -> dict:
@@ -90,21 +203,6 @@ def _aliases(tree: ast.AST) -> dict:
     return out
 
 
-def _foreign(tree: ast.AST) -> set:
-    """Local names bound by imports of modules outside the package, such as
-    np for numpy and Fraction for fractions.Fraction."""
-    out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            out |= {a.asname or a.name.partition(".")[0] for a in node.names
-                    if a.name.partition(".")[0] != "cuspforge"}
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
-            node.module.partition(".")[0] != "cuspforge"
-        ):
-            out |= {a.asname or a.name for a in node.names}
-    return out
-
-
 def _dotted(node: ast.AST):
     if isinstance(node, ast.Name):
         return node.id
@@ -112,68 +210,6 @@ def _dotted(node: ast.AST):
         head = _dotted(node.value)
         return head and f"{head}.{node.attr}"
     return None
-
-
-def uses() -> list:
-    """(key, enclosing) per loaded Name or Attribute in USERS: key is
-    ("name", name), ("module", module, name) or ("method", name), and
-    enclosing the qualified definitions the use sits in."""
-    out = []
-    for path in USERS:
-        tree = ast.parse(path.read_text())
-        aliases, foreign = _aliases(tree), _foreign(tree)
-        module = path.stem if path in SOURCES else None
-
-        def visit(node, scope, enclosing):
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and module:
-                scope = f"{scope}.{node.name}"
-                enclosing = enclosing | {scope}
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                out.append((("name", node.id), enclosing))
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                owner = _dotted(node.value)
-                if owner in aliases:
-                    out.append((("module", aliases[owner], node.attr), enclosing))
-                elif owner is None or owner.partition(".")[0] not in foreign:
-                    out.append((("method", node.attr), enclosing))
-            for child in ast.iter_child_nodes(node):
-                visit(child, scope, enclosing)
-
-        visit(tree, module, frozenset())
-    return out
-
-
-def used_names() -> set:
-    """The qualified public definitions reached by some use outside themselves."""
-    keys = {}
-    for key, enclosing in uses():
-        keys.setdefault(key, []).append(enclosing)
-    used = set()
-    for qual, (module, cls, name) in definitions().items():
-        if cls is None:
-            candidates = keys.get(("name", name), []) + keys.get(("module", module, name), [])
-        else:
-            candidates = keys.get(("method", name), [])
-        if any(qual not in enclosing for enclosing in candidates):
-            used.add(qual)
-    return used
-
-
-def test_every_public_name_is_used_or_reserved():
-    unreached = set(definitions()) - used_names() - set(RESERVED)
-    assert not unreached, (
-        f"public names reached by no check, CLI path, benchmark file or gate test: "
-        f"{sorted(unreached)}; make each a route in a check, delete it with its "
-        f"tests, or reserve it with a reason"
-    )
-
-
-def test_reserved_names_are_defined_and_unused():
-    reserved = set(RESERVED)
-    stale, promoted = reserved - set(definitions()), reserved & used_names()
-    assert not stale, f"reserved names no longer defined: {sorted(stale)}"
-    assert not promoted, f"reserved names now in use, take them out of RESERVED: {sorted(promoted)}"
-    assert all(reason.strip() for reason in RESERVED.values())
 
 
 def private_reaches() -> list:
@@ -202,3 +238,8 @@ def test_no_module_reaches_another_modules_private_names():
         f"(module, private name of another module) pairs: {reaches}; make the name "
         f"public or keep its use inside its module"
     )
+
+
+if __name__ == "__main__":
+    out_dir = Path(sys.argv[1])
+    (out_dir / "entered.json").write_text(json.dumps(trace_program(out_dir)))

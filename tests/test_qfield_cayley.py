@@ -394,7 +394,7 @@ class TestGaussJordan:
         invertible = singular = needs_swap = 0
         for d, A in elimination_cases(rng):
             m = A.m
-            col0 = [A[r, 0].is_zero() for r in range(m)]
+            col0 = [e.is_zero() for e in A.entries[:, 0]]
             needs_swap += col0[0] and not all(col0)
             try:
                 expected = ref_inverse(A)
@@ -602,7 +602,7 @@ class TestConstraintFill:
 
     def test_entry_relations(self):
         B = HermitianDiagForm((1, 2, 3))
-        S = constraint_fill({(0, 2): Fraction(3, 4)}, {(1, 2): Fraction(1, 5)}, B, 1)
+        S = constraint_fill({(0, 2): Fraction(3, 4)}, {(1, 2): Fraction(1, 5)}, B, 1).entries
         # x_ji = -(b_ii / b_jj) x_ij and y_ji = +(b_ii / b_jj) y_ij
         assert S[(2, 0)] == QuadElem(Fraction(-1, 4), Fraction(0), 1)
         assert S[(2, 1)] == QuadElem(Fraction(0), Fraction(2, 15), 1)
@@ -610,7 +610,7 @@ class TestConstraintFill:
 
     def test_diagonal_is_purely_imaginary(self):
         B = HermitianDiagForm((1, 1))
-        S = constraint_fill({}, {(0, 0): Fraction(1, 2)}, B, 3)
+        S = constraint_fill({}, {(0, 0): Fraction(1, 2)}, B, 3).entries
         assert S[(0, 0)] == QuadElem(Fraction(0), Fraction(1, 2), 3)
 
     def test_data_off_the_free_positions_rejected(self):
@@ -836,7 +836,7 @@ class TestApproximateInUl:
         for d in (1, 2, 3, 7):
             A, B = generic_approximant(rng, m, d, eps)
             assert in_unitary_group(A, B.matrix(d))
-            S = cayley(A)
+            S = cayley(A).entries
             free = [S[i, j].a for i in range(m) for j in range(i + 1, m)]
             free += [S[i, j].b for i in range(m) for j in range(i, m)]
             dens = [c.denominator for c in free]
@@ -861,7 +861,7 @@ class TestIntegerRoute:
             assert max_denominator(A) > 2**64
             assert in_unitary_group(A, H)
             for i, j in np.ndindex(3, 3):
-                e = A[i, j]
+                e = A.entries[i, j]
                 for moved in (QuadElem(e.a + step, e.b, d), QuadElem(e.a, e.b - step, d)):
                     M = with_entries(A, {(i, j): moved})
                     assert not in_unitary_group(M, H), (d, i, j, moved)
