@@ -38,47 +38,43 @@ __all__ = [
 def hermitian_product(v: np.ndarray, w: np.ndarray) -> complex | np.ndarray:
     """Standard Hermitian product, linear in v, conjugate-linear in w.
 
-    Two 1-D vectors give a Python complex through np.vdot.  Where either
-    is an (N, k) batch, the two broadcast over the leading axis and the
-    product runs along the last one (np.vecdot, which sums each row as
-    np.vdot sums the pair): an (N,) complex array, row i bit-equal to the
-    lone product of row i.
+    One np.vecdot along the last axis, broadcasting over the leading ones:
+    two lone vectors give a Python complex, and an (N, k) batch on either
+    side an (N,) array whose row i is bit-equal to the lone product of row
+    i.  The layer's squared norms come from here, bar h_norm's one point.
     """
-    if v.ndim > 1 or w.ndim > 1:
-        return np.vecdot(w, v)
-    return complex(np.vdot(w, v))
+    z = np.vecdot(w, v)
+    return complex(z) if z.ndim == 0 else z
 
 
 @dataclass(frozen=True, eq=False)
 class HeisenbergElement:
     """A point n_(s,v) of the Heisenberg group, or a batch of them.
 
-    s is the central coordinate, v the horizontal complex (n-1)-vector;
-    v is flattened, so any array of n - 1 entries makes one point.  An s
-    of shape (N,) makes a batch of N elements, whose v has shape
-    (N, n - 1): row i is the element (s[i], v[i]).  Every entry of every
-    row must be finite.
+    s is the central coordinate, v the horizontal complex (n-1)-vector.  A
+    0-d s makes one point, stored as given, whose v is flattened, so any
+    array of n - 1 entries will do.  An s of shape (N,), a list included,
+    makes a batch of N elements with v of shape (N, n - 1): row i is the
+    element (s[i], v[i]).  Every entry of every row must be finite.
     """
 
     s: float | np.ndarray
     v: np.ndarray
 
     def __post_init__(self) -> None:
-        if isinstance(self.s, np.ndarray) and self.s.ndim:
-            s = np.asarray(self.s, dtype=float)
-            v = np.asarray(self.v, dtype=complex)
+        s = np.asarray(self.s, dtype=float)
+        v = np.asarray(self.v, dtype=complex)
+        if s.ndim:
             if s.ndim != 1 or v.ndim != 2 or v.shape[0] != s.shape[0]:
                 raise ValueError(
                     f"a batch of s of shape {s.shape} needs v of shape (N, n - 1) with N = "
                     f"{s.shape[0]}, got {v.shape}"
                 )
             object.__setattr__(self, "s", s)
-            finite = np.isfinite(s).all() and np.isfinite(v.view(float)).all()
         else:
-            v = np.asarray(self.v, dtype=complex).reshape(-1)
-            finite = math.isfinite(self.s) and np.all(np.isfinite(v.view(float)))
+            v = v.reshape(-1)
         object.__setattr__(self, "v", v)
-        if not finite:
+        if not (np.isfinite(s).all() and np.isfinite(v.view(float)).all()):
             raise ValueError("HeisenbergElement entries must be finite")
 
 
@@ -94,7 +90,7 @@ class SiegelPoint:
 
     def defect(self) -> float:
         """2 Re(a) + |v|^2; negative exactly on the Siegel domain."""
-        return 2.0 * self.a.real + float(np.vdot(self.v, self.v).real)
+        return 2.0 * self.a.real + hermitian_product(self.v, self.v).real
 
     def in_domain(self) -> bool:
         return self.defect() < 0.0
@@ -117,7 +113,7 @@ def to_matrix(g: HeisenbergElement) -> np.ndarray:
     entries (2+j, 2) are v_j.
     """
     m = np.eye(g.v.size + 2, dtype=complex)
-    nv2 = float(np.vdot(g.v, g.v).real)
+    nv2 = hermitian_product(g.v, g.v).real
     m[0, 1] = -0.5 * nv2 - 1j * g.s
     m[0, 2:] = -np.conj(g.v)
     m[2:, 1] = g.v
@@ -131,7 +127,7 @@ def orbit_coords(s: float, v: np.ndarray, t: float) -> SiegelPoint:
     satisfies 2 Re(a) + |v|^2 = -2 e^(-2t) < 0.
     """
     v = np.asarray(v, dtype=complex).reshape(-1)
-    nv2 = float(np.vdot(v, v).real)
+    nv2 = hermitian_product(v, v).real
     a = -0.5 * nv2 - 1j * s - math.exp(-2.0 * t)
     return SiegelPoint(a, v)
 

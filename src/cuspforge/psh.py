@@ -316,6 +316,7 @@ def phi_cusp_ambient(z: np.ndarray, cp: CuspParams) -> float:
     p = BundlePoint(complex(z[0]), z[1:])
     norm = h_norm(p, cp)
     try:
+        # one point: 7,400 calls per verify all, 17,472 per psh_bundle iteration
         return float(np.vdot(p.v, p.v).real) + norm**2
     except OverflowError:
         raise OverflowError(

@@ -359,6 +359,20 @@ class TestRunSuite:
         assert run_suite(SuiteConfig(suite="bundle")).passed
         assert calls == {"lattice_act": 1, "h_norm": 2}
 
+    def test_verify_all_acts_on_no_lone_point(self, monkeypatch):
+        # phi_cusp_ambient's 100 Hessians x 74 Levi-line points are the one
+        # source of one-point norms, and the bundle check acts only on arrays;
+        # an array form of phi_cusp_ambient takes the 7,400 to 0
+        lone = {"lattice_act": 0, "h_norm": 0}
+        for module, name in ((cli, "lattice_act"), (cli, "h_norm"), (psh, "h_norm")):
+            def counting(*args, name=name, fn=getattr(module, name)):
+                lone[name] += all(x.v.ndim == 1 for x in args[:-1])
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        assert run_suite(SuiteConfig(suite="all")).passed
+        assert lone == {"lattice_act": 0, "h_norm": 7400}
+
     def test_bundle_report_does_not_depend_on_the_block_size(self, monkeypatch):
         def report():
             data = json.loads(run_suite(SuiteConfig(suite="bundle")).to_json())

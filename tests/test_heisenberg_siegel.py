@@ -114,6 +114,19 @@ class TestGroupLaw:
         # one point still flattens its v, whatever its shape
         assert HeisenbergElement(0.5, v[:1]).v.shape == (2,)
 
+    def test_lone_element_keeps_s_as_given(self):
+        for s in (0.5, 2, np.float64(-1.5), np.array(0.25)):
+            g = HeisenbergElement(s, np.ones((1, 2)))
+            assert g.s is s and g.v.shape == (2,)
+
+    def test_list_s_makes_a_batch(self):
+        # one finiteness test reads s as an array, so a list of N entries
+        # is a batch of N elements
+        g = HeisenbergElement([0.5, -1.0], np.ones((2, 3)))
+        assert type(g.s) is np.ndarray and g.s.shape == (2,) and g.v.shape == (2, 3)
+        with pytest.raises(ValueError, match="needs v of shape"):
+            HeisenbergElement([0.5, -1.0], np.ones(3))
+
     @pytest.mark.parametrize("v_shape", [(3, 2), (4,), (4, 2, 1)])
     def test_batch_shape_mismatch_raises(self, v_shape):
         with pytest.raises(ValueError, match="needs v of shape"):
@@ -173,11 +186,13 @@ class TestHermitianForm:
         )
 
     def test_batch_rows_are_lone_products(self, rng):
-        # np.vecdot sums each row as np.vdot sums the lone pair: bit-equal
-        v, w = (rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3)) for _ in range(2))
-        lone = [hermitian_product(v[i], w[i]) for i in range(50)]
-        assert all(type(z) is complex for z in lone)
-        np.testing.assert_array_equal(hermitian_product(v, w), lone)
+        # one np.vecdot sums a batch row as it sums the lone pair: bit-equal
+        # at lengths 1 to 12, and a lone pair gives a Python complex
+        for k in range(1, 13):
+            v, w = (rng.standard_normal((50, k)) + 1j * rng.standard_normal((50, k)) for _ in range(2))
+            lone = [hermitian_product(v[i], w[i]) for i in range(50)]
+            assert all(type(z) is complex for z in lone)
+            assert np.array(lone).tobytes() == hermitian_product(v, w).tobytes()
         # a lone vector meets every row of a batch
         np.testing.assert_array_equal(
             hermitian_product(v, w[0]), [hermitian_product(v[i], w[0]) for i in range(50)]
